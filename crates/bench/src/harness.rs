@@ -124,32 +124,39 @@ fn stats(times: &[f64]) -> (f64, f64, f64) {
     (min, median, median_of_sorted(&deviations))
 }
 
-/// Times `iterations` runs of `work` (each returning its result
-/// fingerprint) and folds them into a [`BenchResult`].
+/// Runs `work` once untimed, then times `iterations` runs (at least
+/// one), each returning its result fingerprint, and folds them into a
+/// [`BenchResult`]. The warm-up run fills caches, lazily built tables
+/// and allocator pools so the first timed run is not an outlier; its
+/// fingerprint is checked like every other run's.
 ///
 /// # Errors
 ///
 /// Propagates `work` errors, and reports intra-run nondeterminism
-/// (iterations disagreeing on the fingerprint) as an error — a bench
-/// whose answer changes between iterations cannot gate anything.
+/// (runs disagreeing on the fingerprint) as an error — a bench whose
+/// answer changes between runs cannot gate anything.
 fn run_bench(
     name: &str,
     iterations: usize,
     mut work: impl FnMut() -> Result<u64, String>,
 ) -> Result<BenchResult, String> {
+    let iterations = iterations.max(1);
     let mut times_us = Vec::with_capacity(iterations);
     let mut fingerprint = None;
-    for i in 0..iterations.max(1) {
+    for i in 0..=iterations {
         let started = Instant::now();
         let fp = work().map_err(|e| format!("bench {name}: {e}"))?;
-        times_us.push(started.elapsed().as_secs_f64() * 1e6);
+        let elapsed_us = started.elapsed().as_secs_f64() * 1e6;
+        if i > 0 {
+            times_us.push(elapsed_us);
+        }
         match fingerprint {
             None => fingerprint = Some(fp),
             Some(expected) if expected == fp => {}
             Some(expected) => {
                 return Err(format!(
                     "bench {name}: nondeterministic results \
-                     (iteration 0 fingerprint {expected:016x}, iteration {i} {fp:016x})"
+                     (warm-up fingerprint {expected:016x}, timed run {i} {fp:016x})"
                 ));
             }
         }
@@ -956,6 +963,30 @@ mod tests {
         let (min, median, _) = stats(&[4.0, 2.0]);
         assert_eq!(min, 2.0);
         assert_eq!(median, 3.0);
+    }
+
+    #[test]
+    fn run_bench_times_every_run_but_the_warm_up() {
+        let mut calls = 0;
+        let result = run_bench("probe", 4, || {
+            calls += 1;
+            Ok(7)
+        })
+        .unwrap();
+        assert_eq!(calls, 4 + 1, "one untimed warm-up plus the timed runs");
+        assert_eq!(result.times_us.len(), 4);
+        assert_eq!(result.fingerprint, 7);
+    }
+
+    #[test]
+    fn run_bench_checks_the_warm_up_fingerprint() {
+        let mut calls = 0u64;
+        let err = run_bench("probe", 3, || {
+            calls += 1;
+            Ok(if calls == 1 { 1 } else { 2 })
+        })
+        .unwrap_err();
+        assert!(err.contains("nondeterministic"), "{err}");
     }
 
     #[test]

@@ -9,27 +9,34 @@
 use rsmem_code::{BatchDecoder, BatchOutcome, DecodeOpts, RsCode};
 use rsmem_gf::Symbol;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-/// The allocation counter is process-global, so the two tests must not
-/// run concurrently (the harness runs tests on parallel threads).
-static SERIAL: Mutex<()> = Mutex::new(());
-
+use std::cell::Cell;
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// Allocations made by the current thread. Each test does its work
+    /// on its own thread, so tests running in parallel never see each
+    /// other's allocations.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn bump() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+fn allocations() -> usize {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        bump();
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        bump();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -39,7 +46,6 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 #[test]
 fn warm_clean_batches_allocate_nothing() {
-    let _serial = SERIAL.lock().unwrap();
     // Logging/profiling are never initialised in this test binary, so
     // the decode spans reduce to their disabled fast gates (which the
     // obs crate separately proves allocation-free).
@@ -68,7 +74,7 @@ fn warm_clean_batches_allocate_nothing() {
         .unwrap();
     assert!(outcomes.iter().all(|o| *o == BatchOutcome::Clean));
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for _ in 0..100 {
         decoder
             .decode_batch(
@@ -80,7 +86,7 @@ fn warm_clean_batches_allocate_nothing() {
             )
             .unwrap();
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,
@@ -91,7 +97,6 @@ fn warm_clean_batches_allocate_nothing() {
 
 #[test]
 fn warm_batches_with_empty_erasure_sets_allocate_nothing() {
-    let _serial = SERIAL.lock().unwrap();
     // The per-word erasure convention (one, possibly empty, set per
     // word) is what the simulator passes; empty sets must stay on the
     // allocation-free path too.
@@ -118,7 +123,7 @@ fn warm_batches_with_empty_erasure_sets_allocate_nothing() {
         )
         .unwrap();
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for _ in 0..100 {
         decoder
             .decode_batch(
@@ -130,7 +135,7 @@ fn warm_batches_with_empty_erasure_sets_allocate_nothing() {
             )
             .unwrap();
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,

@@ -27,6 +27,13 @@ pub enum CtmcError {
         /// Length expected.
         expected: usize,
     },
+    /// A requested state index is not in the state space.
+    StateOutOfRange {
+        /// The offending index.
+        index: usize,
+        /// Number of states in the space.
+        states: usize,
+    },
     /// The iteration did not converge within its budget.
     NotConverged {
         /// Iterations or terms consumed.
@@ -54,6 +61,9 @@ impl fmt::Display for CtmcError {
                     f,
                     "vector length {got} does not match state count {expected}"
                 )
+            }
+            CtmcError::StateOutOfRange { index, states } => {
+                write!(f, "state index {index} is out of range for {states} states")
             }
             CtmcError::NotConverged { iterations } => {
                 write!(f, "solver did not converge after {iterations} iterations")

@@ -197,6 +197,11 @@ impl<S: Clone + Eq + Hash + Debug> StateSpace<S> {
         self.exit[i]
     }
 
+    /// Exit rate of every state, by index.
+    pub(crate) fn exit_rates(&self) -> &[f64] {
+        &self.exit
+    }
+
     /// Maximum exit rate over all states (the uniformization constant base).
     pub fn max_exit_rate(&self) -> f64 {
         self.exit.iter().fold(0.0, |a, &b| a.max(b))

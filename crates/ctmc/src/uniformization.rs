@@ -17,7 +17,7 @@
 //!
 //! # Performance
 //!
-//! The solver is engineered around three hot-path properties:
+//! The solver is engineered around four hot-path properties:
 //!
 //! 1. **Allocation-free iteration.** All per-term scratch lives in a
 //!    reusable [`UniformizationWorkspace`]; a grid solve's heap traffic
@@ -33,9 +33,25 @@
 //!    transposed rate matrix ([`StateSpace::rates_transposed`]): each
 //!    output component is one sequential gather, fused with the diagonal
 //!    term in a single pass (no scattered writes, no inflow buffer).
+//! 4. **Projected output.** A caller that reads only some components of
+//!    `p(t)` (a BER curve reads `P_Fail`) asks
+//!    [`transient_grid_projected`] for just those. A time point whose
+//!    Poisson weight has underflowed to exactly zero by the first
+//!    convergence test accumulates only the requested components; every
+//!    other point still accumulates the whole vector (its convergence
+//!    test reads every component) and is projected on return. Results
+//!    are bit-identical to projecting the full solve — see
+//!    [`LN_W_PROJECT`].
+//!
+//! The per-term scalar work is shared across the grid: `ln n` is taken
+//! once per term, `exp` is skipped where it would return zero anyway,
+//! and the convergence flag folds without a branch so the full-vector
+//! accumulation vectorises. None of this changes an arithmetic
+//! operation, so every result is bit-identical to the plain series.
 
 use crate::model::StateSpace;
 use crate::poisson::poisson_ln_pmf;
+use crate::sparse::CsrMatrix;
 use crate::CtmcError;
 use rsmem_obs::metrics::{global, Counter, Histogram};
 use std::fmt::Debug;
@@ -44,6 +60,21 @@ use std::sync::OnceLock;
 
 /// Terms between exact recomputations of the recurrent log-weights.
 const LN_W_RESYNC: usize = 64;
+
+/// Below this log-weight `exp` returns exactly zero: the smallest
+/// subnormal is `e^−744.44`, and anything under half of it (`e^−745.13`)
+/// rounds to zero. The solver skips the `exp` call there.
+const LN_W_UNDERFLOW: f64 = -746.0;
+
+/// A time point with `ln Poisson(n_min; Λt) <` this bound has weight
+/// exactly zero at every term that runs a convergence test: the bound
+/// sits 54 nats below [`LN_W_UNDERFLOW`], far beyond the recurrence's
+/// rounding drift, and past the Poisson mode (`n_min ≥ Λt`) the weights
+/// only decrease. Such a point's test always sees "small", so it
+/// converges at `n_min + 2` whatever its accumulated components hold
+/// and needs only the components the caller asked for.
+const LN_W_PROJECT: f64 = -800.0;
+const _: () = assert!(LN_W_PROJECT < LN_W_UNDERFLOW);
 
 /// Bucket bounds for the per-time-point series-length histogram: the
 /// truncation point grows with Λt, so powers of four cover everything
@@ -125,6 +156,23 @@ pub struct UniformizationWorkspace {
     converged: Vec<bool>,
     /// Consecutive below-tolerance terms per time point.
     streak: Vec<u32>,
+    /// Where each time point accumulates its terms.
+    acc: Vec<Accumulator>,
+    /// Full-length accumulators of the points a projected solve must
+    /// still sum in full, `n_states` each.
+    scratch: Vec<f64>,
+}
+
+/// Where a time point's series accumulates.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Accumulator {
+    /// Every component, straight into the returned row (full solve).
+    Output,
+    /// Every component, into `scratch[offset..offset + n_states]`; the
+    /// requested components are copied out on return.
+    Scratch(usize),
+    /// Only the requested components, into the returned row.
+    Selected,
 }
 
 impl UniformizationWorkspace {
@@ -154,6 +202,9 @@ impl UniformizationWorkspace {
         self.converged.resize(n_times, false);
         self.streak.clear();
         self.streak.resize(n_times, 0);
+        self.acc.clear();
+        self.acc.resize(n_times, Accumulator::Output);
+        self.scratch.clear();
         grew
     }
 }
@@ -247,7 +298,96 @@ pub fn transient_grid_with<S>(
 where
     S: Clone + Eq + Hash + Debug,
 {
-    let n_states = space.len();
+    solve(Chain::of(space), p0, times, None, opts, ws)
+}
+
+/// The components `states` of `p(t)` from the point-mass initial
+/// distribution, for every `t` in `times`: row `k` holds
+/// `[p(times[k])[states[0]], p(times[k])[states[1]], …]`.
+///
+/// Bit-identical to picking those components out of
+/// [`transient_grid`], but time points whose series is still summing
+/// when the others converge skip the unrequested components (see the
+/// module docs). A BER curve asks for the Fail state alone.
+///
+/// # Errors
+///
+/// As [`transient`], plus [`CtmcError::StateOutOfRange`].
+pub fn transient_grid_projected<S>(
+    space: &StateSpace<S>,
+    times: &[f64],
+    states: &[usize],
+    opts: &UniformizationOptions,
+) -> Result<Vec<Vec<f64>>, CtmcError>
+where
+    S: Clone + Eq + Hash + Debug,
+{
+    let p0 = space.initial_distribution();
+    transient_grid_projected_with(
+        space,
+        &p0,
+        times,
+        states,
+        opts,
+        &mut UniformizationWorkspace::new(),
+    )
+}
+
+/// [`transient_grid_projected`] from an arbitrary initial distribution,
+/// with caller-owned scratch. A warm workspace allocates only the
+/// returned rows.
+///
+/// # Errors
+///
+/// As [`transient_grid_projected`], plus [`CtmcError::DimensionMismatch`].
+pub fn transient_grid_projected_with<S>(
+    space: &StateSpace<S>,
+    p0: &[f64],
+    times: &[f64],
+    states: &[usize],
+    opts: &UniformizationOptions,
+    ws: &mut UniformizationWorkspace,
+) -> Result<Vec<Vec<f64>>, CtmcError>
+where
+    S: Clone + Eq + Hash + Debug,
+{
+    solve(Chain::of(space), p0, times, Some(states), opts, ws)
+}
+
+/// What the series reads of a [`StateSpace`]. The loop takes this
+/// instead of the generic space, so it is compiled once, in this crate,
+/// whatever the state type.
+#[derive(Clone, Copy)]
+struct Chain<'a> {
+    rates_t: &'a CsrMatrix,
+    exit: &'a [f64],
+    lambda: f64,
+}
+
+impl<'a> Chain<'a> {
+    fn of<S>(space: &'a StateSpace<S>) -> Self
+    where
+        S: Clone + Eq + Hash + Debug,
+    {
+        Chain {
+            rates_t: space.rates_transposed(),
+            exit: space.exit_rates(),
+            lambda: space.max_exit_rate(),
+        }
+    }
+}
+
+/// The series loop behind every solver entry point: `select` lists the
+/// returned components, `None` meaning all of them.
+fn solve(
+    chain: Chain<'_>,
+    p0: &[f64],
+    times: &[f64],
+    select: Option<&[usize]>,
+    opts: &UniformizationOptions,
+    ws: &mut UniformizationWorkspace,
+) -> Result<Vec<Vec<f64>>, CtmcError> {
+    let n_states = chain.exit.len();
     if p0.len() != n_states {
         return Err(CtmcError::DimensionMismatch {
             got: p0.len(),
@@ -259,13 +399,23 @@ where
             return Err(CtmcError::InvalidTime { time: t });
         }
     }
+    if let Some(&index) = select.into_iter().flatten().find(|&&j| j >= n_states) {
+        return Err(CtmcError::StateOutOfRange {
+            index,
+            states: n_states,
+        });
+    }
+    let project = |p: &[f64]| match select {
+        None => p.to_vec(),
+        Some(states) => states.iter().map(|&j| p[j]).collect(),
+    };
 
     let metrics = solver_metrics();
     let mut obs_span = rsmem_obs::span("ctmc.uniformization", "transient_grid");
     obs_span.record("states", n_states);
     obs_span.record("time_points", times.len());
 
-    let lambda = space.max_exit_rate();
+    let lambda = chain.lambda;
     if lambda == 0.0 || times.iter().all(|&t| t == 0.0) {
         // No dynamics: p(t) = p(0) at every requested time.
         metrics.solves.inc();
@@ -273,16 +423,12 @@ where
             metrics.terms.observe(0.0);
         }
         obs_span.record("terms", 0u64);
-        return Ok(times.iter().map(|_| p0.to_vec()).collect());
+        return Ok(times.iter().map(|_| project(p0)).collect());
     }
     obs_span.record("lambda", lambda);
 
     metrics.solves.inc();
-    if ws.prepare(p0, times.len()) {
-        metrics.reallocs.inc();
-    } else {
-        metrics.workspace_reuses.inc();
-    }
+    let mut grew = ws.prepare(p0, times.len());
     let mut max_mean = 0.0f64;
     for (k, &t) in times.iter().enumerate() {
         let m = lambda * t;
@@ -298,70 +444,106 @@ where
             ws.ln_w[k] = -m;
         }
     }
-    let mut acc: Vec<Vec<f64>> = ws
-        .converged
-        .iter()
-        .map(|&done| {
-            if done {
-                p0.to_vec()
-            } else {
-                vec![0.0; n_states]
-            }
-        })
-        .collect();
-    let rates_t = space.rates_transposed();
 
     // Minimum terms before convergence tests: past the Poisson mode and
     // past the state count (so reachability has settled).
     let n_min = (max_mean.ceil() as usize).max(n_states.min(10_000));
 
+    let selected = select.unwrap_or_default();
+    let width = select.map_or(n_states, <[usize]>::len);
+    if select.is_some() {
+        let mut scratch_len = 0;
+        for k in 0..times.len() {
+            if ws.converged[k] {
+                continue;
+            }
+            ws.acc[k] = if poisson_ln_pmf(n_min as u64, ws.means[k]) < LN_W_PROJECT {
+                Accumulator::Selected
+            } else {
+                scratch_len += n_states;
+                Accumulator::Scratch(scratch_len - n_states)
+            };
+        }
+        grew |= ws.scratch.capacity() < scratch_len;
+        ws.scratch.resize(scratch_len, 0.0);
+    }
+    if grew {
+        metrics.reallocs.inc();
+    } else {
+        metrics.workspace_reuses.inc();
+    }
+    let mut out: Vec<Vec<f64>> = ws
+        .converged
+        .iter()
+        .map(|&done| if done { project(p0) } else { vec![0.0; width] })
+        .collect();
+    let rates_t = chain.rates_t;
+    let tol = opts.rel_tol;
+
     // Per-point series lengths plus the terms saved by per-point
     // convergence skips (accumulated locally; one atomic add at exit).
     let mut skipped: u64 = 0;
     for n in 0..opts.max_terms {
+        let ln_n = (n as f64).ln();
+        let resync = n > 0 && n % LN_W_RESYNC == 0;
         let mut all_done = true;
-        for (k, row) in acc.iter_mut().enumerate() {
+        for (k, row) in out.iter_mut().enumerate() {
             if ws.converged[k] {
                 skipped += 1;
                 continue;
             }
             all_done = false;
-            if n > 0 {
-                if n % LN_W_RESYNC == 0 {
-                    // Cancel the recurrence's accumulated rounding.
-                    ws.ln_w[k] = poisson_ln_pmf(n as u64, ws.means[k]);
-                } else {
-                    ws.ln_w[k] += ws.ln_mean[k] - (n as f64).ln();
-                }
+            if resync {
+                // Cancel the recurrence's accumulated rounding.
+                ws.ln_w[k] = poisson_ln_pmf(n as u64, ws.means[k]);
+            } else if n > 0 {
+                ws.ln_w[k] += ws.ln_mean[k] - ln_n;
             }
-            let w = ws.ln_w[k].exp();
-            let mut small = true;
-            if w > 0.0 {
-                for (slot, &vj) in row.iter_mut().zip(&ws.v) {
-                    let delta = w * vj;
-                    *slot += delta;
-                    if delta > opts.rel_tol * *slot {
-                        small = false;
+            let ln_w = ws.ln_w[k];
+            let w = if ln_w < LN_W_UNDERFLOW {
+                0.0
+            } else {
+                ln_w.exp()
+            };
+            let big = w > 0.0
+                && match ws.acc[k] {
+                    Accumulator::Output => accumulate(row, &ws.v, w, tol),
+                    Accumulator::Scratch(at) => {
+                        accumulate(&mut ws.scratch[at..at + n_states], &ws.v, w, tol)
                     }
-                }
-            }
+                    Accumulator::Selected => {
+                        debug_assert!(n < n_min, "projected point weighted at term {n}");
+                        for (slot, &j) in row.iter_mut().zip(selected) {
+                            *slot += w * ws.v[j];
+                        }
+                        false
+                    }
+                };
             if n >= n_min && (n as f64) > ws.means[k] {
-                if small {
+                if big {
+                    ws.streak[k] = 0;
+                } else {
                     ws.streak[k] += 1;
                     if ws.streak[k] >= 3 {
                         ws.converged[k] = true;
                         metrics.terms.observe((n + 1) as f64);
                     }
-                } else {
-                    ws.streak[k] = 0;
                 }
             }
         }
         if all_done {
+            for (row, acc) in out.iter_mut().zip(&ws.acc) {
+                if let Accumulator::Scratch(at) = *acc {
+                    let full = &ws.scratch[at..at + n_states];
+                    for (slot, &j) in row.iter_mut().zip(selected) {
+                        *slot = full[j];
+                    }
+                }
+            }
             metrics.skipped_terms.add(skipped);
             obs_span.record("terms", n);
             obs_span.record("skipped_terms", skipped);
-            return Ok(acc);
+            return Ok(out);
         }
         // v ← v·P = v + (v·R − v∘exit)/Λ, computed without cancellation:
         // v_next[j] = v[j]·(1 − exit_j/Λ) + Σ_i v[i]·r_ij/Λ. The inflow
@@ -371,7 +553,7 @@ where
             for (i, r) in rates_t.row(j) {
                 inflow += ws.v[i] * r;
             }
-            ws.next[j] = ws.v[j] * (1.0 - space.exit_rate(j) / lambda) + inflow / lambda;
+            ws.next[j] = ws.v[j] * (1.0 - chain.exit[j] / lambda) + inflow / lambda;
         }
         std::mem::swap(&mut ws.v, &mut ws.next);
     }
@@ -381,6 +563,20 @@ where
     Err(CtmcError::NotConverged {
         iterations: opts.max_terms,
     })
+}
+
+/// Adds `w·v` into `acc` and reports whether any term was still large
+/// relative to its running sum. The flag folds without a branch so the
+/// loop vectorises.
+#[inline]
+fn accumulate(acc: &mut [f64], v: &[f64], w: f64, tol: f64) -> bool {
+    let mut big = false;
+    for (slot, &vj) in acc.iter_mut().zip(v) {
+        let delta = w * vj;
+        *slot += delta;
+        big |= delta > tol * *slot;
+    }
+    big
 }
 
 #[cfg(test)]
@@ -521,6 +717,123 @@ mod tests {
             transient(&space, f64::NAN, &opts),
             Err(CtmcError::InvalidTime { .. })
         ));
+    }
+
+    /// Good --a--> Degraded --a--> Fail, Degraded --s--> Good: cyclic, so
+    /// every grid point runs a long series.
+    struct Scrubbed {
+        a: f64,
+        s: f64,
+    }
+    impl MarkovModel for Scrubbed {
+        type State = u8;
+        fn initial_state(&self) -> u8 {
+            0
+        }
+        fn transitions(&self, s: &u8, out: &mut Vec<(u8, f64)>) {
+            match s {
+                0 => out.push((1, self.a)),
+                1 => {
+                    out.push((2, self.a));
+                    out.push((0, self.s));
+                }
+                _ => {}
+            }
+        }
+    }
+
+    fn bits(rows: &[Vec<f64>]) -> Vec<Vec<u64>> {
+        rows.iter()
+            .map(|r| r.iter().map(|x| x.to_bits()).collect())
+            .collect()
+    }
+
+    #[test]
+    fn exp_underflows_to_zero_below_the_skip_bound() {
+        // The solver skips `exp` below LN_W_UNDERFLOW because it would
+        // return exactly zero there.
+        for i in 0..200_000 {
+            let x = LN_W_UNDERFLOW - f64::from(i) * 0.005;
+            assert_eq!(x.exp().to_bits(), 0, "exp({x}) is not +0");
+        }
+    }
+
+    #[test]
+    fn projection_is_exact_either_side_of_the_classification_bound() {
+        let space = StateSpace::explore(&Scrubbed { a: 0.02, s: 4.0 }).unwrap();
+        let lambda = space.max_exit_rate();
+        let opts = UniformizationOptions::default();
+        // n_min = ⌈Λ·t_max⌉ = 2000 (three states).
+        let t_max = 2000.0 / lambda;
+        let n_min = 2000u64;
+        // ln Poisson(n_min; m) rises with m below n_min: bisect for the
+        // mean where it crosses the bound.
+        let (mut lo, mut hi) = (1.0, n_min as f64);
+        for _ in 0..200 {
+            let mid = 0.5 * (lo + hi);
+            if poisson_ln_pmf(n_min, mid) < LN_W_PROJECT {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        let below = lo * (1.0 - 1e-9);
+        let above = hi * (1.0 + 1e-9);
+        assert!(poisson_ln_pmf(n_min, below) < LN_W_PROJECT);
+        assert!(poisson_ln_pmf(n_min, above) >= LN_W_PROJECT);
+        let times = [0.0, 1.0 / lambda, below / lambda, above / lambda, t_max];
+        let p0 = space.initial_distribution();
+
+        let mut ws = UniformizationWorkspace::new();
+        let full = transient_grid_with(&space, &p0, &times, &opts, &mut ws).unwrap();
+        assert!(ws.acc.iter().all(|&a| a == Accumulator::Output));
+        for states in [vec![2], vec![0], vec![2, 0, 1, 2]] {
+            let projected =
+                transient_grid_projected_with(&space, &p0, &times, &states, &opts, &mut ws)
+                    .unwrap();
+            assert_eq!(ws.acc[1], Accumulator::Selected);
+            assert_eq!(ws.acc[2], Accumulator::Selected, "just below the bound");
+            assert!(matches!(ws.acc[3], Accumulator::Scratch(_)), "just above");
+            assert!(matches!(ws.acc[4], Accumulator::Scratch(_)));
+            let expect: Vec<Vec<f64>> = full
+                .iter()
+                .map(|p| states.iter().map(|&j| p[j]).collect())
+                .collect();
+            assert_eq!(bits(&projected), bits(&expect), "states {states:?}");
+        }
+        // The classified-away points still carry real probability.
+        assert!(full[2][2] > 0.0 && full[2][2] < full[3][2]);
+    }
+
+    #[test]
+    fn projected_solve_matches_full_solve_bit_for_bit() {
+        let opts = UniformizationOptions::default();
+        let times = [0.0, 0.3, 1.7, 6.0, 60.0, 600.0];
+        let space = StateSpace::explore(&Scrubbed { a: 0.5, s: 30.0 }).unwrap();
+        let full = transient_grid(&space, &times, &opts).unwrap();
+        for j in 0..space.len() {
+            let projected = transient_grid_projected(&space, &times, &[j], &opts).unwrap();
+            let expect: Vec<Vec<f64>> = full.iter().map(|p| vec![p[j]]).collect();
+            assert_eq!(bits(&projected), bits(&expect), "state {j}");
+        }
+    }
+
+    #[test]
+    fn projection_edge_cases() {
+        let space = StateSpace::explore(&TwoState { lambda: 1.0 }).unwrap();
+        let opts = UniformizationOptions::default();
+        let times = [0.0, 2.0];
+        let empty = transient_grid_projected(&space, &times, &[], &opts).unwrap();
+        assert_eq!(empty, vec![Vec::<f64>::new(); 2]);
+        let at_zero = transient_grid_projected(&space, &[0.0], &[1, 0], &opts).unwrap();
+        assert_eq!(at_zero, vec![vec![0.0, 1.0]]);
+        assert_eq!(
+            transient_grid_projected(&space, &times, &[2], &opts),
+            Err(CtmcError::StateOutOfRange {
+                index: 2,
+                states: 2
+            })
+        );
     }
 
     #[test]

@@ -1,29 +1,44 @@
 //! Proves the solver's O(1)-allocation contract with a counting global
 //! allocator: a grid solve through a warm [`UniformizationWorkspace`]
 //! allocates only the returned distribution rows — the count is
-//! independent of how many Poisson terms the series needs.
+//! independent of how many Poisson terms the series needs. The same
+//! holds for a projected solve.
 
 use rsmem_ctmc::uniformization::{
-    transient_grid_with, UniformizationOptions, UniformizationWorkspace,
+    transient_grid_projected_with, transient_grid_with, UniformizationOptions,
+    UniformizationWorkspace,
 };
 use rsmem_ctmc::{MarkovModel, StateSpace};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// Allocations made by the current thread. Each test does its work
+    /// on its own thread, so tests running in parallel never see each
+    /// other's allocations.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn bump() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+fn allocations() -> usize {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        bump();
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        bump();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -74,9 +89,9 @@ fn warm_workspace_grid_solve_allocates_only_the_output() {
     transient_grid_with(&space, &p0, &times_long, &opts, &mut ws).unwrap();
 
     let count = |times: &[f64], ws: &mut UniformizationWorkspace| {
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let before = allocations();
         let grid = transient_grid_with(&space, &p0, times, &opts, ws).unwrap();
-        let after = ALLOCATIONS.load(Ordering::Relaxed);
+        let after = allocations();
         drop(grid);
         after - before
     };
@@ -94,5 +109,51 @@ fn warm_workspace_grid_solve_allocates_only_the_output() {
     assert!(
         long_allocs <= 2 * times_long.len() + 2,
         "expected only output allocations, got {long_allocs}"
+    );
+}
+
+#[test]
+fn warm_workspace_projected_solve_allocates_only_the_output() {
+    let space = StateSpace::explore(&ScrubbedChain {
+        lambda: 1e-4,
+        scrub: 50.0,
+    })
+    .unwrap();
+    let opts = UniformizationOptions::default();
+    let mut ws = UniformizationWorkspace::new();
+    let fail = [2usize];
+    // Λt up to 100 and 1000: the early points of each grid are summed
+    // for the Fail state alone, the late ones in full.
+    let times_short: [f64; 6] = [0.0, 0.1, 0.5, 1.0, 1.5, 2.0];
+    let times_long = times_short.map(|t| t * 10.0);
+
+    // Warm on both grids: they sum different numbers of points in full,
+    // so either may need the larger scratch.
+    let p0 = space.initial_distribution();
+    for times in [&times_short, &times_long] {
+        transient_grid_projected_with(&space, &p0, times, &fail, &opts, &mut ws).unwrap();
+    }
+
+    let count = |times: &[f64], ws: &mut UniformizationWorkspace| {
+        let before = allocations();
+        let rows = transient_grid_projected_with(&space, &p0, times, &fail, &opts, ws).unwrap();
+        let after = allocations();
+        assert!(rows.iter().all(|r| r.len() == fail.len()));
+        drop(rows);
+        after - before
+    };
+
+    let short_allocs = count(&times_short, &mut ws);
+    let long_allocs = count(&times_long, &mut ws);
+
+    // The Vec of rows plus one single-component row per time point.
+    assert_eq!(
+        short_allocs, long_allocs,
+        "allocation count must not depend on the term count"
+    );
+    assert_eq!(
+        long_allocs,
+        times_long.len() + 1,
+        "expected only output allocations"
     );
 }

@@ -12,7 +12,7 @@ use crate::simplex::{SimplexModel, SimplexState};
 use crate::units::Time;
 use crate::{CodeParams, ModelError};
 use rsmem_ctmc::paths::{absorption_bounds, PathBound, PathOptions};
-use rsmem_ctmc::uniformization::{transient_grid, UniformizationOptions};
+use rsmem_ctmc::uniformization::{transient_grid_projected, UniformizationOptions};
 use rsmem_ctmc::{MarkovModel, StateSpace};
 
 /// A memory-system Markov model with a distinguished Fail state —
@@ -119,10 +119,16 @@ where
     }
     let space = StateSpace::explore(model)?;
     let days: Vec<f64> = times.iter().map(|t| t.as_days()).collect();
-    let grid = transient_grid(&space, &days, opts)?;
+    // Eq. (1) reads one component: solve for P_Fail alone. A model whose
+    // Fail state is unreachable still runs the (empty) projected solve,
+    // so solver errors surface as they would for any other model.
     let fail = space.index_of(&model.fail_state());
+    let grid = transient_grid_projected(&space, &days, fail.as_slice(), opts)?;
     let prefactor = model.code_params().ber_prefactor();
-    let fail_probability: Vec<f64> = grid.iter().map(|p| fail.map_or(0.0, |f| p[f])).collect();
+    let fail_probability: Vec<f64> = grid
+        .iter()
+        .map(|p| p.first().copied().unwrap_or(0.0))
+        .collect();
     let ber = fail_probability.iter().map(|&p| prefactor * p).collect();
     Ok(BerCurve {
         times: times.to_vec(),

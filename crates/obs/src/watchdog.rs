@@ -287,6 +287,9 @@ mod tests {
 
     #[test]
     fn quantile_rule_breaches_and_captures_a_trace_linked_exemplar() {
+        // The recorder's tests reset its global exemplar store; hold
+        // their lock so no reset lands between capture and snapshot.
+        let _guard = crate::log::test_env_lock();
         let (clock, sampler) = manual_sampler();
         let latency = Histogram::with_bounds(&[100, 1_000, 100_000]);
         sampler.track_histogram("lat_us", latency.clone());
@@ -318,14 +321,15 @@ mod tests {
         assert_eq!(alerts.len(), 1);
         assert!(alerts[0].value > 10_000.0);
 
+        // Other watchdog tests may breach their own rules meanwhile: pick
+        // this rule's exemplar by name.
         let snapshot = recorder::snapshot();
         let exemplar = snapshot
             .exemplars
             .iter()
-            .find(|e| e.kind == "slo-breach")
+            .find(|e| e.kind == "slo-breach" && e.code == "wd_test_latency_p99")
             .expect("breach exemplar captured");
         assert_eq!(exemplar.trace_id, 0xD00F, "linked to the slow trace");
-        assert_eq!(exemplar.code, "wd_test_latency_p99");
         assert!(exemplar.detail.contains("crossed threshold"));
     }
 

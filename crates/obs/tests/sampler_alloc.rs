@@ -10,23 +10,36 @@
 use rsmem_obs::timeseries::Sampler;
 use rsmem_obs::{Counter, Gauge, Histogram};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 use std::time::Duration;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// Allocations made by the current thread. Each test does its work
+    /// on its own thread, so tests running in parallel never see each
+    /// other's allocations.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn bump() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+fn allocations() -> usize {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        bump();
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        bump();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -56,7 +69,7 @@ fn steady_state_sampling_allocates_nothing() {
         sampler.sample_now();
     }
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     let mut last_seq = 0;
     for i in 0..512u64 {
         ops.add(3);
@@ -66,7 +79,7 @@ fn steady_state_sampling_allocates_nothing() {
         assert!(seq > last_seq, "every forced sample must land a frame");
         last_seq = seq;
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,
@@ -88,10 +101,10 @@ fn disabled_tick_does_not_allocate() {
     rsmem_obs::timeseries::tick();
     assert!(!rsmem_obs::timeseries::global().enabled());
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for _ in 0..1_000 {
         rsmem_obs::timeseries::tick();
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert_eq!(after - before, 0, "disabled tick must not allocate");
 }

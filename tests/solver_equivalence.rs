@@ -3,12 +3,17 @@
 //! must agree with a line-by-line naive reference implementation —
 //! per-term `poisson_ln_pmf`, fresh allocations, scatter-form `v·P` —
 //! to within 1e-12 relative on the paper's actual figure grids.
+//!
+//! The projected solve that `ber_curve` runs (Fail state only) must
+//! equal the Fail component of the full solve *bit for bit*, on every
+//! figure system and on the corners of a 24-month scrubbed design sweep.
 
-use rsmem::units::{SeuRate, Time, TimeGrid};
-use rsmem::{CodeParams, DuplexModel, FaultRates, Scrubbing, SimplexModel};
+use rsmem::units::{ErasureRate, SeuRate, Time, TimeGrid};
+use rsmem::{CodeParams, DuplexModel, FaultRates, MemoryModel, Scrubbing, SimplexModel};
 use rsmem_ctmc::poisson::poisson_ln_pmf;
 use rsmem_ctmc::uniformization::{transient_grid, UniformizationOptions};
 use rsmem_ctmc::{MarkovModel, StateSpace};
+use rsmem_models::ber::ber_curve;
 
 /// Direct transcription of the uniformization series with none of the
 /// production solver's optimizations: every term re-evaluates the Poisson
@@ -160,5 +165,89 @@ fn fig7_duplex_scrubbed_grids_match_naive_reference() {
             Scrubbing::every_seconds(period_s),
         );
         check_model(&model, &times, &format!("fig7 Tsc={period_s}"));
+    }
+}
+
+/// `ber_curve`'s `P_Fail` — a solve projected onto the Fail state —
+/// must equal the full solve's Fail component under `to_bits()` at every
+/// grid point.
+fn check_projection<M: MemoryModel>(model: &M, times: &[Time], label: &str)
+where
+    M::State: Clone + Eq + std::hash::Hash + std::fmt::Debug,
+{
+    let space = StateSpace::explore(model).unwrap();
+    let fail = space
+        .index_of(&model.fail_state())
+        .expect("Fail is reachable");
+    let days: Vec<f64> = times.iter().map(|t| t.as_days()).collect();
+    let full = transient_grid(&space, &days, &UniformizationOptions::default()).unwrap();
+    let curve = ber_curve(model, times).unwrap();
+    for (k, (p, &projected)) in full.iter().zip(&curve.fail_probability).enumerate() {
+        assert_eq!(
+            projected.to_bits(),
+            p[fail].to_bits(),
+            "{label}: t[{k}] projected {projected:e} vs full {:e}",
+            p[fail]
+        );
+    }
+}
+
+fn rates(seu: f64, erasure: f64) -> FaultRates {
+    FaultRates {
+        seu: SeuRate::per_bit_day(seu),
+        erasure: ErasureRate::per_symbol_day(erasure),
+    }
+}
+
+#[test]
+fn projected_solve_is_bit_identical_on_every_figure_system() {
+    let hours = TimeGrid::linspace(Time::zero(), Time::from_hours(48.0), 25);
+    let months = TimeGrid::linspace(Time::zero(), Time::from_months(24.0), 25);
+    let rs18 = CodeParams::rs18_16();
+    for &seu in &[7.3e-7, 3.6e-6, 1.7e-5] {
+        let r = rates(seu, 0.0);
+        let label = format!("λ={seu:e}");
+        let fig5 = SimplexModel::new(rs18, r, Scrubbing::None);
+        check_projection(&fig5, hours.points(), &format!("fig5 {label}"));
+        let fig6 = DuplexModel::new(rs18, r, Scrubbing::None);
+        check_projection(&fig6, hours.points(), &format!("fig6 {label}"));
+    }
+    for &period_s in &[900.0, 1200.0, 1800.0, 3600.0] {
+        let scrub = Scrubbing::every_seconds(period_s);
+        let fig7 = DuplexModel::new(rs18, rates(1.7e-5, 0.0), scrub);
+        check_projection(&fig7, hours.points(), &format!("fig7 Tsc={period_s}"));
+    }
+    for &erasure in &[1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10] {
+        let r = rates(0.0, erasure);
+        let label = format!("λe={erasure:e}");
+        let fig8 = SimplexModel::new(rs18, r, Scrubbing::None);
+        check_projection(&fig8, months.points(), &format!("fig8 {label}"));
+        let fig9 = DuplexModel::new(rs18, r, Scrubbing::None);
+        check_projection(&fig9, months.points(), &format!("fig9 {label}"));
+        let fig10 = SimplexModel::new(CodeParams::rs36_16(), r, Scrubbing::None);
+        check_projection(&fig10, months.points(), &format!("fig10 {label}"));
+    }
+}
+
+#[test]
+fn projected_solve_is_bit_identical_on_mission_sweep_corners() {
+    // 24-month sweeps with scrubbing: Λt reaches ~70 000, and the early
+    // grid points are the ones the projected solve sums for Fail alone.
+    let months = TimeGrid::linspace(Time::zero(), Time::from_months(24.0), 25);
+    for (n, k) in [(18, 16), (20, 16)] {
+        let code = CodeParams::new(n, k, 8).unwrap();
+        for &period_s in &[900.0, 3600.0] {
+            let scrub = Scrubbing::every_seconds(period_s);
+            for &seu in &[1e-5, 3e-5] {
+                for &erasure in &[3e-7, 3e-6] {
+                    let r = rates(seu, erasure);
+                    let label = format!("RS({n},{k}) Tsc={period_s} λ={seu:e} λe={erasure:e}");
+                    let simplex = SimplexModel::new(code, r, scrub);
+                    check_projection(&simplex, months.points(), &format!("simplex {label}"));
+                    let duplex = DuplexModel::new(code, r, scrub);
+                    check_projection(&duplex, months.points(), &format!("duplex {label}"));
+                }
+            }
+        }
     }
 }
