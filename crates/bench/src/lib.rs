@@ -1,36 +1,4 @@
-//! Shared helpers for the `rsmem-bench` Criterion benches.
-//!
-//! Each figure bench does two things:
-//! 1. prints the regenerated series once (the rows the paper's figure
-//!    plots), so `cargo bench` output doubles as the reproduction record;
-//! 2. benchmarks the regeneration itself with Criterion.
-
-use rsmem::experiments::{run, ExperimentId};
-use rsmem::report;
+//! The fingerprinted benchmark harness behind `rsmem bench`; see
+//! [`harness`].
 
 pub mod harness;
-
-/// Prints the regenerated artifact for `id` (series rows or table), then
-/// returns the label Criterion should use.
-///
-/// # Panics
-///
-/// Panics if the experiment fails — benches must not silently skip the
-/// reproduction.
-pub fn print_artifact(id: ExperimentId) -> String {
-    let output = run(id).expect("experiment runs");
-    match (&output.figure(), &output.table()) {
-        (Some(fig), _) => println!("{}", report::render_figure(fig)),
-        (_, Some(rows)) => println!("{}", report::render_complexity(rows)),
-        _ => unreachable!("output is figure or table"),
-    }
-    id.to_string()
-}
-
-/// Criterion sample configuration for the heavier solves.
-pub fn small_sample() -> criterion::Criterion {
-    criterion::Criterion::default()
-        .sample_size(10)
-        .measurement_time(std::time::Duration::from_secs(5))
-        .warm_up_time(std::time::Duration::from_secs(1))
-}

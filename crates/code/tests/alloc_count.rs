@@ -8,41 +8,10 @@
 
 use rsmem_code::{BatchDecoder, BatchOutcome, DecodeOpts, RsCode};
 use rsmem_gf::Symbol;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-struct CountingAlloc;
 
-thread_local! {
-    /// Allocations made by the current thread. Each test does its work
-    /// on its own thread, so tests running in parallel never see each
-    /// other's allocations.
-    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
-}
-
-fn bump() {
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-}
-
-fn allocations() -> usize {
-    ALLOCATIONS.with(Cell::get)
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::allocations;
 
 #[test]
 fn warm_clean_batches_allocate_nothing() {

@@ -8,9 +8,9 @@
 //! erasures, batch decode, symbol geometry, a correction-capability
 //! predicate and a complexity-model hook), plus three implementations:
 //!
-//! * [`RsAdapter`] — the paper's Reed–Solomon code, wrapping the
-//!   existing `RsCode` including its batched decode plane. The adapter
-//!   is bit-identical to calling `RsCode` directly.
+//! * `rsmem_code::RsCode` — the paper's Reed–Solomon code, including
+//!   its batched decode plane; the trait methods forward to the
+//!   inherent ones, so results are bit-identical to calling it directly.
 //! * [`ReedMuller`] — first-order RM(1,r) over GF(2) with Reed's
 //!   majority-logic decoder and the stuck-at masking trick of
 //!   Djurdjevic et al. (the all-ones codeword freedom absorbs one
@@ -32,10 +32,9 @@ mod rs;
 
 pub use irs::InterleavedRs;
 pub use rm::ReedMuller;
-pub use rs::RsAdapter;
 
 use rsmem_code::complexity::ComplexityRow;
-use rsmem_code::{BatchOutcome, CodeError, DecodeOutcome, Symbol};
+use rsmem_code::{BatchOutcome, CodeError, DecodeOutcome, RsCode, Symbol};
 use rsmem_models::{CodeFamily, CodeParams, CorrectionCapability};
 use std::borrow::Cow;
 
@@ -185,7 +184,7 @@ pub trait MemoryCode: std::fmt::Debug + Send + Sync {
 /// ```
 pub fn build(params: CodeParams) -> Result<Box<dyn MemoryCode>, CodeError> {
     Ok(match params.family() {
-        CodeFamily::Rs => Box::new(RsAdapter::new(params.n(), params.k(), params.m())?),
+        CodeFamily::Rs => Box::new(RsCode::new(params.n(), params.k(), params.m())?),
         CodeFamily::Rm => Box::new(ReedMuller::new(params.n().trailing_zeros())?),
         CodeFamily::Irs => Box::new(InterleavedRs::new(
             params.inner_n(),

@@ -1,4 +1,4 @@
-//! [`MemoryCode`] adapter over the paper's `rsmem_code::RsCode`.
+//! [`MemoryCode`] for the paper's `rsmem_code::RsCode`.
 
 use crate::MemoryCode;
 use rsmem_code::complexity::{area_units, decode_cycles, ComplexityRow};
@@ -8,106 +8,11 @@ use rsmem_code::{
 use rsmem_models::CodeParams;
 use std::borrow::Cow;
 
-/// The Reed–Solomon family behind the [`MemoryCode`] trait.
-///
-/// A thin wrapper: every method forwards to the wrapped [`RsCode`], so
-/// outcomes are bit-identical to calling it directly — including the
-/// batch path, which builds the same fresh [`BatchDecoder`] per call
-/// that the MC shard loop always has.
-#[derive(Debug, Clone)]
-pub struct RsAdapter {
-    inner: RsCode,
-    params: CodeParams,
-}
-
-impl RsAdapter {
-    /// Builds the adapter over a fresh `RsCode`.
-    ///
-    /// # Errors
-    ///
-    /// [`CodeError::InvalidParameters`] for an invalid RS geometry.
-    pub fn new(n: usize, k: usize, m: u32) -> Result<Self, CodeError> {
-        let inner = RsCode::new(n, k, m)?;
-        let params = CodeParams::new(n, k, m).map_err(|_| CodeError::InvalidParameters {
-            n,
-            k,
-            m,
-            reason: "parameters rejected by the model layer",
-        })?;
-        Ok(RsAdapter { inner, params })
-    }
-
-    /// Wraps an existing `RsCode`.
-    pub fn from_code(inner: RsCode) -> Self {
-        let params = CodeParams::new(inner.n(), inner.k(), inner.symbol_bits())
-            .expect("a constructed RsCode has valid parameters");
-        RsAdapter { inner, params }
-    }
-
-    /// The wrapped concrete code.
-    pub fn inner(&self) -> &RsCode {
-        &self.inner
-    }
-}
-
-impl MemoryCode for RsAdapter {
-    fn params(&self) -> CodeParams {
-        self.params
-    }
-
-    fn encode(&self, data: &[Symbol]) -> Result<Vec<Symbol>, CodeError> {
-        self.inner.encode(data)
-    }
-
-    fn decode(&self, word: &[Symbol], erasures: &[usize]) -> Result<DecodeOutcome, CodeError> {
-        // Recorder events and solver metrics come from `decode_word`
-        // inside `RsCode`; the trait layer only adds the family label.
-        let result = self.inner.decode(word, erasures);
-        if let Ok(outcome) = &result {
-            crate::metrics::record_outcome("rs", outcome);
-        }
-        result
-    }
-
-    fn data_of<'w>(&self, word: &'w [Symbol]) -> Result<Cow<'w, [Symbol]>, CodeError> {
-        self.inner.data_of(word).map(Cow::Borrowed)
-    }
-
-    fn decode_batch(
-        &self,
-        words: &mut [Vec<Symbol>],
-        erasures: &[Vec<usize>],
-        out: &mut Vec<BatchOutcome>,
-    ) -> Result<(), CodeError> {
-        BatchDecoder::new().decode_batch(
-            &self.inner,
-            words,
-            erasures,
-            &DecodeOpts::default(),
-            out,
-        )?;
-        crate::metrics::record_batch("rs", out);
-        Ok(())
-    }
-
-    fn complexity_model(&self) -> ComplexityRow {
-        let (n, k, m) = (self.inner.n(), self.inner.k(), self.inner.symbol_bits());
-        ComplexityRow {
-            label: self.params.to_string(),
-            family: "rs".to_owned(),
-            n,
-            k,
-            decode_cycles: decode_cycles(n, k),
-            area_units: area_units(m, n, k),
-            redundant_symbols: n - k,
-        }
-    }
-}
-
-/// `RsCode` itself speaks [`MemoryCode`], so call sites that already
-/// hold a concrete code (the stress harness, hand-written tests) can use
-/// the generic entry points without wrapping. Semantically identical to
-/// [`RsAdapter`]; the adapter additionally caches its [`CodeParams`].
+/// The paper's Reed–Solomon code speaks [`MemoryCode`] directly: every
+/// method forwards to the inherent [`RsCode`] method, so trait-level
+/// outcomes are bit-identical to calling the code itself. The batch path
+/// builds the same fresh [`BatchDecoder`] per call that the MC shard
+/// loop always has.
 impl MemoryCode for RsCode {
     fn params(&self) -> CodeParams {
         CodeParams::new(self.n(), self.k(), self.symbol_bits())
@@ -119,6 +24,8 @@ impl MemoryCode for RsCode {
     }
 
     fn decode(&self, word: &[Symbol], erasures: &[usize]) -> Result<DecodeOutcome, CodeError> {
+        // Recorder events and solver metrics come from `decode_word`
+        // inside `RsCode`; the trait layer only adds the family label.
         let result = RsCode::decode(self, word, erasures);
         if let Ok(outcome) = &result {
             crate::metrics::record_outcome("rs", outcome);
@@ -142,7 +49,30 @@ impl MemoryCode for RsCode {
     }
 
     fn complexity_model(&self) -> ComplexityRow {
-        RsAdapter::from_code(self.clone()).complexity_model()
+        let (n, k, m) = (self.n(), self.k(), self.symbol_bits());
+        ComplexityRow {
+            label: self.params().to_string(),
+            family: "rs".to_owned(),
+            n,
+            k,
+            decode_cycles: decode_cycles(n, k),
+            area_units: area_units(m, n, k),
+            redundant_symbols: n - k,
+        }
+    }
+
+    // The geometry accessors read the code directly rather than
+    // re-validating `CodeParams` on every call.
+    fn n(&self) -> usize {
+        RsCode::n(self)
+    }
+
+    fn k(&self) -> usize {
+        RsCode::k(self)
+    }
+
+    fn symbol_bits(&self) -> u32 {
+        RsCode::symbol_bits(self)
     }
 }
 
@@ -151,30 +81,36 @@ mod tests {
     use super::*;
 
     #[test]
-    fn adapter_forwards_encode_decode() {
-        let adapter = RsAdapter::new(18, 16, 8).unwrap();
-        let concrete = RsCode::new(18, 16, 8).unwrap();
+    fn trait_forwards_encode_decode() {
+        let code = RsCode::new(18, 16, 8).unwrap();
+        let dyn_code: &dyn MemoryCode = &code;
         let data: Vec<Symbol> = (0..16).map(|i| (i * 7 + 3) as Symbol).collect();
-        let word = adapter.encode(&data).unwrap();
-        assert_eq!(word, concrete.encode(&data).unwrap());
+        let word = dyn_code.encode(&data).unwrap();
+        assert_eq!(word, code.encode(&data).unwrap());
         let mut corrupted = word.clone();
         corrupted[5] ^= 0x2a;
         assert_eq!(
-            adapter.decode(&corrupted, &[]).unwrap(),
-            concrete.decode(&corrupted, &[]).unwrap()
+            dyn_code.decode(&corrupted, &[]).unwrap(),
+            code.decode(&corrupted, &[]).unwrap()
         );
         assert_eq!(
-            adapter.data_of(&word).unwrap().as_ref(),
-            concrete.data_of(&word).unwrap()
+            dyn_code.data_of(&word).unwrap().as_ref(),
+            code.data_of(&word).unwrap()
         );
-        assert!(matches!(adapter.data_of(&word).unwrap(), Cow::Borrowed(_)));
+        assert!(matches!(dyn_code.data_of(&word).unwrap(), Cow::Borrowed(_)));
+        assert_eq!(
+            (dyn_code.n(), dyn_code.k(), dyn_code.symbol_bits()),
+            (18, 16, 8)
+        );
+        assert_eq!(dyn_code.params(), CodeParams::rs18_16());
     }
 
     #[test]
     fn complexity_row_matches_paper_model() {
-        let row = RsAdapter::new(18, 16, 8).unwrap().complexity_model();
+        let row = RsCode::new(18, 16, 8).unwrap().complexity_model();
         assert_eq!(row.decode_cycles, 74);
         assert_eq!(row.area_units, 16);
         assert_eq!(row.family, "rs");
+        assert_eq!(row.label, CodeParams::rs18_16().to_string());
     }
 }

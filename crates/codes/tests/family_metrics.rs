@@ -6,7 +6,7 @@
 //! then prove the trait layer creates exactly the `family="rs"` series.
 
 use rsmem_code::RsCode;
-use rsmem_codes::{build, MemoryCode, RsAdapter};
+use rsmem_codes::{build, MemoryCode};
 use rsmem_models::CodeParams;
 use rsmem_obs::metrics::global;
 
@@ -48,9 +48,10 @@ fn family_series_appear_only_at_the_trait_layer() {
         "raw decodes changed the exposition's series set"
     );
 
-    // The trait layer adds the family label, for both entry points.
-    let adapter = RsAdapter::from_code(code.clone());
-    adapter.decode(&corrupted, &[]).unwrap();
+    // The trait layer adds the family label, for both entry points: the
+    // `build` factory and the concrete code called through the trait.
+    let built = build(CodeParams::rs18_16()).unwrap();
+    built.decode(&corrupted, &[]).unwrap();
     let text = global().render();
     assert!(text.contains("# TYPE rsmem_decode_outcomes_total counter"));
     assert!(text.contains("rsmem_decode_outcomes_total{family=\"rs\",outcome=\"corrected\"} 1"));
@@ -65,9 +66,7 @@ fn family_series_appear_only_at_the_trait_layer() {
     let mut words = vec![word.clone(), corrupted.clone(), word.clone()];
     let erasures = vec![Vec::new(); 3];
     let mut out = Vec::new();
-    adapter
-        .decode_batch(&mut words, &erasures, &mut out)
-        .unwrap();
+    built.decode_batch(&mut words, &erasures, &mut out).unwrap();
     let text = global().render();
     assert!(text.contains("rsmem_decode_outcomes_total{family=\"rs\",outcome=\"clean\"} 3"));
     assert!(text.contains("rsmem_decode_outcomes_total{family=\"rs\",outcome=\"corrected\"} 2"));

@@ -13,9 +13,9 @@
 //! | [`ExperimentId::Fig10`] | BER of simplex RS(36,16), same sweep |
 //! | [`ExperimentId::Complexity`] | Section-6 decoder latency/area comparison |
 //!
-//! [`run`] produces the series data; the `rsmem-bench` crate wraps each
-//! experiment in a Criterion bench and prints the regenerated rows, and
-//! `EXPERIMENTS.md` records paper-vs-measured values.
+//! [`run`] produces the series data; `rsmem experiment <id>` prints the
+//! regenerated rows, `tests/figure_shapes.rs` asserts the paper's
+//! claims on them, and `EXPERIMENTS.md` records paper-vs-measured values.
 
 mod complexity;
 mod permanent;

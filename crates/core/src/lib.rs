@@ -48,8 +48,8 @@
 //!
 //! Every figure and the Section-6 complexity table is an entry of
 //! [`experiments::ExperimentId`]; [`experiments::run`] returns the series
-//! data, and `cargo bench -p rsmem-bench` regenerates everything (see
-//! EXPERIMENTS.md in the repository root for paper-vs-measured values).
+//! data, and `rsmem experiment <id>` prints it (see EXPERIMENTS.md in
+//! the repository root for paper-vs-measured values).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -6,29 +6,10 @@
 //! be enabled.
 
 use rsmem_obs::log::{event, span, trace_scope, Level};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::allocations;
 
 #[test]
 fn disabled_events_and_spans_allocate_nothing() {
@@ -59,7 +40,7 @@ fn disabled_events_and_spans_allocate_nothing() {
     assert!(!rsmem_obs::timeseries::global().enabled());
 
     let owned = String::from("pre-built so the &str path is the test");
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
 
     for i in 0..1000u64 {
         event(Level::Error, "hot.path", "solve")
@@ -99,6 +80,6 @@ fn disabled_events_and_spans_allocate_nothing() {
         rsmem_obs::timeseries::tick();
     }
 
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert_eq!(after - before, 0, "disabled events/spans must not allocate");
 }

@@ -179,3 +179,60 @@ fn complexity_table_matches_figure_economics() {
     assert!(rows[2].decode_cycles as f64 / rows[1].decode_cycles as f64 > 4.0);
     assert!(rows[2].area_units > rows[1].area_units / 2 * 2);
 }
+
+/// Duplex RS(18,16) BER at `t` under the given fail criterion.
+fn duplex_ber(
+    criterion: rsmem::DuplexFailCriterion,
+    seu_per_bit_day: f64,
+    erasure_per_symbol_day: f64,
+    t: rsmem::units::Time,
+) -> f64 {
+    use rsmem::units::{ErasureRate, SeuRate};
+    use rsmem::{CodeParams, DuplexOptions, MemorySystem};
+    MemorySystem::duplex(CodeParams::rs18_16())
+        .with_seu_rate(SeuRate::per_bit_day(seu_per_bit_day))
+        .with_erasure_rate(ErasureRate::per_symbol_day(erasure_per_symbol_day))
+        .with_duplex_options(DuplexOptions {
+            fail_criterion: criterion,
+            ..Default::default()
+        })
+        .ber_curve(&[t])
+        .expect("duplex model solves")
+        .ber[0]
+}
+
+#[test]
+fn duplex_fail_criterion_ablation() {
+    // DESIGN.md note 2: Fig. 6 sits "in the same range" as Fig. 5 only
+    // under the BothWords reading. The optimistic EitherWord reading
+    // would put the 48 h transient BER five orders of magnitude lower
+    // (measured 2.2567e-5 vs 1.2732e-10, ratio 1.77e5), with or without
+    // an added permanent-fault rate.
+    use rsmem::units::Time;
+    use rsmem::DuplexFailCriterion::{BothWords, EitherWord};
+    let h48 = Time::from_hours(48.0);
+    for (seu, erasure) in [(1.7e-5, 0.0), (1.7e-5, 1e-6)] {
+        let both = duplex_ber(BothWords, seu, erasure, h48);
+        let either = duplex_ber(EitherWord, seu, erasure, h48);
+        let ratio = both / either;
+        assert!(
+            (1e5..=1e6).contains(&ratio),
+            "λ = {seu:e}, λe = {erasure:e}: BothWords {both:e} / EitherWord {either:e} = {ratio:e}"
+        );
+    }
+
+    // Under pure permanent faults there are no random errors, so both
+    // words see the same erasure count and the two criteria classify
+    // every state alike: the BER is bit-identical.
+    let months24 = Time::from_months(24.0);
+    for erasure in [1e-6, 1e-4] {
+        let both = duplex_ber(BothWords, 0.0, erasure, months24);
+        let either = duplex_ber(EitherWord, 0.0, erasure, months24);
+        assert!(both > 0.0, "λe = {erasure:e}: BER must be nonzero");
+        assert_eq!(
+            both.to_bits(),
+            either.to_bits(),
+            "λe = {erasure:e}: BothWords {both:e} vs EitherWord {either:e}"
+        );
+    }
+}
