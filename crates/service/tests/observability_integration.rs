@@ -11,7 +11,7 @@
 use rsmem_service::{Server, ServiceConfig};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn boot(sample_interval_ms: u64) -> Server {
     Server::bind(ServiceConfig {
@@ -99,11 +99,18 @@ fn stream_metrics_delivers_bounded_ndjson_frames() {
     }
 
     // The streamed request was recorded under its own endpoint label.
-    let (_, _, metrics) = get(addr, "/metrics");
-    assert!(
-        metrics.contains("rsmem_requests_total{endpoint=\"stream_metrics\",status=\"200\"} 1"),
-        "{metrics}"
-    );
+    // The worker records it after the last chunk is on the wire, so
+    // the client can ask before it has: poll until it shows.
+    let series = "rsmem_requests_total{endpoint=\"stream_metrics\",status=\"200\"} 1";
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let (_, _, metrics) = get(addr, "/metrics");
+        if metrics.contains(series) {
+            break;
+        }
+        assert!(Instant::now() < deadline, "{metrics}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
     // Frames after the first carry rates derived from their predecessor.
     let last = rsmem_obs::json::parse(frames.last().unwrap()).unwrap();
     assert!(last.get("rates").and_then(|r| r.get("requests")).is_some());

@@ -9,7 +9,7 @@ use rsmem_service::{Server, ServiceConfig};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn boot(config: ServiceConfig) -> Server {
     Server::bind(ServiceConfig {
@@ -300,12 +300,32 @@ fn backlog_overflow_sheds_with_503() {
     });
     let addr = server.local_addr();
 
-    let mut holder = TcpStream::connect(addr).expect("connect holder");
-    holder
-        .write_all(b"POST /v1/analyze HTTP/1.1\r\n")
-        .expect("partial request");
-    // Let the acceptor hand the holder to the single worker.
-    std::thread::sleep(Duration::from_millis(100));
+    // Wait until the single worker has taken the holder: it marks the
+    // request in flight before it starts reading it. A holder that
+    // arrives before the worker first waits for work is shed like any
+    // other connection; connect a new one then.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let holder = 'taken: loop {
+        let shed = metric(&server.metrics_text(), "rsmem_connections_shed_total");
+        let mut holder = TcpStream::connect(addr).expect("connect holder");
+        if holder.write_all(b"POST /v1/analyze HTTP/1.1\r\n").is_err() {
+            continue; // shed and already closed
+        }
+        loop {
+            let text = server.metrics_text();
+            if metric(&text, "rsmem_requests_inflight") == 1 {
+                break 'taken holder;
+            }
+            if metric(&text, "rsmem_connections_shed_total") > shed {
+                break;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "the worker never took the holder"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    };
 
     let (status, head, body) = get(addr, "/healthz");
     assert_eq!(status, 503, "{body}");

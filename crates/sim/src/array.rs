@@ -148,6 +148,9 @@ pub fn run_simplex_array(
     }
     let code = RsCode::new(config.base.n, config.base.k, config.base.m)?;
     let interleaver = Interleaver::new(config.interleave_depth)?;
+    let mut span = rsmem_obs::span("sim.mc", "simplex_array_campaign");
+    span.record("trials", trials);
+    span.record("words", config.words);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut decoder = BatchDecoder::new();
     let mut failed_words = 0usize;
@@ -193,6 +196,9 @@ pub fn run_duplex_array(
     }
     let code = RsCode::new(config.base.n, config.base.k, config.base.m)?;
     let interleaver = Interleaver::new(config.interleave_depth)?;
+    let mut span = rsmem_obs::span("sim.mc", "duplex_array_campaign");
+    span.record("trials", trials);
+    span.record("words", config.words);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut decoder = BatchDecoder::new();
     let mut failed_words = 0usize;
@@ -351,12 +357,20 @@ fn run_one_duplex_trial(
 
 /// Per-word-pair joint scrub across the two replica arrays (the same
 /// masking + decode + rewrite the single-pair `DuplexSim` performs),
-/// with all 2·words decodes pushed through one batch pass.
+/// with the decodes of every pair that has a dirty module pushed
+/// through one batch pass. A pair whose modules are both clean is
+/// skipped: its last scrub left it unchanged and no fault has touched
+/// it since.
 fn scrub_duplex_arrays(code: &RsCode, replicas: &mut [Array], decoder: &mut BatchDecoder) {
-    let word_count = replicas[0].modules.len();
-    let mut words = Vec::with_capacity(2 * word_count);
-    let mut erasures = Vec::with_capacity(2 * word_count);
-    for w in 0..word_count {
+    let dirty: Vec<usize> = (0..replicas[0].modules.len())
+        .filter(|&w| replicas.iter().any(|r| r.modules[w].is_dirty()))
+        .collect();
+    if dirty.is_empty() {
+        return;
+    }
+    let mut words = Vec::with_capacity(2 * dirty.len());
+    let mut erasures = Vec::with_capacity(2 * dirty.len());
+    for &w in &dirty {
         let (m1, m2) = (&replicas[0].modules[w], &replicas[1].modules[w]);
         let (w1, w2, common) = mask(code, m1.read(), &m1.erasures(), m2.read(), &m2.erasures())
             .expect("well-formed stored words");
@@ -375,13 +389,54 @@ fn scrub_duplex_arrays(code: &RsCode, replicas: &mut [Array], decoder: &mut Batc
             &mut outcomes,
         )
         .expect("well-formed stored words");
-    for w in 0..word_count {
-        for r in 0..2 {
+    for (j, &w) in dirty.iter().enumerate() {
+        let mut changed = false;
+        for (r, replica) in replicas.iter_mut().enumerate() {
             // A decodable word (Clean after masking, or Corrected in
             // place) is rewritten; an undecodable one is left alone.
-            if !matches!(outcomes[2 * w + r], BatchOutcome::Failure(_)) {
-                replicas[r].modules[w].write(&words[2 * w + r]);
+            if !matches!(outcomes[2 * j + r], BatchOutcome::Failure(_)) {
+                changed |= replica.modules[w].write(&words[2 * j + r]);
             }
+        }
+        if !changed {
+            for replica in replicas.iter_mut() {
+                replica.modules[w].mark_clean();
+            }
+        }
+    }
+}
+
+/// Scrub of a simplex array: the dirty words go through one batch
+/// decode, and only the words the decoder actually corrected are
+/// rewritten. A clean word is skipped: its last scrub left it unchanged
+/// and no fault has touched it since.
+fn scrub_simplex_array(code: &RsCode, array: &mut Array, decoder: &mut BatchDecoder) {
+    let dirty: Vec<usize> = (0..array.modules.len())
+        .filter(|&i| array.modules[i].is_dirty())
+        .collect();
+    if dirty.is_empty() {
+        return;
+    }
+    let mut words: Vec<Vec<Symbol>> = dirty
+        .iter()
+        .map(|&i| array.modules[i].read().to_vec())
+        .collect();
+    let erasures: Vec<Vec<usize>> = dirty.iter().map(|&i| array.modules[i].erasures()).collect();
+    let mut outcomes = Vec::with_capacity(words.len());
+    decoder
+        .decode_batch(
+            code,
+            &mut words,
+            &erasures,
+            &DecodeOpts::default(),
+            &mut outcomes,
+        )
+        .expect("well-formed stored words");
+    for ((&i, outcome), word) in dirty.iter().zip(&outcomes).zip(&words) {
+        let module = &mut array.modules[i];
+        let changed = matches!(outcome, BatchOutcome::Corrected { .. }) && module.write(word);
+        if !changed {
+            module.mark_clean();
         }
     }
 }
@@ -448,26 +503,7 @@ fn run_one_trial(
             array.modules[module].stick(sym, value);
             t_perm += sample_exponential(rng, perm_rate);
         } else {
-            // Scrub every word: one batch decode over the whole array,
-            // rewriting only the words the decoder actually corrected.
-            let mut words: Vec<Vec<Symbol>> =
-                array.modules.iter().map(|m| m.read().to_vec()).collect();
-            let erasures: Vec<Vec<usize>> = array.modules.iter().map(|m| m.erasures()).collect();
-            let mut outcomes = Vec::with_capacity(words.len());
-            decoder
-                .decode_batch(
-                    code,
-                    &mut words,
-                    &erasures,
-                    &DecodeOpts::default(),
-                    &mut outcomes,
-                )
-                .expect("well-formed stored words");
-            for (i, outcome) in outcomes.iter().enumerate() {
-                if matches!(outcome, BatchOutcome::Corrected { .. }) {
-                    array.modules[i].write(&words[i]);
-                }
-            }
+            scrub_simplex_array(code, &mut array, decoder);
             t_scrub += match config.base.scrub {
                 None => f64::INFINITY,
                 Some((period, ScrubTiming::Periodic)) => period,

@@ -9,11 +9,18 @@ use rsmem_gf::Symbol;
 /// hardware (e.g. Iddq monitoring \[9\]) identifies the faulty symbol, so
 /// [`MemoryModule::erasures`] reports every stuck position and the
 /// decoder receives them as erasures.
+///
+/// The module also tracks whether it is *dirty*: whether anything may
+/// have changed since a scrub last found it a fixed point. A scrub is a
+/// pure function of the module states it reads, so a scrub of modules
+/// that are all clean would reproduce their states exactly, and the
+/// simulators skip it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemoryModule {
     stored: Vec<Symbol>,
     stuck: Vec<Option<Symbol>>,
     symbol_bits: u32,
+    dirty: bool,
 }
 
 impl MemoryModule {
@@ -24,6 +31,7 @@ impl MemoryModule {
             stored: codeword,
             stuck: vec![None; n],
             symbol_bits,
+            dirty: true,
         }
     }
 
@@ -68,6 +76,7 @@ impl MemoryModule {
             return;
         }
         self.stored[pos] ^= 1 << bit;
+        self.dirty = true;
     }
 
     /// Injects a permanent fault: symbol `pos` becomes stuck at `value`
@@ -80,21 +89,39 @@ impl MemoryModule {
     pub fn stick(&mut self, pos: usize, value: Symbol) {
         self.stuck[pos] = Some(value);
         self.stored[pos] = value;
+        self.dirty = true;
     }
 
     /// Writes a full word back (a scrub rewrite). Stuck symbols keep
-    /// their stuck values; healthy symbols take the new data.
+    /// their stuck values; healthy symbols take the new data. Returns
+    /// whether any symbol changed (and so marked the module dirty).
     ///
     /// # Panics
     ///
     /// Panics if `word.len() != self.len()`.
-    pub fn write(&mut self, word: &[Symbol]) {
+    pub fn write(&mut self, word: &[Symbol]) -> bool {
         assert_eq!(word.len(), self.stored.len());
+        let mut changed = false;
         for (i, &w) in word.iter().enumerate() {
-            if self.stuck[i].is_none() {
+            if self.stuck[i].is_none() && self.stored[i] != w {
                 self.stored[i] = w;
+                changed = true;
             }
         }
+        self.dirty |= changed;
+        changed
+    }
+
+    /// True if a fault or a rewrite may have changed the module since a
+    /// scrub last left it unchanged.
+    pub(crate) fn is_dirty(&self) -> bool {
+        self.dirty
+    }
+
+    /// Records that a scrub read this module and changed nothing: until
+    /// the next fault, a repeat of that scrub would find it unchanged.
+    pub(crate) fn mark_clean(&mut self) {
+        self.dirty = false;
     }
 }
 
@@ -150,6 +177,38 @@ mod tests {
         m.stick(2, 0x77);
         m.write(&[1, 2, 3, 4]);
         assert_eq!(m.read(), &[1, 2, 0x77, 4]);
+    }
+
+    #[test]
+    fn upset_on_a_stuck_symbol_leaves_the_module_clean() {
+        let mut m = module();
+        m.stick(1, 0xff);
+        m.mark_clean();
+        m.flip_bit(1, 0);
+        assert!(!m.is_dirty());
+        m.flip_bit(0, 0);
+        assert!(m.is_dirty(), "a real flip marks the module");
+    }
+
+    #[test]
+    fn stick_marks_the_module_dirty() {
+        let mut m = module();
+        assert!(m.is_dirty(), "a new module has never been scrubbed");
+        m.mark_clean();
+        m.stick(2, 0x30);
+        assert!(m.is_dirty(), "a new erasure changes what a scrub sees");
+    }
+
+    #[test]
+    fn write_marks_dirty_only_when_a_symbol_changes() {
+        let mut m = module();
+        m.stick(1, 0xff);
+        m.mark_clean();
+        // Identical healthy symbols; the stuck one ignores the write.
+        assert!(!m.write(&[0x10, 0x00, 0x30, 0x40]));
+        assert!(!m.is_dirty());
+        assert!(m.write(&[0x10, 0x00, 0x31, 0x40]));
+        assert!(m.is_dirty());
     }
 
     #[test]

@@ -226,16 +226,23 @@ impl SimplexSim {
 
     /// One scrub pass: read, decode, rewrite the corrected word.
     /// An undecodable word is left untouched (the scrub simply fails).
+    /// A clean module is skipped: the last scrub left it unchanged and
+    /// no fault has touched it since, so this one would too.
     fn scrub(&self, module: &mut MemoryModule) {
+        if !module.is_dirty() {
+            return;
+        }
         let erasures = module.erasures();
-        match self
+        let changed = match self
             .code
             .decode(module.read(), &erasures)
             .expect("well-formed stored word")
         {
-            DecodeOutcome::Clean { .. } => {}
             DecodeOutcome::Corrected { codeword, .. } => module.write(&codeword),
-            DecodeOutcome::Failure(_) => {}
+            DecodeOutcome::Clean { .. } | DecodeOutcome::Failure(_) => false,
+        };
+        if !changed {
+            module.mark_clean();
         }
     }
 }
@@ -341,35 +348,36 @@ impl DuplexSim {
 
     /// Joint scrub: erasure-mask each word from its sibling, decode each,
     /// rewrite every module whose word decoded. Undecodable words are
-    /// left in place.
+    /// left in place. The pair is skipped while both modules are clean:
+    /// the last scrub left them unchanged and no fault has touched
+    /// either since, so this one would too.
     fn scrub(&self, modules: &mut [MemoryModule; 2]) {
-        let e1 = modules[0].erasures();
-        let e2 = modules[1].erasures();
-        let mut w1 = modules[0].read().to_vec();
-        let mut w2 = modules[1].read().to_vec();
-        let mut common = Vec::new();
-        for &p in &e1 {
-            if e2.contains(&p) {
-                common.push(p);
-            } else {
-                w1[p] = w2[p];
-            }
+        if !modules.iter().any(MemoryModule::is_dirty) {
+            return;
         }
-        for &p in &e2 {
-            if !e1.contains(&p) {
-                w2[p] = modules[0].read()[p];
-            }
-        }
-        for (idx, word) in [w1, w2].into_iter().enumerate() {
-            match self
+        let [m1, m2] = &*modules;
+        let (w1, w2, common) = mask(
+            self.code.as_ref(),
+            m1.read(),
+            &m1.erasures(),
+            m2.read(),
+            &m2.erasures(),
+        )
+        .expect("well-formed stored words");
+        let mut changed = false;
+        for (module, word) in modules.iter_mut().zip([w1, w2]) {
+            changed |= match self
                 .code
                 .decode(&word, &common)
                 .expect("well-formed stored word")
             {
-                DecodeOutcome::Clean { .. } => modules[idx].write(&word),
-                DecodeOutcome::Corrected { codeword, .. } => modules[idx].write(&codeword),
-                DecodeOutcome::Failure(_) => {}
-            }
+                DecodeOutcome::Clean { .. } => module.write(&word),
+                DecodeOutcome::Corrected { codeword, .. } => module.write(&codeword),
+                DecodeOutcome::Failure(_) => false,
+            };
+        }
+        if !changed {
+            modules.iter_mut().for_each(MemoryModule::mark_clean);
         }
     }
 }
@@ -439,6 +447,114 @@ mod tests {
             fail_scrub < fail_no,
             "scrubbing should help: {fail_scrub} vs {fail_no}"
         );
+    }
+
+    /// Marks a module dirty without changing it: an upset flipped back.
+    fn force_dirty(module: &mut MemoryModule) {
+        let pos = (0..module.len())
+            .find(|&p| !module.is_stuck(p))
+            .expect("a healthy symbol");
+        module.flip_bit(pos, 0);
+        module.flip_bit(pos, 0);
+    }
+
+    fn content(modules: &[MemoryModule]) -> Vec<(Vec<Symbol>, Vec<usize>)> {
+        modules
+            .iter()
+            .map(|m| (m.read().to_vec(), m.erasures()))
+            .collect()
+    }
+
+    /// Scrubs `modules` once and checks the elision rule: a scrub that
+    /// leaves every module clean changed nothing, and a forced repeat
+    /// changes nothing either; a scrub that leaves a module dirty really
+    /// changed the state. Returns whether the flags were cleared.
+    fn check_fixed_point(
+        modules: &mut [MemoryModule],
+        scrub: impl Fn(&mut [MemoryModule]),
+    ) -> bool {
+        let before = content(modules);
+        scrub(modules);
+        if modules.iter().any(MemoryModule::is_dirty) {
+            assert_ne!(content(modules), before, "an idle scrub kept a flag set");
+            return false;
+        }
+        assert_eq!(
+            content(modules),
+            before,
+            "a changing scrub cleared the flags"
+        );
+        let settled = modules.to_vec();
+        modules.iter_mut().for_each(force_dirty);
+        scrub(modules);
+        assert_eq!(
+            modules,
+            &settled[..],
+            "a repeated scrub moved a fixed point"
+        );
+        true
+    }
+
+    #[test]
+    fn a_scrub_that_clears_the_flags_is_a_fixed_point() {
+        let config = SimConfig::rs18_16_baseline();
+        let simplex = SimplexSim::new(config).unwrap();
+        let duplex = DuplexSim::new(config).unwrap();
+        let code = duplex.code();
+        let mut rng = StdRng::seed_from_u64(0xF1ED);
+        let (mut cleared, mut kept, mut one_sided_failures, mut miscorrections) = (0, 0, 0, 0);
+        for _ in 0..1500 {
+            let data = random_data(&mut rng, config.k, 256);
+            let codeword = code.encode(&data).unwrap();
+            let mut modules = [0, 1].map(|_| {
+                let mut m = MemoryModule::new(codeword.clone(), config.m);
+                for _ in 0..rng.gen_range(0..=2) {
+                    inject_permanent(&mut rng, &mut m, config.n, 256);
+                }
+                for _ in 0..rng.gen_range(0..=3) {
+                    inject_seu(&mut rng, &mut m, config.n, config.m);
+                }
+                m
+            });
+
+            // What the duplex scrub's two decodes will see.
+            let [m1, m2] = &modules;
+            let (w1, w2, common) =
+                mask(code, m1.read(), &m1.erasures(), m2.read(), &m2.erasures()).unwrap();
+            let outcomes = [&w1, &w2].map(|w| code.decode(w, &common).unwrap());
+            let failures = outcomes
+                .iter()
+                .filter(|o| matches!(o, DecodeOutcome::Failure(_)))
+                .count();
+            one_sided_failures += usize::from(failures == 1);
+            miscorrections += outcomes
+                .iter()
+                .filter(
+                    |o| matches!(o, DecodeOutcome::Corrected { codeword: c, .. } if *c != codeword),
+                )
+                .count();
+
+            let mut simplex_module = [modules[0].clone()];
+            for settled in [
+                check_fixed_point(&mut modules, |m| duplex.scrub(m.try_into().unwrap())),
+                check_fixed_point(&mut simplex_module, |m| simplex.scrub(&mut m[0])),
+            ] {
+                if settled {
+                    cleared += 1;
+                } else {
+                    kept += 1;
+                }
+            }
+        }
+        assert!(
+            cleared > 100 && kept > 100,
+            "{cleared} cleared, {kept} kept"
+        );
+        assert!(
+            one_sided_failures > 50,
+            "{one_sided_failures} one-sided failures"
+        );
+        assert!(miscorrections > 50, "{miscorrections} miscorrections");
     }
 
     #[test]
