@@ -1,11 +1,12 @@
 //! Continuous benchmark harness with a regression gate.
 //!
 //! `rsmem bench` runs a fixed suite — figure regenerations (the paper's
-//! headline artifacts), a decode-lattice microbench and a service
-//! round-trip bench — measuring each with **min-of-N** timing and a
-//! **MAD** (median absolute deviation) noise estimate. Every bench also
-//! produces a deterministic FNV-1a fingerprint of its *results*, so a
-//! report captures correctness alongside speed.
+//! headline artifacts), one long duplex solve, a decode-lattice
+//! microbench and a service round-trip bench — measuring each with
+//! **min-of-N** timing and a **MAD** (median absolute deviation) noise
+//! estimate. Every bench also produces a deterministic FNV-1a
+//! fingerprint of its *results*, so a report captures correctness
+//! alongside speed.
 //!
 //! Reports serialize through the shared canonical JSON codec
 //! ([`rsmem_obs::json`]), making every `BENCH_<date>.json` a
@@ -195,6 +196,26 @@ fn figure_fingerprint(id: ExperimentId) -> Result<u64, String> {
             }
         }
         _ => unreachable!("experiment output is figure or table"),
+    }
+    Ok(hash.finish())
+}
+
+/// One 24-month `P_Fail` curve of the duplex RS(20,16) memory scrubbed
+/// every hour (SEU 1e-5 /bit/day, erasure 1e-6 /symbol/day, 25 points):
+/// a single long uniformization solve over a few hundred states, the
+/// kind that dominates a design sweep. Fingerprints the curve's bits.
+fn solve_duplex_rs20_16() -> Result<u64, String> {
+    use rsmem::units::{ErasureRate, SeuRate, Time, TimeGrid};
+    let code = rsmem::CodeParams::new(20, 16, 8).map_err(|e| e.to_string())?;
+    let system = rsmem::MemorySystem::duplex(code)
+        .with_seu_rate(SeuRate::per_bit_day(1e-5))
+        .with_erasure_rate(ErasureRate::per_symbol_day(1e-6))
+        .with_scrubbing(rsmem::Scrubbing::every_seconds(3600.0));
+    let grid = TimeGrid::linspace(Time::zero(), Time::from_months(24.0), 25);
+    let curve = system.ber_curve(grid.points()).map_err(|e| e.to_string())?;
+    let mut hash = Fnv::new();
+    for &p in &curve.fail_probability {
+        hash.write_f64(p);
     }
     Ok(hash.finish())
 }
@@ -608,6 +629,11 @@ pub fn run_suite(quick: bool) -> Result<BenchReport, String> {
         }
     }
     benches.push(sampled);
+    benches.push(run_bench(
+        "solve_duplex_rs20_16",
+        iterations,
+        solve_duplex_rs20_16,
+    )?);
     benches.push(run_bench("decode_lattice", iterations, decode_lattice)?);
     decode_throughput_benches(quick, iterations, &mut benches)?;
     family_codec_benches(quick, iterations, &mut benches)?;

@@ -7,6 +7,9 @@
 //! The projected solve that `ber_curve` runs (Fail state only) must
 //! equal the Fail component of the full solve *bit for bit*, on every
 //! figure system and on the corners of a 24-month scrubbed design sweep.
+//! The corners' `P_Fail` bits are also pinned by hash, so a change to
+//! the solver's arithmetic fails here even when it moves the projected
+//! and the full solve alike.
 
 use rsmem::units::{ErasureRate, SeuRate, Time, TimeGrid};
 use rsmem::{CodeParams, DuplexModel, FaultRates, MemoryModel, Scrubbing, SimplexModel};
@@ -170,8 +173,8 @@ fn fig7_duplex_scrubbed_grids_match_naive_reference() {
 
 /// `ber_curve`'s `P_Fail` — a solve projected onto the Fail state —
 /// must equal the full solve's Fail component under `to_bits()` at every
-/// grid point.
-fn check_projection<M: MemoryModel>(model: &M, times: &[Time], label: &str)
+/// grid point. Returns the projected curve.
+fn check_projection<M: MemoryModel>(model: &M, times: &[Time], label: &str) -> Vec<f64>
 where
     M::State: Clone + Eq + std::hash::Hash + std::fmt::Debug,
 {
@@ -190,6 +193,7 @@ where
             p[fail]
         );
     }
+    curve.fail_probability
 }
 
 fn rates(seu: f64, erasure: f64) -> FaultRates {
@@ -229,10 +233,31 @@ fn projected_solve_is_bit_identical_on_every_figure_system() {
     }
 }
 
+/// FNV-1a (64-bit) over the bit patterns of `P_Fail` values.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Fnv {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn write_f64(&mut self, x: f64) {
+        for b in x.to_bits().to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+/// Hash of every `P_Fail` bit pattern the mission-corner test computes,
+/// in its loop order.
+const MISSION_CORNERS_HASH: u64 = 0xe6a6_ebef_967f_b6cb;
+
 #[test]
 fn projected_solve_is_bit_identical_on_mission_sweep_corners() {
     // 24-month sweeps with scrubbing: Λt reaches ~70 000, and the early
     // grid points are the ones the projected solve sums for Fail alone.
+    let mut hash = Fnv::new();
     let months = TimeGrid::linspace(Time::zero(), Time::from_months(24.0), 25);
     for (n, k) in [(18, 16), (20, 16)] {
         let code = CodeParams::new(n, k, 8).unwrap();
@@ -243,11 +268,21 @@ fn projected_solve_is_bit_identical_on_mission_sweep_corners() {
                     let r = rates(seu, erasure);
                     let label = format!("RS({n},{k}) Tsc={period_s} λ={seu:e} λe={erasure:e}");
                     let simplex = SimplexModel::new(code, r, scrub);
-                    check_projection(&simplex, months.points(), &format!("simplex {label}"));
                     let duplex = DuplexModel::new(code, r, scrub);
-                    check_projection(&duplex, months.points(), &format!("duplex {label}"));
+                    let curves = [
+                        check_projection(&simplex, months.points(), &format!("simplex {label}")),
+                        check_projection(&duplex, months.points(), &format!("duplex {label}")),
+                    ];
+                    for &p in curves.iter().flatten() {
+                        hash.write_f64(p);
+                    }
                 }
             }
         }
     }
+    assert_eq!(
+        hash.0, MISSION_CORNERS_HASH,
+        "mission-corner P_Fail bits moved: hash {:#018x}",
+        hash.0
+    );
 }
