@@ -1,8 +1,10 @@
 //! Property-based tests of the CTMC engine on randomly generated chains:
-//! solver agreement, normalization, monotonicity of absorption.
+//! solver agreement, normalization, monotonicity of absorption, and
+//! bit-for-bit agreement of the solvers with plain reference loops.
 
 use proptest::prelude::*;
 use rsmem_ctmc::ode::{rkf45, Rkf45Options};
+use rsmem_ctmc::poisson::poisson_ln_pmf;
 use rsmem_ctmc::rewards::{expected_time_in_states, RewardOptions};
 use rsmem_ctmc::uniformization::{
     transient, transient_grid, transient_grid_with, UniformizationOptions, UniformizationWorkspace,
@@ -48,6 +50,194 @@ fn sanitize(mut chain: TableChain) -> TableChain {
         }
     }
     chain
+}
+
+/// Strategy: a chain of 9..=60 states, all reachable along the path
+/// `0 → 1 → … → n−1`, plus up to two random extra edges per state. The
+/// in-degrees (the lengths of the transposed rate rows) then form
+/// equal-length runs whose sizes the solver's 8-row groups rarely
+/// divide. With `sink`, every state also feeds the last state, which
+/// is absorbing: its transposed row is far longer than all the others.
+fn wide_chain_strategy(sink: bool) -> impl Strategy<Value = TableChain> {
+    (9usize..=60).prop_flat_map(move |n| {
+        let extra = prop::collection::vec((0..n, 0.01f64..5.0), 0..=2);
+        (
+            prop::collection::vec(extra, n),
+            prop::collection::vec(0.01f64..5.0, n),
+        )
+            .prop_map(move |(extras, path)| {
+                let rates = (0..n)
+                    .map(|i| {
+                        let mut row = extras[i].clone();
+                        if i + 1 < n {
+                            row.push((i + 1, path[i]));
+                            if sink {
+                                row.push((n - 1, path[i]));
+                            }
+                        } else if sink {
+                            row.clear();
+                        }
+                        row
+                    })
+                    .collect();
+                TableChain { rates }
+            })
+    })
+}
+
+/// The uniformization series exactly as the production solver sums it
+/// (recurrent Poisson log-weights resynced every 64 terms, `exp` skipped
+/// below −746, the same convergence test), with `v·P` as a plain
+/// per-row gather over the transposed CSR rates. The production solver
+/// must match it bit for bit.
+fn reference_transient_grid<S>(
+    space: &StateSpace<S>,
+    times: &[f64],
+    opts: &UniformizationOptions,
+) -> Vec<Vec<f64>>
+where
+    S: Clone + Eq + std::hash::Hash + std::fmt::Debug,
+{
+    let p0 = space.initial_distribution();
+    let n_states = space.len();
+    let lambda = space.max_exit_rate();
+    if lambda == 0.0 || times.iter().all(|&t| t == 0.0) {
+        return times.iter().map(|_| p0.clone()).collect();
+    }
+    let means: Vec<f64> = times.iter().map(|&t| lambda * t).collect();
+    let ln_mean: Vec<f64> = means.iter().map(|m| m.ln()).collect();
+    let mut ln_w: Vec<f64> = means.iter().map(|&m| -m).collect();
+    let mut converged: Vec<bool> = means.iter().map(|&m| m == 0.0).collect();
+    let mut streak = vec![0u32; times.len()];
+    let max_mean = means.iter().fold(0.0f64, |a, &m| a.max(m));
+    let n_min = (max_mean.ceil() as usize).max(n_states.min(10_000));
+    let mut out: Vec<Vec<f64>> = converged
+        .iter()
+        .map(|&done| {
+            if done {
+                p0.clone()
+            } else {
+                vec![0.0; n_states]
+            }
+        })
+        .collect();
+    let rates_t = space.rates_transposed();
+    let mut v = p0;
+    for n in 0..opts.max_terms {
+        let mut all_done = true;
+        for k in 0..times.len() {
+            if converged[k] {
+                continue;
+            }
+            all_done = false;
+            if n > 0 && n % 64 == 0 {
+                ln_w[k] = poisson_ln_pmf(n as u64, means[k]);
+            } else if n > 0 {
+                ln_w[k] += ln_mean[k] - (n as f64).ln();
+            }
+            let w = if ln_w[k] < -746.0 { 0.0 } else { ln_w[k].exp() };
+            let mut big = false;
+            if w > 0.0 {
+                for (slot, &vj) in out[k].iter_mut().zip(&v) {
+                    let delta = w * vj;
+                    *slot += delta;
+                    big |= delta > opts.rel_tol * *slot;
+                }
+            }
+            if n >= n_min && (n as f64) > means[k] {
+                if big {
+                    streak[k] = 0;
+                } else {
+                    streak[k] += 1;
+                    converged[k] = streak[k] >= 3;
+                }
+            }
+        }
+        if all_done {
+            return out;
+        }
+        let mut next = vec![0.0; n_states];
+        for (j, slot) in next.iter_mut().enumerate() {
+            let mut inflow = 0.0;
+            for (i, r) in rates_t.row(j) {
+                inflow += v[i] * r;
+            }
+            *slot = v[j] * (1.0 - space.exit_rate(j) / lambda) + inflow / lambda;
+        }
+        v = next;
+    }
+    panic!("reference series did not converge");
+}
+
+/// The cumulative-time series with the scatter-form step
+/// (`CsrMatrix::acc_left_mul` into a fresh inflow buffer) that
+/// `expected_time_in_states` used before it shared the solver's kernel.
+fn reference_expected_times<S>(space: &StateSpace<S>, t: f64, opts: &RewardOptions) -> Vec<f64>
+where
+    S: Clone + Eq + std::hash::Hash + std::fmt::Debug,
+{
+    let n_states = space.len();
+    let mut acc = vec![0.0; n_states];
+    if t == 0.0 {
+        return acc;
+    }
+    let lambda = space.max_exit_rate();
+    if lambda == 0.0 {
+        acc[space.initial_index()] = t;
+        return acc;
+    }
+    let mean = lambda * t;
+    let mut v = space.initial_distribution();
+    let mut tail = 1.0f64;
+    let n_min = (mean.ceil() as usize).max(n_states.min(10_000));
+    let mut streak = 0u32;
+    for n in 0..opts.max_terms {
+        let pmf = poisson_ln_pmf(n as u64, mean).exp();
+        tail = (tail - pmf).max(0.0);
+        let next = (n + 2) as f64;
+        if next > mean {
+            let pmf_next = poisson_ln_pmf(n as u64 + 1, mean).exp();
+            tail = tail.min(pmf_next * next / (next - mean));
+        }
+        let w = tail / lambda;
+        let mut small = true;
+        if w > 0.0 {
+            for j in 0..n_states {
+                let delta = w * v[j];
+                acc[j] += delta;
+                if delta > opts.rel_tol * acc[j] {
+                    small = false;
+                }
+            }
+        }
+        if n >= n_min && (n as f64) > mean {
+            if small {
+                streak += 1;
+                if streak >= 3 {
+                    return acc;
+                }
+            } else {
+                streak = 0;
+            }
+        }
+        let mut next = vec![0.0; n_states];
+        for j in 0..n_states {
+            next[j] = v[j] * (1.0 - space.exit_rate(j) / lambda);
+        }
+        let mut inflow = vec![0.0; n_states];
+        space.rates().acc_left_mul(&v, &mut inflow);
+        for j in 0..n_states {
+            next[j] += inflow[j] / lambda;
+        }
+        v = next;
+    }
+    panic!("reference rewards series did not converge");
+}
+
+fn bits(rows: &[Vec<f64>]) -> Vec<Vec<u64>> {
+    rows.iter()
+        .map(|r| r.iter().map(|x| x.to_bits()).collect())
+        .collect()
 }
 
 proptest! {
@@ -96,6 +286,39 @@ proptest! {
         let total: f64 = l.iter().sum();
         prop_assert!((total - t).abs() < 1e-7 * t.max(1.0), "sum {total} vs {t}");
         prop_assert!(l.iter().all(|&x| x >= -1e-12));
+    }
+
+    #[test]
+    fn transient_grid_matches_the_per_row_gather_bit_for_bit(
+        small in chain_strategy(),
+        runs in wide_chain_strategy(false),
+        sink in wide_chain_strategy(true),
+        t1 in 0.1f64..3.0,
+        t2 in 3.0f64..9.0,
+    ) {
+        // Fewer states than one row group, equal-length runs with
+        // remainders, and one row far longer than the rest.
+        let opts = UniformizationOptions::default();
+        let times = [0.0, t1, t2];
+        for (chain, long_row) in [(sanitize(small), false), (runs, false), (sink, true)] {
+            let space = StateSpace::explore(&chain).expect("explore");
+            let rt = space.rates_transposed();
+            let longest = (0..rt.nrows()).map(|j| rt.row(j).count()).max();
+            prop_assert!(!long_row || longest == Some(space.len() - 1));
+            let fast = transient_grid(&space, &times, &opts).expect("grid");
+            let reference = reference_transient_grid(&space, &times, &opts);
+            prop_assert_eq!(bits(&fast), bits(&reference));
+        }
+    }
+
+    #[test]
+    fn rewards_match_the_scatter_step_bit_for_bit(raw in chain_strategy(), t in 0.0f64..10.0) {
+        let chain = sanitize(raw);
+        let space = StateSpace::explore(&chain).expect("explore");
+        let opts = RewardOptions::default();
+        let l = expected_time_in_states(&space, t, &opts).expect("rewards");
+        let reference = reference_expected_times(&space, t, &opts);
+        prop_assert_eq!(bits(&[l]), bits(&[reference]));
     }
 
     #[test]
