@@ -66,6 +66,7 @@ pub mod poisson;
 pub mod rewards;
 pub mod sparse;
 pub mod steady;
+mod step;
 pub mod uniformization;
 
 pub use error::CtmcError;

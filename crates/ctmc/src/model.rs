@@ -1,6 +1,7 @@
 //! Implicit Markov models and breadth-first state-space exploration.
 
 use crate::sparse::CsrMatrix;
+use crate::step::UniformizedStep;
 use crate::CtmcError;
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -48,11 +49,13 @@ pub struct StateSpace<S> {
     initial: usize,
     /// Off-diagonal rates, row = source.
     rates: CsrMatrix,
-    /// Transpose of `rates` (row = target), cached so hot left-multiplies
-    /// run as sequential per-output gathers instead of scattered writes.
+    /// Transpose of `rates` (row = target): row `j` lists the inflows of
+    /// state `j` in ascending source order.
     rates_t: CsrMatrix,
     /// Exit rate per state (sum of the row).
     exit: Vec<f64>,
+    /// The uniformized step `v·P`, planned from `rates_t` and `exit`.
+    step: UniformizedStep,
 }
 
 impl<S: Clone + Eq + Hash + Debug> StateSpace<S> {
@@ -133,12 +136,14 @@ impl<S: Clone + Eq + Hash + Debug> StateSpace<S> {
         let rates = CsrMatrix::from_rows(n, &adjacency)?;
         let rates_t = rates.transpose();
         let exit: Vec<f64> = (0..n).map(|i| rates.row_sum(i)).collect();
+        let step = UniformizedStep::new(&rates_t, &exit);
         Ok(StateSpace {
             states,
             initial: 0,
             rates,
             rates_t,
             exit,
+            step,
         })
     }
 
@@ -184,12 +189,17 @@ impl<S: Clone + Eq + Hash + Debug> StateSpace<S> {
         &self.rates
     }
 
-    /// Cached transpose of [`StateSpace::rates`] (row = target state).
-    /// `rates_transposed().acc_right_mul(p, y)` computes `y += p·rates`
-    /// with sequential writes per output component — the form the
-    /// uniformization inner loop wants.
+    /// Cached transpose of [`StateSpace::rates`] (row = target state):
+    /// row `j` lists the rates into state `j`, in ascending source order.
+    /// The uniformized step `v·P` that the solvers share is planned from
+    /// it when the space is built.
     pub fn rates_transposed(&self) -> &CsrMatrix {
         &self.rates_t
+    }
+
+    /// The uniformized step `v·P` of this chain.
+    pub(crate) fn uniformized_step(&self) -> &UniformizedStep {
+        &self.step
     }
 
     /// Exit rate of state `i` (the negated generator diagonal).
@@ -197,14 +207,9 @@ impl<S: Clone + Eq + Hash + Debug> StateSpace<S> {
         self.exit[i]
     }
 
-    /// Exit rate of every state, by index.
-    pub(crate) fn exit_rates(&self) -> &[f64] {
-        &self.exit
-    }
-
     /// Maximum exit rate over all states (the uniformization constant base).
     pub fn max_exit_rate(&self) -> f64 {
-        self.exit.iter().fold(0.0, |a, &b| a.max(b))
+        self.step.lambda()
     }
 
     /// Indices of absorbing states (no outgoing transitions).
@@ -264,12 +269,14 @@ impl<S: Clone + Eq + Hash + Debug> StateSpace<S> {
         let rates = CsrMatrix::from_rows(n, &adjacency)?;
         let rates_t = rates.transpose();
         let exit: Vec<f64> = (0..n).map(|i| rates.row_sum(i)).collect();
+        let step = UniformizedStep::new(&rates_t, &exit);
         Ok(StateSpace {
             states: self.states.clone(),
             initial: self.initial,
             rates,
             rates_t,
             exit,
+            step,
         })
     }
 

@@ -65,8 +65,9 @@ where
         return Ok(acc);
     }
     let mean = lambda * t;
-    let rates = space.rates();
+    let step = space.uniformized_step();
     let mut v = space.initial_distribution();
+    let mut v_next = vec![0.0; n_states];
 
     // Tail probabilities P[N > n]. The subtractive recurrence
     // P[N > n] = P[N > n−1] − pmf(n) is exact to rounding but bottoms out
@@ -107,17 +108,9 @@ where
                 streak = 0;
             }
         }
-        // v ← v·P (same uniformized step as the transient solver).
-        let mut next = vec![0.0; n_states];
-        for j in 0..n_states {
-            next[j] = v[j] * (1.0 - space.exit_rate(j) / lambda);
-        }
-        let mut inflow = vec![0.0; n_states];
-        rates.acc_left_mul(&v, &mut inflow);
-        for j in 0..n_states {
-            next[j] += inflow[j] / lambda;
-        }
-        v = next;
+        // v ← v·P (the transient solver's step).
+        step.apply(&v, &mut v_next);
+        std::mem::swap(&mut v, &mut v_next);
     }
     Err(CtmcError::NotConverged {
         iterations: opts.max_terms,

@@ -5,9 +5,9 @@ use crate::CtmcError;
 /// A compressed-sparse-row matrix of `f64` entries.
 ///
 /// Used to store the off-diagonal part of a CTMC generator; rows index the
-/// *source* state, columns the *target*. The matrix supports the one
-/// operation the solvers need: accumulating `y += x·A` (left-multiplication
-/// by a row vector).
+/// *source* state, columns the *target*. The matrix supports accumulating
+/// `y += x·A` (left-multiplication by a row vector) and transposition;
+/// the solvers' uniformized step is planned from the transpose.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CsrMatrix {
     nrows: usize,
@@ -111,37 +111,6 @@ impl CsrMatrix {
         }
     }
 
-    /// Computes `x · A` into a fresh vector.
-    pub fn left_mul(&self, x: &[f64]) -> Vec<f64> {
-        let mut y = vec![0.0; self.ncols];
-        self.acc_left_mul(x, &mut y);
-        y
-    }
-
-    /// Accumulates `y += A · x` (right multiplication by a column
-    /// vector). Each output row is a sequential gather over one stored
-    /// row — cache-friendly and independently computable per row, unlike
-    /// [`CsrMatrix::acc_left_mul`]'s scattered writes. With `A = Bᵀ`
-    /// this evaluates `y += x · B`, which is how the uniformization hot
-    /// loop uses it (see [`CsrMatrix::transpose`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug) on dimension mismatch; callers validate lengths.
-    pub fn acc_right_mul(&self, x: &[f64], y: &mut [f64]) {
-        debug_assert_eq!(x.len(), self.ncols);
-        debug_assert_eq!(y.len(), self.nrows);
-        for (i, yi) in y.iter_mut().enumerate() {
-            let lo = self.row_ptr[i];
-            let hi = self.row_ptr[i + 1];
-            let mut acc = 0.0;
-            for k in lo..hi {
-                acc += x[self.col_idx[k]] * self.values[k];
-            }
-            *yi += acc;
-        }
-    }
-
     /// Builds the transpose as a new CSR matrix (a CSC view of `self`),
     /// via a counting sort over columns: O(nnz + nrows + ncols). Column
     /// indices of each transposed row come out sorted.
@@ -194,11 +163,13 @@ mod tests {
     }
 
     #[test]
-    fn left_mul_matches_dense() {
+    fn acc_left_mul_matches_dense() {
         let m = sample();
         let x = [2.0, 5.0];
-        // x·A = [5·3, 2·1, 2·2]
-        assert_eq!(m.left_mul(&x), vec![15.0, 2.0, 4.0]);
+        // y + x·A = [1 + 5·3, 2·1, 2·2]
+        let mut y = vec![1.0, 0.0, 0.0];
+        m.acc_left_mul(&x, &mut y);
+        assert_eq!(y, vec![16.0, 2.0, 4.0]);
     }
 
     #[test]
@@ -225,7 +196,9 @@ mod tests {
     fn zero_x_entries_skip_work() {
         let m = sample();
         let x = [0.0, 1.0];
-        assert_eq!(m.left_mul(&x), vec![3.0, 0.0, 0.0]);
+        let mut y = vec![0.0; 3];
+        m.acc_left_mul(&x, &mut y);
+        assert_eq!(y, vec![3.0, 0.0, 0.0]);
     }
 
     #[test]
@@ -248,26 +221,5 @@ mod tests {
         let t = m.transpose();
         let cols: Vec<usize> = t.row(0).map(|(c, _)| c).collect();
         assert_eq!(cols, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn gather_mul_on_transpose_matches_scatter_left_mul() {
-        let m = CsrMatrix::from_rows(
-            4,
-            &[
-                vec![(1, 1.0), (3, 2.0)],
-                vec![(0, 0.5), (2, 4.0)],
-                vec![(3, 1.5)],
-            ],
-        )
-        .unwrap();
-        let t = m.transpose();
-        let x = [2.0, -1.0, 0.25];
-        let scattered = m.left_mul(&x);
-        let mut gathered = vec![0.0; 4];
-        t.acc_right_mul(&x, &mut gathered);
-        for (a, b) in scattered.iter().zip(&gathered) {
-            assert!((a - b).abs() < 1e-15, "{scattered:?} vs {gathered:?}");
-        }
     }
 }

@@ -29,10 +29,18 @@
 //!    term instead of a full log-gamma evaluation — and are resynced
 //!    against [`poisson_ln_pmf`] every [`LN_W_RESYNC`] terms so rounding
 //!    drift stays far below the truncation tolerance.
-//! 3. **Gather-form mat-vec.** `v·P` uses the state space's cached
-//!    transposed rate matrix ([`StateSpace::rates_transposed`]): each
-//!    output component is one sequential gather, fused with the diagonal
-//!    term in a single pass (no scattered writes, no inflow buffer).
+//! 3. **Row-grouped gather mat-vec.** `v·P` gathers each output
+//!    component's inflow from a row of the state space's transposed
+//!    rates ([`StateSpace::rates_transposed`]), fused with the diagonal
+//!    term (no scattered writes, no inflow buffer). The rows are planned
+//!    once per space: stable-sorted by length, and each run of
+//!    equal-length rows cut into groups of eight stored lane-interleaved,
+//!    so a group runs eight independent add chains with one fixed trip
+//!    count instead of one short serial chain per row. Rows that fill no
+//!    whole group run one at a time. Each row still adds its terms in
+//!    the same order with nothing padded, and `1 − exit_j/Λ` is the same
+//!    expression evaluated once per space, so the step is bit-identical
+//!    to a plain per-row gather.
 //! 4. **Projected output.** A caller that reads only some components of
 //!    `p(t)` (a BER curve reads `P_Fail`) asks
 //!    [`transient_grid_projected`] for just those. A time point whose
@@ -51,7 +59,7 @@
 
 use crate::model::StateSpace;
 use crate::poisson::poisson_ln_pmf;
-use crate::sparse::CsrMatrix;
+use crate::step::UniformizedStep;
 use crate::CtmcError;
 use rsmem_obs::metrics::{global, Counter, Histogram};
 use std::fmt::Debug;
@@ -298,7 +306,7 @@ pub fn transient_grid_with<S>(
 where
     S: Clone + Eq + Hash + Debug,
 {
-    solve(Chain::of(space), p0, times, None, opts, ws)
+    solve(space.uniformized_step(), p0, times, None, opts, ws)
 }
 
 /// The components `states` of `p(t)` from the point-mass initial
@@ -351,43 +359,22 @@ pub fn transient_grid_projected_with<S>(
 where
     S: Clone + Eq + Hash + Debug,
 {
-    solve(Chain::of(space), p0, times, Some(states), opts, ws)
-}
-
-/// What the series reads of a [`StateSpace`]. The loop takes this
-/// instead of the generic space, so it is compiled once, in this crate,
-/// whatever the state type.
-#[derive(Clone, Copy)]
-struct Chain<'a> {
-    rates_t: &'a CsrMatrix,
-    exit: &'a [f64],
-    lambda: f64,
-}
-
-impl<'a> Chain<'a> {
-    fn of<S>(space: &'a StateSpace<S>) -> Self
-    where
-        S: Clone + Eq + Hash + Debug,
-    {
-        Chain {
-            rates_t: space.rates_transposed(),
-            exit: space.exit_rates(),
-            lambda: space.max_exit_rate(),
-        }
-    }
+    solve(space.uniformized_step(), p0, times, Some(states), opts, ws)
 }
 
 /// The series loop behind every solver entry point: `select` lists the
-/// returned components, `None` meaning all of them.
+/// returned components, `None` meaning all of them. It reads the chain
+/// only through its [`UniformizedStep`], so it is compiled once, in this
+/// crate, whatever the state type.
 fn solve(
-    chain: Chain<'_>,
+    step: &UniformizedStep,
     p0: &[f64],
     times: &[f64],
     select: Option<&[usize]>,
     opts: &UniformizationOptions,
     ws: &mut UniformizationWorkspace,
 ) -> Result<Vec<Vec<f64>>, CtmcError> {
-    let n_states = chain.exit.len();
+    let n_states = step.len();
     if p0.len() != n_states {
         return Err(CtmcError::DimensionMismatch {
             got: p0.len(),
@@ -415,7 +402,7 @@ fn solve(
     obs_span.record("states", n_states);
     obs_span.record("time_points", times.len());
 
-    let lambda = chain.lambda;
+    let lambda = step.lambda();
     if lambda == 0.0 || times.iter().all(|&t| t == 0.0) {
         // No dynamics: p(t) = p(0) at every requested time.
         metrics.solves.inc();
@@ -477,7 +464,6 @@ fn solve(
         .iter()
         .map(|&done| if done { project(p0) } else { vec![0.0; width] })
         .collect();
-    let rates_t = chain.rates_t;
     let tol = opts.rel_tol;
 
     // Per-point series lengths plus the terms saved by per-point
@@ -546,15 +532,8 @@ fn solve(
             return Ok(out);
         }
         // v ← v·P = v + (v·R − v∘exit)/Λ, computed without cancellation:
-        // v_next[j] = v[j]·(1 − exit_j/Λ) + Σ_i v[i]·r_ij/Λ. The inflow
-        // sum gathers row j of Rᵀ — sequential reads, no scatter buffer.
-        for j in 0..n_states {
-            let mut inflow = 0.0;
-            for (i, r) in rates_t.row(j) {
-                inflow += ws.v[i] * r;
-            }
-            ws.next[j] = ws.v[j] * (1.0 - chain.exit[j] / lambda) + inflow / lambda;
-        }
+        // v_next[j] = v[j]·(1 − exit_j/Λ) + Σ_i v[i]·r_ij/Λ.
+        step.apply(&ws.v, &mut ws.next);
         std::mem::swap(&mut ws.v, &mut ws.next);
     }
     metrics.skipped_terms.add(skipped);
