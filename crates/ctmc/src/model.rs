@@ -488,6 +488,18 @@ mod tests {
             })
             .unwrap();
         assert_eq!(swapped.rates_transposed(), &swapped.rates().transpose());
+        // The uniformized step is planned again from the new rates.
+        let fresh = StateSpace::explore(&BirthDeath {
+            n: 4,
+            lambda: 2.0,
+            mu: 0.1,
+        })
+        .unwrap();
+        let opts = crate::uniformization::UniformizationOptions::default();
+        assert_eq!(
+            crate::uniformization::transient(&swapped, 1.5, &opts).unwrap(),
+            crate::uniformization::transient(&fresh, 1.5, &opts).unwrap()
+        );
     }
 
     #[test]

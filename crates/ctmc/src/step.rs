@@ -165,7 +165,7 @@ impl UniformizedStep {
 mod tests {
     use super::*;
 
-    /// `v·P` in scatter form, as the cumulative solver once computed it.
+    /// `v·P` in scatter form over the untransposed rates.
     fn scatter_step(rates: &CsrMatrix, exit: &[f64], lambda: f64, v: &[f64]) -> Vec<f64> {
         let mut inflow = vec![0.0; v.len()];
         rates.acc_left_mul(v, &mut inflow);

@@ -169,9 +169,9 @@ where
     panic!("reference series did not converge");
 }
 
-/// The cumulative-time series with the scatter-form step
-/// (`CsrMatrix::acc_left_mul` into a fresh inflow buffer) that
-/// `expected_time_in_states` used before it shared the solver's kernel.
+/// The cumulative-time series exactly as `expected_time_in_states` sums
+/// it, with `v·P` in scatter form (`CsrMatrix::acc_left_mul` into a
+/// fresh inflow buffer). The production solver must match it bit for bit.
 fn reference_expected_times<S>(space: &StateSpace<S>, t: f64, opts: &RewardOptions) -> Vec<f64>
 where
     S: Clone + Eq + std::hash::Hash + std::fmt::Debug,
