@@ -57,6 +57,46 @@ pub fn parse(argv: &[String]) -> Result<Parsed, String> {
     Ok(parsed)
 }
 
+/// The argv of the command a wrapper subcommand (`profile`, `trace`,
+/// `top`) runs: the first `wrapper` token is dropped, and so are the
+/// wrapper's own flags (`own_bool_flags`, and `own_value_flags` with
+/// their values) up to the first bare `--`, which is dropped too.
+/// Everything after that `--` passes through untouched.
+///
+/// # Errors
+///
+/// Returns a message when nothing is left to wrap, or when the wrapped
+/// command is the wrapper itself.
+pub fn split_wrapped(
+    argv: &[String],
+    wrapper: &str,
+    own_bool_flags: &[&str],
+    own_value_flags: &[&str],
+) -> Result<Vec<String>, String> {
+    let mut inner: Vec<String> = Vec::with_capacity(argv.len());
+    let mut stripped_wrapper = false;
+    let mut iter = argv.iter();
+    while let Some(arg) = iter.next() {
+        if !stripped_wrapper && arg == wrapper {
+            stripped_wrapper = true;
+        } else if arg == "--" {
+            inner.extend(iter.cloned());
+            break;
+        } else if own_value_flags.contains(&arg.as_str()) {
+            let _ = iter.next();
+        } else if !own_bool_flags.contains(&arg.as_str()) {
+            inner.push(arg.clone());
+        }
+    }
+    match inner.first() {
+        None => Err(format!(
+            "{wrapper} requires a command to wrap (e.g. `rsmem {wrapper} -- sweep fig7`)"
+        )),
+        Some(first) if first == wrapper => Err(format!("{wrapper} cannot wrap itself")),
+        Some(_) => Ok(inner),
+    }
+}
+
 impl Parsed {
     /// True when a boolean flag is present.
     pub fn has(&self, flag: &str) -> bool {

@@ -1,7 +1,7 @@
 //! Command implementations. Each returns the text to print, so the whole
 //! CLI is unit-testable without spawning processes.
 
-use crate::args::{parse, Parsed};
+use crate::args::{parse, split_wrapped, Parsed};
 use rsmem::experiments::{
     run_with, run_with_observer, ExperimentId, ExperimentOutput, ParseExperimentIdError,
 };
@@ -19,7 +19,7 @@ rsmem — Reed–Solomon memory reliability toolkit (DATE 2005 reproduction)
 USAGE:
   rsmem experiment <id> [--csv|--plot] regenerate a paper artifact
   rsmem sweep <id> [--csv|--plot]     like experiment, with progress + tracing
-  rsmem profile <cmd ...>             run any command under the self-profiler
+  rsmem profile [--] <cmd ...>        run any command under the self-profiler
   rsmem trace [--] <cmd ...>          run any command under the flight
                                       recorder; print the event timeline
   rsmem bench [flags]                 benchmark suite → BENCH_<date>.json
@@ -480,34 +480,12 @@ fn cmd_serve(parsed: &Parsed) -> Result<String, String> {
     Ok("server stopped\n".to_owned())
 }
 
-/// `rsmem profile <cmd ...>` — re-dispatches the wrapped command with
+/// `rsmem profile [--] <cmd ...>` — re-dispatches the wrapped command with
 /// the hierarchical profiler enabled, then reports where the wall time
 /// went. `--profile-json` swaps the text tree (appended after the
 /// wrapped command's output) for the canonical-JSON document alone.
 fn cmd_profile(argv: &[String], parsed: &Parsed) -> Result<String, String> {
-    // The inner argv is everything except the leading `profile` token
-    // and the flags that belong to the profiler itself.
-    let mut inner: Vec<String> = Vec::with_capacity(argv.len());
-    let mut stripped_command = false;
-    for arg in argv {
-        if !stripped_command && arg == "profile" {
-            stripped_command = true;
-            continue;
-        }
-        if arg == "--profile-json" {
-            continue;
-        }
-        inner.push(arg.clone());
-    }
-    match inner.first().map(String::as_str) {
-        None => {
-            return Err(
-                "profile requires a command to wrap (e.g. `rsmem profile sweep fig7`)".to_owned(),
-            )
-        }
-        Some("profile") => return Err("profile cannot wrap itself".to_owned()),
-        Some(_) => {}
-    }
+    let inner = split_wrapped(argv, "profile", &["--profile-json"], &[])?;
     let was_enabled = rsmem_obs::profile::is_enabled();
     rsmem_obs::profile::set_enabled(true);
     rsmem_obs::profile::reset();
@@ -554,33 +532,7 @@ fn cmd_profile(argv: &[String], parsed: &Parsed) -> Result<String, String> {
 /// alone. When the wrapped command fails, the timeline is appended to
 /// its error so the forensics still surface.
 fn cmd_trace(argv: &[String], parsed: &Parsed) -> Result<String, String> {
-    // The inner argv is everything except the leading `trace` token, the
-    // recorder's own flags and the conventional `--` separator.
-    let mut inner: Vec<String> = Vec::with_capacity(argv.len());
-    let mut stripped_command = false;
-    for arg in argv {
-        if !stripped_command && arg == "trace" {
-            stripped_command = true;
-            continue;
-        }
-        if arg == "--trace-json" {
-            continue;
-        }
-        if inner.is_empty() && arg == "--" {
-            continue;
-        }
-        inner.push(arg.clone());
-    }
-    match inner.first().map(String::as_str) {
-        None => {
-            return Err(
-                "trace requires a command to wrap (e.g. `rsmem trace -- stress --budget small`)"
-                    .to_owned(),
-            )
-        }
-        Some("trace") => return Err("trace cannot wrap itself".to_owned()),
-        Some(_) => {}
-    }
+    let inner = split_wrapped(argv, "trace", &["--trace-json"], &[])?;
     let recording = rsmem_obs::recorder::enable_scoped();
     // Start from a fresh epoch so the timeline covers this run alone.
     let _ = rsmem_obs::recorder::snapshot_and_reset();
@@ -1169,6 +1121,36 @@ mod tests {
         assert!(out.starts_with(&plain), "wrapped output preserved");
         assert!(out.contains("--- profile:"), "{out}");
         assert!(out.contains("core.experiments.fig5"), "{out}");
+    }
+
+    /// Every wrapper hands the argv after a bare `--` to the wrapped
+    /// command untouched: the wrapped output is the plain command's,
+    /// followed by the wrapper's own report.
+    #[test]
+    fn wrappers_run_the_wrapped_command_after_a_double_dash() {
+        let ber = [
+            "ber", "--duplex", "--seu", "1e-3", "--hours", "48", "--points", "3",
+        ];
+        let plain = run_cli(&ber).unwrap();
+        assert!(plain.contains("6.4080e-2"), "{plain}");
+        let wrapped = |wrapper: &[&'static str]| [wrapper, &["--"], &ber].concat();
+
+        let profiled = run_cli(&wrapped(&["profile"])).unwrap();
+        let footer = profiled.strip_prefix(&plain).expect(&profiled);
+        assert!(footer.starts_with("--- profile:"), "{profiled}");
+
+        let traced = run_cli(&wrapped(&["trace"])).unwrap();
+        let footer = traced.strip_prefix(&plain).expect(&traced);
+        assert!(footer.starts_with("flight recorder:"), "{traced}");
+
+        let argv: Vec<String> = wrapped(&["top", "--frames", "1"])
+            .iter()
+            .map(ToString::to_string)
+            .collect();
+        let mut frames = 0;
+        let topped = crate::top::run_top(&argv, &parse(&argv).unwrap(), &mut |_| frames += 1);
+        assert_eq!(topped.unwrap(), plain);
+        assert!(frames >= 1);
     }
 
     fn sample_bench_report() -> rsmem_bench::harness::BenchReport {

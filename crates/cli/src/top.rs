@@ -15,10 +15,10 @@
 //! Frames go through an `emit` callback so tests can capture the live
 //! stream without a terminal; the binary's callback prints and flushes.
 
-use crate::args::Parsed;
+use crate::args::{split_wrapped, Parsed};
 use rsmem_obs::json::Value;
-use rsmem_obs::timeseries::{self, Sampler};
-use rsmem_obs::watchdog::{RuleKind, SloRule, Watchdog};
+use rsmem_obs::timeseries;
+use rsmem_obs::watchdog::{solver_slo_rules, Watchdog};
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -45,60 +45,22 @@ pub fn run_top(
     let interval_ms = parsed.u64_flag("--interval", 1_000)?.max(10);
     let frames = parsed.u64_flag("--frames", 0)?;
     let raw = parsed.has("--raw");
-    let inner = wrapped_argv(argv);
-    match (parsed.value("--url"), inner.first().map(String::as_str)) {
-        (Some(_), Some(_)) => {
-            Err("top --url follows a remote stream and cannot also wrap a command".to_owned())
-        }
-        (Some(url), None) => {
-            let delivered = follow_stream(url, interval_ms, frames, raw, emit)?;
-            if raw {
-                // Keep stdout pure JSON-lines so the stream pipes into
-                // `rsmem check-jsonl` and friends.
-                Ok(String::new())
-            } else {
-                Ok(format!("top: stream ended after {delivered} frame(s)\n"))
-            }
-        }
-        (None, Some("top")) => Err("top cannot wrap itself".to_owned()),
-        (None, Some(_)) => run_wrapped(&inner, interval_ms, frames, raw, emit),
-        (None, None) => Err(
-            "top requires --url HOST:PORT or a command to wrap (e.g. `rsmem top -- sweep fig7`)"
-                .to_owned(),
-        ),
+    let Some(url) = parsed.value("--url") else {
+        let inner = split_wrapped(argv, "top", &["--raw"], &["--interval", "--frames"])?;
+        return run_wrapped(&inner, interval_ms, frames, raw, emit);
+    };
+    // Any positional besides `top` itself names a command to wrap.
+    if parsed.positional.len() > 1 {
+        return Err("top --url follows a remote stream and cannot also wrap a command".to_owned());
     }
-}
-
-/// Everything in `argv` that belongs to the wrapped command: the leading
-/// `top` token, top's own flags and the conventional `--` separator are
-/// stripped; after the separator nothing more is interpreted.
-fn wrapped_argv(argv: &[String]) -> Vec<String> {
-    let mut inner: Vec<String> = Vec::with_capacity(argv.len());
-    let mut stripped_command = false;
-    let mut own_flags = true;
-    let mut iter = argv.iter();
-    while let Some(arg) = iter.next() {
-        if !stripped_command && arg == "top" {
-            stripped_command = true;
-            continue;
-        }
-        if own_flags {
-            match arg.as_str() {
-                "--" => {
-                    own_flags = false;
-                    continue;
-                }
-                "--interval" | "--frames" | "--url" => {
-                    let _ = iter.next();
-                    continue;
-                }
-                "--raw" => continue,
-                _ => {}
-            }
-        }
-        inner.push(arg.clone());
+    let delivered = follow_stream(url, interval_ms, frames, raw, emit)?;
+    if raw {
+        // Keep stdout pure JSON-lines so the stream pipes into
+        // `rsmem check-jsonl` and friends.
+        Ok(String::new())
+    } else {
+        Ok(format!("top: stream ended after {delivered} frame(s)\n"))
     }
-    inner
 }
 
 /// Splits `--url` into the address handed to `TcpStream::connect`: the
@@ -200,29 +162,6 @@ fn follow_stream(
     Ok(delivered)
 }
 
-/// The SLO rules that make sense without a serving layer: the solver
-/// counters the global sampler tracks by default.
-fn solver_slo_rules() -> Vec<SloRule> {
-    vec![
-        SloRule {
-            name: "decode_failure_rate",
-            kind: RuleKind::RateAbove {
-                series: "decode_failures",
-            },
-            window: 5,
-            threshold: 5.0,
-        },
-        SloRule {
-            name: "mc_silent_rate",
-            kind: RuleKind::RateAbove {
-                series: "mc_silent",
-            },
-            window: 5,
-            threshold: 0.5,
-        },
-    ]
-}
-
 /// Runs the wrapped command on a worker thread while the process-global
 /// sampler frames the solver counters; one final frame lands after the
 /// command ends so even sub-interval runs render at least once.
@@ -247,26 +186,18 @@ fn run_wrapped(
         .spawn(move || crate::commands::dispatch(&argv))
         .map_err(|e| format!("spawning wrapped command: {e}"))?;
 
-    fn frame_once(
-        sampler: &Sampler,
-        watchdog: &Watchdog,
-        raw: bool,
-        delivered: &mut u64,
-        emit: &mut dyn FnMut(&str),
-    ) {
-        sampler.sample_now();
-        watchdog.evaluate(sampler);
-        if let Some(frame) = sampler.latest_json() {
-            let frame = with_breaches(frame, &watchdog.active());
-            if raw {
-                emit(&frame.encode());
-            } else {
-                emit(&render_frame(&frame));
-            }
-            *delivered += 1;
-        }
-    }
-
+    // Emits one frame; returns how many were delivered (0 or 1).
+    let frame_once = |emit: &mut dyn FnMut(&str)| -> u64 {
+        let Some(frame) = watchdog.frame(sampler) else {
+            return 0;
+        };
+        emit(&if raw {
+            frame.encode()
+        } else {
+            render_frame(&frame)
+        });
+        1
+    };
     let mut delivered = 0u64;
     while !worker.is_finished() && (frames == 0 || delivered < frames) {
         // Sleep in short slices so a fast wrapped command is not held
@@ -277,32 +208,15 @@ fn run_wrapped(
             std::thread::sleep(Duration::from_millis(slice));
             slept += slice;
         }
-        frame_once(sampler, &watchdog, raw, &mut delivered, emit);
+        delivered += frame_once(emit);
     }
     if frames == 0 || delivered < frames {
-        frame_once(sampler, &watchdog, raw, &mut delivered, emit);
+        frame_once(emit);
     }
     sampler.set_enabled(was_enabled);
     worker
         .join()
         .map_err(|_| "wrapped command panicked".to_owned())?
-}
-
-/// Adds the watchdog's currently-breached rule names to a frame, same
-/// shape as the service's streamed frames.
-fn with_breaches(mut frame: Value, active: &[&'static str]) -> Value {
-    if let Value::Object(map) = &mut frame {
-        map.insert(
-            "breaches".to_owned(),
-            Value::Array(
-                active
-                    .iter()
-                    .map(|r| Value::String((*r).to_owned()))
-                    .collect(),
-            ),
-        );
-    }
-    frame
 }
 
 /// Renders one frame (remote or local) through the shared dashboard.
@@ -413,16 +327,55 @@ mod tests {
 
     #[test]
     fn wrapped_argv_strips_only_tops_flags() {
-        let argv: Vec<String> = ["top", "--interval", "50", "--raw", "--", "stress", "--raw"]
-            .iter()
-            .map(ToString::to_string)
-            .collect();
-        assert_eq!(wrapped_argv(&argv), vec!["stress", "--raw"]);
-        let argv: Vec<String> = ["top", "sweep", "fig7", "--csv"]
-            .iter()
-            .map(ToString::to_string)
-            .collect();
-        assert_eq!(wrapped_argv(&argv), vec!["sweep", "fig7", "--csv"]);
+        // (wrapper, own boolean flags, own value flags, argv, inner argv)
+        let top: (&str, &[&str], &[&str]) = ("top", &["--raw"], &["--interval", "--frames"]);
+        let profile: (&str, &[&str], &[&str]) = ("profile", &["--profile-json"], &[]);
+        let trace: (&str, &[&str], &[&str]) = ("trace", &["--trace-json"], &[]);
+        let cases: [(_, &[&str], &[&str]); 7] = [
+            (
+                top,
+                &["top", "--interval", "50", "--raw", "--", "stress", "--raw"],
+                &["stress", "--raw"],
+            ),
+            (
+                top,
+                &["top", "sweep", "fig7", "--csv"],
+                &["sweep", "fig7", "--csv"],
+            ),
+            (
+                profile,
+                &["profile", "sweep", "fig7", "--profile-json"],
+                &["sweep", "fig7"],
+            ),
+            (
+                profile,
+                &["profile", "--", "ber", "--duplex", "--seu", "1e-3"],
+                &["ber", "--duplex", "--seu", "1e-3"],
+            ),
+            (
+                profile,
+                &["profile", "--profile-json", "--", "list", "--profile-json"],
+                &["list", "--profile-json"],
+            ),
+            (
+                trace,
+                &["trace", "--trace-json", "--", "stress", "--budget", "small"],
+                &["stress", "--budget", "small"],
+            ),
+            (
+                trace,
+                &["trace", "--", "top", "--", "list", "--trace-json"],
+                &["top", "--", "list", "--trace-json"],
+            ),
+        ];
+        for ((wrapper, bools, values), argv, inner) in cases {
+            let argv: Vec<String> = argv.iter().map(ToString::to_string).collect();
+            assert_eq!(
+                split_wrapped(&argv, wrapper, bools, values).unwrap(),
+                inner,
+                "{argv:?}"
+            );
+        }
     }
 
     #[test]

@@ -43,7 +43,6 @@ pub fn area_units(m: u32, n: usize, k: usize) -> u64 {
 /// A summary row comparing arrangements, as printed by the complexity
 /// experiment.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ComplexityRow {
     /// Human-readable arrangement label.
     pub label: String,

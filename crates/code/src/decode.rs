@@ -94,7 +94,6 @@ impl fmt::Display for DecoderBackend {
 
 /// One applied symbol correction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Correction {
     /// Codeword position that was modified.
     pub position: usize,

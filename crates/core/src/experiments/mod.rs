@@ -49,7 +49,6 @@ pub const GRID_POINTS: usize = 25;
 
 /// Identifier of one paper artifact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ExperimentId {
     /// Fig. 5 — simplex RS(18,16), SEU sweep.
     Fig5,
@@ -148,7 +147,6 @@ impl fmt::Display for ExperimentId {
 
 /// One labelled curve of a figure.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Series {
     /// Legend label (e.g. the swept rate, as the paper prints it).
     pub label: String,
@@ -158,7 +156,6 @@ pub struct Series {
 
 /// A regenerated figure: axes plus one series per legend entry.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Figure {
     /// Which artifact this is.
     pub id: ExperimentId,

@@ -13,8 +13,8 @@
 //!     absorbing-state probabilities retain full *relative* accuracy down
 //!     to the f64 denormal floor (~1e-308) — exactly what the paper's
 //!     BER-vs-permanent-fault sweeps (1e-200 territory) need;
-//!   - [`ode`] — fixed-step RK4 and adaptive RKF45 integrators, used as an
-//!     independent cross-check;
+//!   - [`ode`] — an adaptive RKF45 integrator, used as an independent
+//!     cross-check;
 //!   - [`paths`] — a SURE-style path-bound solver for *acyclic* chains
 //!     (no scrubbing), computing log-space lower/upper bounds that remain
 //!     meaningful below 1e-308;
@@ -58,7 +58,6 @@
 
 pub mod dense;
 mod error;
-pub mod hazard;
 mod model;
 pub mod ode;
 pub mod paths;

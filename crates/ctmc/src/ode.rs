@@ -1,28 +1,15 @@
-//! ODE integrators for the Kolmogorov forward equations `p'(t) = p(t)·Q`.
+//! An ODE integrator for the Kolmogorov forward equations `p'(t) = p(t)·Q`.
 //!
-//! These are *cross-check* solvers: they trade the non-negativity
-//! guarantee of [`crate::uniformization`] for genericity, and are used by
-//! the test-suite and the solver-ablation bench to confirm the primary
-//! solver. Absolute accuracy is limited to roughly the integrator
-//! tolerance, so they are not suitable for the 1e-200-probability regime.
+//! This is a *cross-check* solver: it trades the non-negativity
+//! guarantee of [`crate::uniformization`] for genericity, and the
+//! test-suite uses it as an independent oracle for the primary solver.
+//! Absolute accuracy is limited to roughly the integrator tolerance, so
+//! it is not suitable for the 1e-200-probability regime.
 
 use crate::model::StateSpace;
 use crate::CtmcError;
 use std::fmt::Debug;
 use std::hash::Hash;
-
-/// Options for the fixed-step RK4 integrator.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Rk4Options {
-    /// Number of equal steps over `[0, t]` (default 1000).
-    pub steps: usize,
-}
-
-impl Default for Rk4Options {
-    fn default() -> Self {
-        Rk4Options { steps: 1000 }
-    }
-}
 
 /// Options for the adaptive RKF45 integrator.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,37 +37,6 @@ fn check_time(t: f64) -> Result<(), CtmcError> {
         return Err(CtmcError::InvalidTime { time: t });
     }
     Ok(())
-}
-
-/// Integrates `p' = p·Q` from the initial point mass with classical RK4.
-///
-/// # Errors
-///
-/// [`CtmcError::InvalidTime`] for bad `t`.
-pub fn rk4<S>(space: &StateSpace<S>, t: f64, opts: &Rk4Options) -> Result<Vec<f64>, CtmcError>
-where
-    S: Clone + Eq + Hash + Debug,
-{
-    check_time(t)?;
-    let mut p = space.initial_distribution();
-    if t == 0.0 || space.max_exit_rate() == 0.0 {
-        return Ok(p);
-    }
-    let steps = opts.steps.max(1);
-    let h = t / steps as f64;
-    for _ in 0..steps {
-        let k1 = space.apply_generator(&p)?;
-        let p2: Vec<f64> = p.iter().zip(&k1).map(|(&x, &k)| x + 0.5 * h * k).collect();
-        let k2 = space.apply_generator(&p2)?;
-        let p3: Vec<f64> = p.iter().zip(&k2).map(|(&x, &k)| x + 0.5 * h * k).collect();
-        let k3 = space.apply_generator(&p3)?;
-        let p4: Vec<f64> = p.iter().zip(&k3).map(|(&x, &k)| x + h * k).collect();
-        let k4 = space.apply_generator(&p4)?;
-        for j in 0..p.len() {
-            p[j] += h / 6.0 * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j]);
-        }
-    }
-    Ok(p)
 }
 
 /// Integrates `p' = p·Q` with the adaptive Runge–Kutta–Fehlberg 4(5) pair.
@@ -216,17 +172,6 @@ mod tests {
     }
 
     #[test]
-    fn rk4_agrees_with_uniformization() {
-        let space = StateSpace::explore(&Repairable).unwrap();
-        let t = 4.0;
-        let a = rk4(&space, t, &Rk4Options { steps: 4000 }).unwrap();
-        let b = transient(&space, t, &UniformizationOptions::default()).unwrap();
-        for j in 0..space.len() {
-            assert!((a[j] - b[j]).abs() < 1e-8, "j={j}: {} vs {}", a[j], b[j]);
-        }
-    }
-
-    #[test]
     fn rkf45_agrees_with_uniformization() {
         let space = StateSpace::explore(&Repairable).unwrap();
         let t = 4.0;
@@ -250,7 +195,6 @@ mod tests {
     #[test]
     fn zero_time_is_identity() {
         let space = StateSpace::explore(&Repairable).unwrap();
-        assert_eq!(rk4(&space, 0.0, &Rk4Options::default()).unwrap()[0], 1.0);
         assert_eq!(
             rkf45(&space, 0.0, &Rkf45Options::default()).unwrap()[0],
             1.0
@@ -260,7 +204,7 @@ mod tests {
     #[test]
     fn bad_time_rejected() {
         let space = StateSpace::explore(&Repairable).unwrap();
-        assert!(rk4(&space, f64::INFINITY, &Rk4Options::default()).is_err());
+        assert!(rkf45(&space, f64::INFINITY, &Rkf45Options::default()).is_err());
         assert!(rkf45(&space, -0.5, &Rkf45Options::default()).is_err());
     }
 }

@@ -45,7 +45,6 @@ impl MemoryModel for DuplexModel {
 
 /// A BER-versus-time series, the payload of every figure in the paper.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BerCurve {
     /// The evaluation times.
     pub times: Vec<Time>,

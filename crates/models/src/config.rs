@@ -12,7 +12,6 @@ use std::fmt;
 /// the analysis layers need; the actual encoder/decoder lives in
 /// `rsmem-codes`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum CodeFamily {
     /// Reed–Solomon over GF(2^m) — the paper's code.
     #[default]
@@ -68,7 +67,6 @@ impl std::str::FromStr for CodeFamily {
 /// against `budget`. For RS this is exactly the paper's
 /// `er + 2·re ≤ n − k`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CorrectionCapability {
     /// The weighted error/erasure budget (`n − k` for RS).
     pub budget: usize,
@@ -102,7 +100,6 @@ impl CorrectionCapability {
 /// tables — the Markov models only need the counting parameters and
 /// the [`CorrectionCapability`] they imply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CodeParams {
     n: usize,
     k: usize,
@@ -392,7 +389,6 @@ impl std::str::FromStr for CodeParams {
 
 /// The fault environment: SEU and permanent-fault exposure rates.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FaultRates {
     /// Transient (SEU) rate per bit per day — the paper's `λ`.
     pub seu: SeuRate,
@@ -460,7 +456,6 @@ impl FaultRates {
 /// rate 1/Tsc"); it rewrites corrected data, clearing accumulated
 /// transient errors but leaving permanent faults in place.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Scrubbing {
     /// No scrubbing.
     #[default]

@@ -19,7 +19,6 @@ pub const DAYS_PER_MONTH: f64 = 365.25 / 12.0;
 
 /// A point in (or span of) time, stored in days.
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Time {
     days: f64,
 }
@@ -141,7 +140,6 @@ impl TimeGrid {
 /// SEU (transient fault) rate, stored per bit per day — the unit the
 /// paper's Section 6 sweeps use (`7.3e-7 … 1.7e-5 errors/bit/day`).
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SeuRate {
     per_bit_day: f64,
 }
@@ -172,7 +170,6 @@ impl SeuRate {
 
 /// Permanent-fault (erasure) exposure rate, stored per symbol per day.
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ErasureRate {
     per_symbol_day: f64,
 }

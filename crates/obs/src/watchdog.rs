@@ -15,6 +15,7 @@
 //! thread drives sampling (the service's sampler thread, a test) — so
 //! it needs no disabled-path discipline beyond the sampler's.
 
+use crate::json::Value;
 use crate::log::{event, Level};
 use crate::metrics::Counter;
 use crate::recorder::{self, Exemplar};
@@ -74,6 +75,30 @@ pub struct Alert {
     pub value: f64,
     /// The rule's threshold.
     pub threshold: f64,
+}
+
+/// The SLO rules over the solver series that
+/// [`crate::timeseries::track_solver_defaults`] tracks: they need no
+/// serving layer, so the daemon and `rsmem top`'s wrap mode share them.
+pub fn solver_slo_rules() -> Vec<SloRule> {
+    vec![
+        SloRule {
+            name: "decode_failure_rate",
+            kind: RuleKind::RateAbove {
+                series: "decode_failures",
+            },
+            window: 5,
+            threshold: 5.0,
+        },
+        SloRule {
+            name: "mc_silent_rate",
+            kind: RuleKind::RateAbove {
+                series: "mc_silent",
+            },
+            window: 5,
+            threshold: 0.5,
+        },
+    ]
 }
 
 struct RuleState {
@@ -154,6 +179,25 @@ impl Watchdog {
             .filter(|s| s.breached)
             .map(|s| s.rule.name)
             .collect()
+    }
+
+    /// Adds the names of the rules currently in breach to a frame or
+    /// history document, under `"breaches"`.
+    pub fn annotate(&self, mut doc: Value) -> Value {
+        if let Value::Object(fields) = &mut doc {
+            let breaches = self.active().into_iter().map(|r| Value::String(r.into()));
+            fields.insert("breaches".into(), Value::Array(breaches.collect()));
+        }
+        doc
+    }
+
+    /// One live frame: forces a fresh sample, evaluates every rule over
+    /// the new window, and returns the newest `rsmem-metrics/1` frame
+    /// with its breaches; `None` when `sampler` holds no frame.
+    pub fn frame(&self, sampler: &Sampler) -> Option<Value> {
+        sampler.sample_now();
+        self.evaluate(sampler);
+        sampler.latest_json().map(|frame| self.annotate(frame))
     }
 }
 

@@ -64,7 +64,7 @@ use rsmem::experiments::{run_with, ExperimentId, ExperimentOutput, Figure};
 use rsmem::{report, Parallelism};
 use rsmem_obs::log::{format_trace_id, next_trace_id, parse_trace_id, trace_scope};
 use rsmem_obs::timeseries::{track_solver_defaults, Sampler, DEFAULT_CAPACITY};
-use rsmem_obs::watchdog::{RuleKind, SloRule, Watchdog};
+use rsmem_obs::watchdog::{solver_slo_rules, RuleKind, SloRule, Watchdog};
 use rsmem_obs::Level;
 use std::io::{BufReader, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -304,10 +304,11 @@ fn build_sampler(
     sampler
 }
 
-/// The service's default SLO rules — evaluated by the sampler thread,
-/// counted in `rsmem_slo_breaches_total{rule}`.
+/// The service's default SLO rules — the serving rules, then the
+/// solver rules — evaluated by the sampler thread, counted in
+/// `rsmem_slo_breaches_total{rule}`.
 fn default_slo_rules() -> Vec<SloRule> {
-    vec![
+    let mut rules = vec![
         SloRule {
             name: "latency_p99",
             kind: RuleKind::QuantileAbove {
@@ -334,23 +335,9 @@ fn default_slo_rules() -> Vec<SloRule> {
             window: 10,
             threshold: 0.1,
         },
-        SloRule {
-            name: "decode_failure_rate",
-            kind: RuleKind::RateAbove {
-                series: "decode_failures",
-            },
-            window: 5,
-            threshold: 5.0,
-        },
-        SloRule {
-            name: "mc_silent_rate",
-            kind: RuleKind::RateAbove {
-                series: "mc_silent",
-            },
-            window: 5,
-            threshold: 0.5,
-        },
-    ]
+    ];
+    rules.extend(solver_slo_rules());
+    rules
 }
 
 /// The background sampling thread: one registry snapshot per interval,
@@ -475,8 +462,7 @@ fn route(request: &Request, ctx: &Ctx) -> (&'static str, Response) {
                 Response::text(200, render_metrics_opts(ctx, exemplars)),
             )
         }
-        ("GET", "/debug/profile") => ("profile", handle_profile(request)),
-        ("GET", "/debug/flightrecorder") => ("flightrecorder", handle_flightrecorder(request)),
+        ("GET", "/debug/profile" | "/debug/flightrecorder") => handle_debug_snapshot(request),
         ("GET", "/debug/metrics/history") => ("metrics_history", handle_metrics_history(ctx)),
         ("GET", "/v1/analyze")
         | (
@@ -520,26 +506,10 @@ fn render_metrics_opts(ctx: &Ctx, exemplars: bool) -> String {
     text
 }
 
-/// Adds the watchdog's currently-breached rule names to a frame or
-/// history document under `"breaches"`.
-fn with_breaches(mut doc: Value, watchdog: &Watchdog) -> Value {
-    let breaches = Value::Array(
-        watchdog
-            .active()
-            .into_iter()
-            .map(|name| Value::String(name.into()))
-            .collect(),
-    );
-    if let Value::Object(fields) = &mut doc {
-        fields.insert("breaches".into(), breaches);
-    }
-    doc
-}
-
 /// `GET /debug/metrics/history` — the sampler's whole ring as one
 /// canonical `rsmem-metrics/1` document, plus the active SLO breaches.
 fn handle_metrics_history(ctx: &Ctx) -> Response {
-    let doc = with_breaches(ctx.sampler.history_json(), &ctx.watchdog);
+    let doc = ctx.watchdog.annotate(ctx.sampler.history_json());
     Response::json(200, doc.encode())
 }
 
@@ -565,13 +535,8 @@ fn stream_metrics(mut stream: TcpStream, ctx: &Ctx, request: &Request, trace: u6
         return 200; // client left before the head: nothing to do
     }
     let mut written = 0u64;
-    loop {
-        ctx.sampler.sample_now();
-        ctx.watchdog.evaluate(&ctx.sampler);
-        let Some(frame) = ctx.sampler.latest_json() else {
-            break;
-        };
-        let mut line = with_breaches(frame, &ctx.watchdog).encode();
+    while let Some(frame) = ctx.watchdog.frame(&ctx.sampler) {
+        let mut line = frame.encode();
         line.push('\n');
         if http::write_chunk(&mut stream, line.as_bytes()).is_err() {
             return 200; // client hung up mid-stream: normal termination
@@ -596,32 +561,30 @@ fn stream_metrics(mut stream: TcpStream, ctx: &Ctx, request: &Request, trace: u6
     200
 }
 
-/// `GET /debug/profile` — the aggregated call tree as canonical JSON.
-/// `?reset=1` (or `true`) atomically snapshots **and** zeroes the
-/// statistics, so periodic scrapers get disjoint epochs; the node tree
-/// itself survives resets, keeping in-flight span exits attributable.
-fn handle_profile(request: &Request) -> Response {
+/// `GET /debug/profile` (the aggregated call tree) and
+/// `GET /debug/flightrecorder` (the recorder's event rings and frozen
+/// failure exemplars, as the `rsmem-trace/1` document), in canonical
+/// JSON. `?reset=1` (or `true`) snapshots **and** starts a new epoch,
+/// so periodic scrapers get disjoint epochs; the profiler's node tree
+/// survives resets, keeping in-flight span exits attributable.
+fn handle_debug_snapshot(request: &Request) -> (&'static str, Response) {
     let reset = matches!(request.query_param("reset"), Some("1" | "true"));
-    let snapshot = if reset {
-        rsmem_obs::profile::snapshot_and_reset()
+    let (endpoint, doc) = if request.path == "/debug/profile" {
+        let take = if reset {
+            rsmem_obs::profile::snapshot_and_reset
+        } else {
+            rsmem_obs::profile::snapshot
+        };
+        ("profile", take().to_json())
     } else {
-        rsmem_obs::profile::snapshot()
+        let take = if reset {
+            rsmem_obs::recorder::snapshot_and_reset
+        } else {
+            rsmem_obs::recorder::snapshot
+        };
+        ("flightrecorder", rsmem_obs::recorder::to_json(&take()))
     };
-    Response::json(200, snapshot.to_json().encode())
-}
-
-/// `GET /debug/flightrecorder` — the recorder's event rings and frozen
-/// failure exemplars as the canonical `rsmem-trace/1` document.
-/// `?reset=1` (or `true`) snapshots **and** starts a new epoch, the
-/// same disjoint-scrape semantics as `/debug/profile`.
-fn handle_flightrecorder(request: &Request) -> Response {
-    let reset = matches!(request.query_param("reset"), Some("1" | "true"));
-    let snapshot = if reset {
-        rsmem_obs::recorder::snapshot_and_reset()
-    } else {
-        rsmem_obs::recorder::snapshot()
-    };
-    Response::json(200, rsmem_obs::recorder::to_json(&snapshot).encode())
+    (endpoint, Response::json(200, doc.encode()))
 }
 
 /// Installs a process-wide panic hook (once) that freezes a `panic`

@@ -28,7 +28,6 @@ use rsmem_code::{BatchDecoder, BatchOutcome, DecodeOpts, Interleaver, RsCode, Sy
 
 /// Configuration of a whole-memory array simulation.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ArrayConfig {
     /// Per-word configuration (code, rates, scrubbing, horizon).
     pub base: SimConfig,
@@ -76,7 +75,6 @@ impl ArrayConfig {
 
 /// Results of an array campaign.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ArrayReport {
     /// Trials run.
     pub trials: usize,

@@ -6,7 +6,6 @@ use rsmem_models::{CodeFamily, CodeParams};
 
 /// How scrub instants are placed in time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ScrubTiming {
     /// Deterministic period — every `Tsc`, as a real memory controller
     /// schedules it.
@@ -21,7 +20,6 @@ pub enum ScrubTiming {
 /// Full configuration of one simulated memory word (simplex) or word pair
 /// (duplex).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SimConfig {
     /// Codeword length in symbols.
     pub n: usize,

@@ -20,7 +20,6 @@ use rsmem_code::{DecodeOutcome, RsCode, Symbol};
 
 /// Outcome counts for one `(code, error_weight)` experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MiscorrectionStats {
     /// Injected random symbol errors per trial.
     pub error_weight: usize,

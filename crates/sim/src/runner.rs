@@ -40,7 +40,6 @@ fn shard_seed(seed: u64, shard: u64) -> u64 {
 
 /// Classification of one storage-period trial.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TrialOutcome {
     /// The read returned the originally stored data.
     Correct,
@@ -53,7 +52,6 @@ pub enum TrialOutcome {
 
 /// Aggregated results of a Monte-Carlo campaign.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MonteCarloReport {
     /// Number of trials run.
     pub trials: usize,
