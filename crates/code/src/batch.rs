@@ -17,18 +17,17 @@
 //!    [`rsmem_gf::bulk::MulTable`] (SWAR on byte-wide fields) — the same
 //!    products, so the results are bit-identical to the scalar ladder.
 //! 3. **Early-out** every word whose `n−k` syndromes are all zero
-//!    (clean), and **escalate** the rest one at a time through the
-//!    unchanged BM/Euclid machinery.
+//!    (clean), and **escalate** the rest one at a time to the decode
+//!    core that every RS decode runs, which corrects them in place.
 //!
-//! [`BatchDecoder`] owns every intermediate buffer and reuses it across
-//! calls: after warm-up, a batch of clean words with no declared erasures
-//! performs **zero heap allocations** (pinned by an allocation-counting
-//! test). Escalated words run the scalar path and allocate exactly what
-//! single-word decoding does.
+//! [`BatchDecoder`] owns every intermediate buffer, the core's workspace
+//! included, and reuses it across calls: after warm-up a batch performs
+//! **zero heap allocations**, whether its words are clean, corrected or
+//! beyond repair (pinned by allocation-counting tests).
 
 use crate::decode::{
-    decode_word, record_clean_many, validate_erasures_into, DecodeFailure, DecodeOutcome,
-    DecoderBackend,
+    decode_in_place, record_clean_many, rich_outcome, validate_erasures_into, DecodeFailure,
+    DecodeOutcome, DecodeWorkspace, DecoderBackend,
 };
 use crate::{CodeError, RsCode};
 use rsmem_gf::bulk::BulkKind;
@@ -76,7 +75,8 @@ impl DecodeOpts {
     }
 }
 
-/// Compact per-word outcome of a [`BatchDecoder::decode_batch`] call.
+/// Compact per-word outcome of an in-place decode
+/// ([`BatchDecoder::decode_batch`], [`RsCode::decode_in_place`]).
 ///
 /// The corrected symbols live in the caller's word (corrected **in
 /// place**), so the outcome only carries the classification — which is
@@ -352,11 +352,12 @@ fn syndromes_soa<W: AsRef<[Symbol]>>(code: &RsCode, words: &[W], ws: &mut SoaBuf
 
 /// A reusable batched-decode workspace.
 ///
-/// Holds the transpose, syndrome and validation buffers so that
-/// steady-state batches (all words clean, no declared erasures) perform
-/// **zero** heap allocations after the first call — the property the MC
-/// shard loop relies on and the `alloc_count` test pins. The decoder is
-/// cheap to construct but not `Sync`; give each worker thread its own.
+/// Holds the transpose and syndrome buffers and the decode core's
+/// workspace, so that steady-state batches perform **zero** heap
+/// allocations after the first call, dirty words included — the
+/// property the MC shard loop relies on and the `alloc_count` tests
+/// pin. The decoder is cheap to construct but not `Sync`; give each
+/// worker thread its own.
 ///
 /// # Examples
 ///
@@ -380,8 +381,9 @@ fn syndromes_soa<W: AsRef<[Symbol]>>(code: &RsCode, words: &[W], ws: &mut SoaBuf
 pub struct BatchDecoder {
     /// Transpose/syndrome buffers of the SoA kernel.
     ws: SoaBuffers,
-    /// Scratch for duplicate-erasure validation.
-    seen: Vec<bool>,
+    /// The decode core's buffers, for escalated words and erasure
+    /// validation.
+    core: DecodeWorkspace,
 }
 
 impl BatchDecoder {
@@ -396,8 +398,8 @@ impl BatchDecoder {
     /// capacity).
     ///
     /// Classification is identical to per-word [`RsCode::decode_with`]:
-    /// over-budget erasure sets and non-zero-syndrome words take the
-    /// unchanged scalar path (same back-end, same metrics), clean words
+    /// over-budget erasure sets and non-zero-syndrome words escalate to
+    /// the same decode core (same back-end, same metrics), clean words
     /// short-circuit on the batched syndromes. `erasures` is either
     /// empty (no erasures anywhere) or one entry per word.
     ///
@@ -436,22 +438,13 @@ impl BatchDecoder {
                 continue;
             }
             escalated += 1;
-            match decode_word(code, word, era, opts.backend)? {
-                DecodeOutcome::Clean { .. } => out.push(BatchOutcome::Clean),
-                DecodeOutcome::Corrected {
-                    codeword,
-                    corrections,
-                    ..
-                } => {
-                    word.copy_from_slice(&codeword);
-                    let erased = corrections.iter().filter(|c| c.was_erasure).count() as u32;
-                    out.push(BatchOutcome::Corrected {
-                        errors: corrections.len() as u32 - erased,
-                        erasures: erased,
-                    });
-                }
-                DecodeOutcome::Failure(failure) => out.push(BatchOutcome::Failure(failure)),
-            }
+            out.push(decode_in_place(
+                code,
+                word,
+                era,
+                opts.backend,
+                &mut self.core,
+            )?);
         }
         record_clean_many(opts.backend, clean);
         let metrics = bulk_metrics();
@@ -503,11 +496,8 @@ impl BatchDecoder {
                 continue;
             }
             escalated += 1;
-            let outcome = decode_word(code, word, era, opts.backend)?;
-            if let DecodeOutcome::Corrected { codeword, .. } = &outcome {
-                word.copy_from_slice(codeword);
-            }
-            out.push(outcome);
+            let outcome = decode_in_place(code, word, era, opts.backend, &mut self.core)?;
+            out.push(rich_outcome(code, word.clone(), outcome, &self.core));
         }
         record_clean_many(opts.backend, clean);
         let metrics = bulk_metrics();
@@ -538,7 +528,7 @@ impl BatchDecoder {
             check_word(code, word)?;
             let era = erasures_of(erasures, w);
             if !era.is_empty() {
-                validate_erasures_into(code, era, &mut self.seen)?;
+                validate_erasures_into(code, era, &mut self.core.seen)?;
             }
         }
         Ok(())

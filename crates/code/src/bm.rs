@@ -7,13 +7,38 @@
 //! test-suite cross-checks this back-end against the Sugiyama back-end on
 //! random patterns.
 
-use crate::RsCode;
-use rsmem_gf::{Poly, Symbol};
+use crate::polyops::add_scaled_shifted;
+use rsmem_gf::{GfField, Symbol};
+
+/// The "last best" and swap buffers of Berlekamp–Massey, reused across
+/// decodes.
+#[derive(Debug, Default)]
+pub(crate) struct BmScratch {
+    b: Vec<Symbol>,
+    t: Vec<Symbol>,
+}
+
+impl BmScratch {
+    pub(crate) const fn new() -> Self {
+        BmScratch {
+            b: Vec::new(),
+            t: Vec::new(),
+        }
+    }
+
+    /// Empties both buffers and grows them to hold `len` coefficients.
+    pub(crate) fn reserve(&mut self, len: usize) {
+        for buf in [&mut self.b, &mut self.t] {
+            buf.clear();
+            buf.reserve(len);
+        }
+    }
+}
 
 /// Runs Berlekamp–Massey over the raw syndromes `s` (0-indexed,
 /// `s[j] = r(α^{b+j})`), starting from the erasure locator `gamma` of
-/// degree `rho`. Returns the combined locator `Ψ(x)` **and the final
-/// LFSR length `l`**.
+/// degree `rho`. Leaves the combined locator `Ψ(x)` in `c` and returns
+/// **the final LFSR length `l`**.
 ///
 /// The length is the algorithm's own claim about how many error+erasure
 /// positions the locator accounts for; a correctable pattern always has
@@ -22,21 +47,22 @@ use rsmem_gf::{Poly, Symbol};
 /// no LFSR of the claimed length generates the syndromes and the word is
 /// uncorrectable.
 ///
-/// Returns `None` if the field arithmetic degenerates (cannot happen for
-/// well-formed inputs; kept for defensive symmetry with the Euclidean
-/// back-end).
+/// Every discrepancy divisor is an earlier non-zero discrepancy (or the
+/// initial 1), so the update never divides by zero.
 pub(crate) fn berlekamp_massey(
-    code: &RsCode,
+    field: &GfField,
     s: &[Symbol],
-    gamma: &Poly,
+    gamma: &[Symbol],
     rho: usize,
-) -> Option<(Poly, usize)> {
-    let field = code.field();
-    let two_t = code.parity_symbols();
-    debug_assert_eq!(s.len(), two_t);
-
-    let mut c = gamma.clone(); // connection polynomial Ψ under construction
-    let mut b = gamma.clone(); // last "best" polynomial before a length change
+    c: &mut Vec<Symbol>,
+    scratch: &mut BmScratch,
+) -> usize {
+    let two_t = s.len();
+    c.clear();
+    c.extend_from_slice(gamma); // connection polynomial Ψ under construction
+    let b = &mut scratch.b; // last "best" polynomial before a length change
+    b.clear();
+    b.extend_from_slice(gamma);
     let mut l: usize = rho; // current LFSR length
     let mut mm: usize = 1; // gap since the last length change
     let mut bb: Symbol = 1; // discrepancy at the last length change
@@ -44,36 +70,56 @@ pub(crate) fn berlekamp_massey(
     for nn in rho..two_t {
         // Discrepancy Δ = Σ_i C_i · S_{nn−i}.
         let mut delta: Symbol = 0;
-        for (i, &ci) in c.coeffs().iter().enumerate() {
-            if i > nn {
-                break;
-            }
+        for (i, &ci) in c.iter().enumerate().take(nn + 1) {
             delta ^= field.mul(ci, s[nn - i]);
         }
         if delta == 0 {
             mm += 1;
-        } else if 2 * l <= nn + rho {
-            let t = c.clone();
-            let coef = field.div(delta, bb).ok()?;
-            c = c.add(&b.scale(coef, field).shift_up(mm), field);
+            continue;
+        }
+        let coef = field
+            .div(delta, bb)
+            .expect("bb is a past non-zero discrepancy");
+        if 2 * l <= nn + rho {
+            scratch.t.clear();
+            scratch.t.extend_from_slice(c);
+            add_scaled_shifted(field, c, coef, mm, b);
             l = nn + 1 - l + rho;
-            b = t;
+            std::mem::swap(b, &mut scratch.t);
             bb = delta;
             mm = 1;
         } else {
-            let coef = field.div(delta, bb).ok()?;
-            c = c.add(&b.scale(coef, field).shift_up(mm), field);
+            add_scaled_shifted(field, c, coef, mm, b);
             mm += 1;
         }
     }
-    Some((c, l))
+    l
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::locator::erasure_locator;
+    use crate::locator::erasure_locator_into;
+    use crate::polyops::eval;
     use crate::syndrome::syndromes;
+    use crate::RsCode;
+
+    /// Runs BM on `word` with `erasures`, returning `(Ψ, l)`.
+    fn run(code: &RsCode, word: &[Symbol], erasures: &[usize]) -> (Vec<Symbol>, usize) {
+        let s = syndromes(code, word);
+        let mut gamma = Vec::new();
+        erasure_locator_into(code, erasures, &mut gamma);
+        let mut psi = Vec::new();
+        let l = berlekamp_massey(
+            code.field(),
+            &s,
+            &gamma,
+            erasures.len(),
+            &mut psi,
+            &mut BmScratch::new(),
+        );
+        (psi, l)
+    }
 
     #[test]
     fn errors_only_locator_has_expected_roots() {
@@ -82,12 +128,11 @@ mod tests {
         let mut word = code.encode(&[0; 9]).unwrap();
         word[2] ^= 5;
         word[11] ^= 9;
-        let s = syndromes(&code, &word);
-        let (psi, l) = berlekamp_massey(&code, &s, &Poly::one(), 0).unwrap();
+        let (psi, l) = run(&code, &word, &[]);
         assert_eq!(l, 2);
-        assert_eq!(psi.degree(), Some(2));
-        assert_eq!(psi.eval(f, f.alpha_pow_signed(-2)), 0);
-        assert_eq!(psi.eval(f, f.alpha_pow_signed(-11)), 0);
+        assert_eq!(psi.len(), 3, "degree 2");
+        assert_eq!(eval(f, &psi, f.alpha_pow_signed(-2)), 0);
+        assert_eq!(eval(f, &psi, f.alpha_pow_signed(-11)), 0);
     }
 
     #[test]
@@ -97,13 +142,10 @@ mod tests {
         let mut word = code.encode(&[3; 9]).unwrap();
         word[1] ^= 4; // erasure (located)
         word[8] ^= 2; // random error
-        let erasures = [1usize];
-        let s = syndromes(&code, &word);
-        let gamma = erasure_locator(&code, &erasures);
-        let (psi, l) = berlekamp_massey(&code, &s, &gamma, erasures.len()).unwrap();
+        let (psi, l) = run(&code, &word, &[1]);
         assert_eq!(l, 2, "one erasure + one error");
-        assert_eq!(psi.eval(f, f.alpha_pow_signed(-1)), 0, "erasure root");
-        assert_eq!(psi.eval(f, f.alpha_pow_signed(-8)), 0, "error root");
+        assert_eq!(eval(f, &psi, f.alpha_pow_signed(-1)), 0, "erasure root");
+        assert_eq!(eval(f, &psi, f.alpha_pow_signed(-8)), 0, "error root");
     }
 
     #[test]
@@ -111,9 +153,9 @@ mod tests {
         let code = RsCode::new(15, 9, 4).unwrap();
         let word = code.encode(&[7; 9]).unwrap();
         let erasures = [4usize, 9];
-        let s = syndromes(&code, &word);
-        let gamma = erasure_locator(&code, &erasures);
-        let (psi, l) = berlekamp_massey(&code, &s, &gamma, erasures.len()).unwrap();
+        let mut gamma = Vec::new();
+        erasure_locator_into(&code, &erasures, &mut gamma);
+        let (psi, l) = run(&code, &word, &erasures);
         // Zero syndromes produce zero discrepancies; Ψ stays Γ at length ρ.
         assert_eq!(psi, gamma);
         assert_eq!(l, erasures.len());

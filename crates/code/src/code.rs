@@ -1,8 +1,8 @@
 //! The [`RsCode`] type: parameters, generator polynomial, and the public
 //! encode/decode entry points.
 
-use crate::batch::{BatchDecoder, DecodeOpts};
-use crate::decode::{decode_word, DecodeOutcome, DecoderBackend};
+use crate::batch::{BatchDecoder, BatchOutcome, DecodeOpts};
+use crate::decode::{decode_in_place, decode_word, with_workspace, DecodeOutcome, DecoderBackend};
 use crate::encode;
 use crate::error::CodeError;
 use rsmem_gf::bulk::MulTable;
@@ -259,6 +259,41 @@ impl RsCode {
         backend: DecoderBackend,
     ) -> Result<DecodeOutcome, CodeError> {
         decode_word(self, word, erasures, backend)
+    }
+
+    /// Decodes `word` **in place** given `erasures`, using the default
+    /// [`DecoderBackend::Sugiyama`], and returns its compact
+    /// [`BatchOutcome`].
+    ///
+    /// The same decode as [`RsCode::decode`], without the output copies:
+    /// a `Corrected` word is repaired where it lies, a `Clean` or
+    /// `Failure` word is left untouched, and nothing is allocated once
+    /// this thread has decoded a word of this shape.
+    ///
+    /// # Errors
+    ///
+    /// See [`RsCode::decode`]; the word is untouched on error.
+    pub fn decode_in_place(
+        &self,
+        word: &mut [Symbol],
+        erasures: &[usize],
+    ) -> Result<BatchOutcome, CodeError> {
+        self.decode_in_place_with(word, erasures, DecoderBackend::Sugiyama)
+    }
+
+    /// Like [`RsCode::decode_in_place`] but with an explicit decoder
+    /// back-end.
+    ///
+    /// # Errors
+    ///
+    /// See [`RsCode::decode`].
+    pub fn decode_in_place_with(
+        &self,
+        word: &mut [Symbol],
+        erasures: &[usize],
+        backend: DecoderBackend,
+    ) -> Result<BatchOutcome, CodeError> {
+        with_workspace(|ws| decode_in_place(self, word, erasures, backend, ws))
     }
 
     /// Decodes a batch of words through the bulk syndrome plane,

@@ -1,15 +1,18 @@
 //! Decode orchestration: syndromes → key equation → Chien → Forney →
 //! verification, with the flag semantics the duplex arbiter relies on.
 
-use crate::bm::berlekamp_massey;
-use crate::euclid::{modified_syndrome, solve_key_equation};
+use crate::batch::BatchOutcome;
+use crate::bm::{berlekamp_massey, BmScratch};
+use crate::euclid::{solve_key_equation, EuclidScratch};
 use crate::forney::magnitude_at;
-use crate::locator::{erasure_locator, locator_positions};
-use crate::syndrome::syndromes;
+use crate::locator::{erasure_locator_into, locator_positions_into};
+use crate::polyops::{degree_or_zero, mul_mod_into};
+use crate::syndrome::{syndromes, syndromes_into};
 use crate::{CodeError, RsCode};
-use rsmem_gf::{Poly, Symbol};
+use rsmem_gf::Symbol;
 use rsmem_obs::metrics::{global, Counter};
 use rsmem_obs::recorder;
+use std::cell::RefCell;
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -55,7 +58,7 @@ pub fn register_metrics() {
 }
 
 /// Records `count` clean decodes attributed to `backend` — the batch
-/// plane's zero-syndrome fast path bypasses [`decode_word`], so it
+/// plane's zero-syndrome fast path bypasses [`decode_in_place`], so it
 /// settles the same counters here to keep `/metrics` identical to the
 /// per-word path.
 pub(crate) fn record_clean_many(backend: DecoderBackend, count: u64) {
@@ -208,14 +211,9 @@ impl DecodeOutcome {
     }
 }
 
-fn validate_erasures(code: &RsCode, erasures: &[usize]) -> Result<(), CodeError> {
-    let mut seen = vec![false; code.n()];
-    validate_erasures_into(code, erasures, &mut seen)
-}
-
-/// [`validate_erasures`] against a caller-owned scratch buffer (resized
-/// and cleared here), so the batch plane can validate without
-/// allocating per word.
+/// Checks `erasures` against a caller-owned scratch buffer (resized and
+/// cleared here): every position in `0..n` and none repeated. On
+/// success `seen[p]` is true exactly at the erased positions.
 pub(crate) fn validate_erasures_into(
     code: &RsCode,
     erasures: &[usize],
@@ -235,36 +233,297 @@ pub(crate) fn validate_erasures_into(
     Ok(())
 }
 
+/// Every buffer the decode core needs, reused across words. A warm
+/// workspace decodes any word of a code shape it has already seen
+/// without touching the allocator.
+#[derive(Debug)]
+pub(crate) struct DecodeWorkspace {
+    /// Erased-position marks from validation (`seen[p]` iff `p` erased).
+    pub(crate) seen: Vec<bool>,
+    /// Syndromes `S_j`, then those of the corrected word.
+    syn: Vec<Symbol>,
+    /// Erasure locator Γ.
+    gamma: Vec<Symbol>,
+    /// Modified syndrome Ξ = S·Γ mod x^{2t} (Sugiyama only).
+    xi: Vec<Symbol>,
+    euclid: EuclidScratch,
+    bm: BmScratch,
+    /// Combined locator Ψ.
+    psi: Vec<Symbol>,
+    /// Evaluator Ω = Ψ·S mod x^{2t}.
+    omega: Vec<Symbol>,
+    /// Chien roots of Ψ over codeword positions.
+    positions: Vec<usize>,
+    /// The corrections of the last `Corrected` decode, sorted by
+    /// position.
+    corrections: Vec<Correction>,
+}
+
+impl DecodeWorkspace {
+    pub(crate) const fn new() -> Self {
+        DecodeWorkspace {
+            seen: Vec::new(),
+            syn: Vec::new(),
+            gamma: Vec::new(),
+            xi: Vec::new(),
+            euclid: EuclidScratch::new(),
+            bm: BmScratch::new(),
+            psi: Vec::new(),
+            omega: Vec::new(),
+            positions: Vec::new(),
+            corrections: Vec::new(),
+        }
+    }
+
+    /// Empties the buffers that the key-equation steps extend piecemeal
+    /// and grows them to their worst case for `code`, so no step
+    /// reallocates after the first dirty decode of the code's shape.
+    fn reserve(&mut self, code: &RsCode) {
+        let (n, len) = (code.n(), code.parity_symbols() + 2);
+        self.positions.clear();
+        self.positions.reserve(n);
+        self.corrections.reserve(n);
+        for buf in [
+            &mut self.gamma,
+            &mut self.xi,
+            &mut self.psi,
+            &mut self.omega,
+        ] {
+            buf.clear();
+            buf.reserve(len);
+        }
+        self.euclid.reserve(len);
+        self.bm.reserve(len);
+    }
+}
+
+impl Default for DecodeWorkspace {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+thread_local! {
+    /// The workspace of the scalar entry points on this thread.
+    static WORKSPACE: RefCell<DecodeWorkspace> = const { RefCell::new(DecodeWorkspace::new()) };
+}
+
+/// Runs `f` on this thread's scalar-decode workspace.
+pub(crate) fn with_workspace<R>(f: impl FnOnce(&mut DecodeWorkspace) -> R) -> R {
+    WORKSPACE.with_borrow_mut(f)
+}
+
+/// The one RS decode core: validation, syndromes, erasure locator Γ,
+/// key equation (Sugiyama or Berlekamp–Massey), Ψ and Ω, Chien, Forney
+/// and re-verification, all in `ws`'s buffers.
+///
+/// Corrects `word` **in place** and records the correction list in
+/// `ws`; a `Clean` or `Failure` outcome leaves `word` untouched. The
+/// failure gates run in a fixed order and every step is exact GF(2^m)
+/// algebra, so the outcome is a pure function of the inputs.
+fn decode_core(
+    code: &RsCode,
+    word: &mut [Symbol],
+    erasures: &[usize],
+    backend: DecoderBackend,
+    ws: &mut DecodeWorkspace,
+) -> Result<BatchOutcome, CodeError> {
+    if word.len() != code.n() {
+        return Err(CodeError::CodewordLength {
+            got: word.len(),
+            expected: code.n(),
+        });
+    }
+    code.check_symbols(word)?;
+    validate_erasures_into(code, erasures, &mut ws.seen)?;
+    ws.corrections.clear();
+
+    let rho = erasures.len();
+    let redundancy = code.parity_symbols();
+    if rho > redundancy {
+        return Ok(BatchOutcome::Failure(DecodeFailure::TooManyErasures {
+            erasures: rho,
+            redundancy,
+        }));
+    }
+
+    syndromes_into(code, word, &mut ws.syn);
+    if ws.syn.iter().all(|&s| s == 0) {
+        // Already a codeword; erased positions evidently held valid data.
+        return Ok(BatchOutcome::Clean);
+    }
+
+    ws.reserve(code);
+    let field = code.field();
+    erasure_locator_into(code, erasures, &mut ws.gamma);
+
+    // Solve for the combined locator Ψ (errors × erasures).
+    match backend {
+        DecoderBackend::Sugiyama => {
+            mul_mod_into(field, &ws.syn, &ws.gamma, redundancy, &mut ws.xi);
+            let Some(lambda) = solve_key_equation(field, redundancy, &ws.xi, rho, &mut ws.euclid)
+            else {
+                return Ok(BatchOutcome::Failure(DecodeFailure::KeyEquation));
+            };
+            let nu = degree_or_zero(lambda);
+            if rho + 2 * nu > redundancy {
+                return Ok(BatchOutcome::Failure(DecodeFailure::CapabilityExceeded {
+                    erasures: rho,
+                    errors: nu,
+                }));
+            }
+            mul_mod_into(field, lambda, &ws.gamma, usize::MAX, &mut ws.psi);
+        }
+        DecoderBackend::BerlekampMassey => {
+            let l = berlekamp_massey(field, &ws.syn, &ws.gamma, rho, &mut ws.psi, &mut ws.bm);
+            // Capability from the LFSR length, not deg Ψ: a degenerate
+            // locator can come out *shorter* than the length BM claims,
+            // which would understate ν and let a beyond-capability
+            // pattern masquerade as a light one. (The Chien/Forney/
+            // syndrome gates below would still catch it, but the claim
+            // must be rejected here, symmetrically with Sugiyama.)
+            let nu = l.saturating_sub(rho);
+            if rho + 2 * nu > redundancy {
+                return Ok(BatchOutcome::Failure(DecodeFailure::CapabilityExceeded {
+                    erasures: rho,
+                    errors: nu,
+                }));
+            }
+            // Structural gate: a correctable pattern always satisfies
+            // deg Ψ = l. Anything else is a detected failure.
+            if degree_or_zero(&ws.psi) != l {
+                return Ok(BatchOutcome::Failure(DecodeFailure::RootCountMismatch));
+            }
+        }
+    }
+
+    // Evaluator for the combined key equation Ψ·S ≡ Ω (mod x^{2t}).
+    mul_mod_into(field, &ws.psi, &ws.syn, redundancy, &mut ws.omega);
+
+    // Chien search over real codeword positions.
+    locator_positions_into(code, &ws.psi, &mut ws.positions);
+    if ws.positions.len() != degree_or_zero(&ws.psi) {
+        return Ok(BatchOutcome::Failure(DecodeFailure::RootCountMismatch));
+    }
+
+    // Forney magnitudes, all computed before the word is touched.
+    for &pos in &ws.positions {
+        let Some(magnitude) = magnitude_at(code, &ws.psi, &ws.omega, pos) else {
+            ws.corrections.clear();
+            return Ok(BatchOutcome::Failure(DecodeFailure::RootCountMismatch));
+        };
+        if magnitude != 0 {
+            ws.corrections.push(Correction {
+                position: pos,
+                magnitude,
+                was_erasure: ws.seen[pos],
+            });
+        }
+    }
+
+    // Defensive re-verification: the corrected word must be a codeword.
+    // Syndromes are linear, so the corrected word's are `S_j` plus, per
+    // correction, `e·X^{b+j}` with `X = α^{pos}`: the same field values
+    // a fresh Horner pass over the corrected word gives.
+    let order = u64::from(field.order());
+    for c in &ws.corrections {
+        word[c.position] ^= c.magnitude;
+        let x = field.alpha_pow(c.position as u32);
+        let first = (c.position as u64 * u64::from(code.first_root())) % order;
+        let mut term = field.mul(c.magnitude, field.alpha_pow(first as u32));
+        for s in &mut ws.syn {
+            *s ^= term;
+            term = field.mul(term, x);
+        }
+    }
+    if ws.syn.iter().any(|&s| s != 0) {
+        for c in &ws.corrections {
+            word[c.position] ^= c.magnitude;
+        }
+        ws.corrections.clear();
+        return Ok(BatchOutcome::Failure(DecodeFailure::Unverified));
+    }
+    if ws.corrections.is_empty() {
+        // Non-zero syndromes but zero net correction cannot verify; the
+        // branch above catches it, so reaching here means word == codeword.
+        return Ok(BatchOutcome::Clean);
+    }
+    let erased = ws.corrections.iter().filter(|c| c.was_erasure).count() as u32;
+    Ok(BatchOutcome::Corrected {
+        errors: ws.corrections.len() as u32 - erased,
+        erasures: erased,
+    })
+}
+
+/// Decodes `word` in place through the core and settles the solver
+/// metrics and the flight-recorder tap: the one path of every RS
+/// decode (scalar, batch escalation and in-place).
+pub(crate) fn decode_in_place(
+    code: &RsCode,
+    word: &mut [Symbol],
+    erasures: &[usize],
+    backend: DecoderBackend,
+    ws: &mut DecodeWorkspace,
+) -> Result<BatchOutcome, CodeError> {
+    let outcome = decode_core(code, word, erasures, backend, ws)?;
+    let metrics = decode_metrics();
+    match backend {
+        DecoderBackend::Sugiyama => metrics.sugiyama.inc(),
+        DecoderBackend::BerlekampMassey => metrics.berlekamp_massey.inc(),
+    }
+    match outcome {
+        BatchOutcome::Clean => metrics.clean.inc(),
+        BatchOutcome::Corrected {
+            errors,
+            erasures: erased,
+        } => {
+            metrics.corrected.inc();
+            metrics.erasure_corrections.add(u64::from(erased));
+            metrics.error_corrections.add(u64::from(errors));
+        }
+        BatchOutcome::Failure(_) => metrics.failure.inc(),
+    }
+    if recorder::enabled() {
+        // A failure leaves `word` untouched, so a failure exemplar
+        // carries the exact stored pattern.
+        record_decode_outcome(code, word, erasures, backend, &outcome);
+    }
+    Ok(outcome)
+}
+
+/// The rich [`DecodeOutcome`] of a core decode whose word, `codeword`,
+/// has already been corrected in place, with `ws`'s correction list.
+pub(crate) fn rich_outcome(
+    code: &RsCode,
+    codeword: Vec<Symbol>,
+    outcome: BatchOutcome,
+    ws: &DecodeWorkspace,
+) -> DecodeOutcome {
+    let data = || codeword[code.n() - code.k()..].to_vec();
+    match outcome {
+        BatchOutcome::Clean => DecodeOutcome::Clean { data: data() },
+        BatchOutcome::Corrected { .. } => DecodeOutcome::Corrected {
+            data: data(),
+            codeword,
+            corrections: ws.corrections.clone(),
+        },
+        BatchOutcome::Failure(failure) => DecodeOutcome::Failure(failure),
+    }
+}
+
+/// The scalar rich-outcome decode behind [`RsCode::decode`] and
+/// [`RsCode::decode_with`], on this thread's workspace.
 pub(crate) fn decode_word(
     code: &RsCode,
     word: &[Symbol],
     erasures: &[usize],
     backend: DecoderBackend,
 ) -> Result<DecodeOutcome, CodeError> {
-    let result = decode_word_inner(code, word, erasures, backend);
-    if let Ok(outcome) = &result {
-        let metrics = decode_metrics();
-        match backend {
-            DecoderBackend::Sugiyama => metrics.sugiyama.inc(),
-            DecoderBackend::BerlekampMassey => metrics.berlekamp_massey.inc(),
-        }
-        match outcome {
-            DecodeOutcome::Clean { .. } => metrics.clean.inc(),
-            DecodeOutcome::Corrected { corrections, .. } => {
-                metrics.corrected.inc();
-                let erased = corrections.iter().filter(|c| c.was_erasure).count() as u64;
-                metrics.erasure_corrections.add(erased);
-                metrics
-                    .error_corrections
-                    .add(corrections.len() as u64 - erased);
-            }
-            DecodeOutcome::Failure(_) => metrics.failure.inc(),
-        }
-        if recorder::enabled() {
-            record_decode_outcome(code, word, erasures, backend, outcome);
-        }
-    }
-    result
+    let mut codeword = word.to_vec();
+    with_workspace(|ws| {
+        let outcome = decode_in_place(code, &mut codeword, erasures, backend, ws)?;
+        Ok(rich_outcome(code, codeword, outcome, ws))
+    })
 }
 
 /// A compact spec for the code, matching the stress repro convention
@@ -279,11 +538,11 @@ pub(crate) fn code_spec(code: &RsCode) -> String {
 }
 
 /// Outcome code carried in the flight-record `a` word.
-fn outcome_code(outcome: &DecodeOutcome) -> u64 {
+fn outcome_code(outcome: &BatchOutcome) -> u64 {
     match outcome {
-        DecodeOutcome::Clean { .. } => 0,
-        DecodeOutcome::Corrected { .. } => 1,
-        DecodeOutcome::Failure(f) => {
+        BatchOutcome::Clean => 0,
+        BatchOutcome::Corrected { .. } => 1,
+        BatchOutcome::Failure(f) => {
             2 + match f {
                 DecodeFailure::TooManyErasures { .. } => 0,
                 DecodeFailure::KeyEquation => 1,
@@ -296,7 +555,7 @@ fn outcome_code(outcome: &DecodeOutcome) -> u64 {
 }
 
 /// Flight-recorder tap on the per-word decode path (both back-ends and
-/// the batch plane's escalations all funnel through [`decode_word`]).
+/// the batch plane's escalations all funnel through [`decode_in_place`]).
 /// Every outcome leaves a ring record (`a` = [`outcome_code`], `b` =
 /// corrections applied); a detected failure additionally offers a
 /// `decode-failure` exemplar carrying the exact word, erasure pattern
@@ -306,14 +565,14 @@ fn record_decode_outcome(
     word: &[Symbol],
     erasures: &[usize],
     backend: DecoderBackend,
-    outcome: &DecodeOutcome,
+    outcome: &BatchOutcome,
 ) {
     let name = match backend {
         DecoderBackend::Sugiyama => "sugiyama",
         DecoderBackend::BerlekampMassey => "berlekamp-massey",
     };
     let corrections = match outcome {
-        DecodeOutcome::Corrected { corrections, .. } => corrections.len() as u64,
+        BatchOutcome::Corrected { errors, erasures } => u64::from(errors + erasures),
         _ => 0,
     };
     recorder::record_event(
@@ -323,7 +582,7 @@ fn record_decode_outcome(
         outcome_code(outcome),
         corrections,
     );
-    if let DecodeOutcome::Failure(failure) = outcome {
+    if let BatchOutcome::Failure(failure) = outcome {
         recorder::record_exemplar_with("decode-failure", || recorder::Exemplar {
             code: code_spec(code),
             word: word.iter().map(|&s| u32::from(s)).collect(),
@@ -337,132 +596,6 @@ fn record_decode_outcome(
             ..recorder::Exemplar::default()
         });
     }
-}
-
-fn decode_word_inner(
-    code: &RsCode,
-    word: &[Symbol],
-    erasures: &[usize],
-    backend: DecoderBackend,
-) -> Result<DecodeOutcome, CodeError> {
-    if word.len() != code.n() {
-        return Err(CodeError::CodewordLength {
-            got: word.len(),
-            expected: code.n(),
-        });
-    }
-    code.check_symbols(word)?;
-    validate_erasures(code, erasures)?;
-
-    let rho = erasures.len();
-    let redundancy = code.parity_symbols();
-    if rho > redundancy {
-        return Ok(DecodeOutcome::Failure(DecodeFailure::TooManyErasures {
-            erasures: rho,
-            redundancy,
-        }));
-    }
-
-    let syn = syndromes(code, word);
-    if syn.iter().all(|&s| s == 0) {
-        // Already a codeword; erased positions evidently held valid data.
-        return Ok(DecodeOutcome::Clean {
-            data: code.data_of(word)?.to_vec(),
-        });
-    }
-
-    let field = code.field();
-    // Reuse the syndromes computed for the clean check above; the old
-    // code paid a second full Horner pass here.
-    let s_poly = Poly::from_coeffs(syn.clone());
-    let gamma = erasure_locator(code, erasures);
-
-    // Solve for the combined locator Ψ (errors × erasures).
-    let psi = match backend {
-        DecoderBackend::Sugiyama => {
-            let xi = modified_syndrome(code, &s_poly, &gamma);
-            let Some((lambda, _omega)) = solve_key_equation(code, &xi, rho) else {
-                return Ok(DecodeOutcome::Failure(DecodeFailure::KeyEquation));
-            };
-            let nu = lambda.degree_or_zero();
-            if rho + 2 * nu > redundancy {
-                return Ok(DecodeOutcome::Failure(DecodeFailure::CapabilityExceeded {
-                    erasures: rho,
-                    errors: nu,
-                }));
-            }
-            lambda.mul(&gamma, field)
-        }
-        DecoderBackend::BerlekampMassey => {
-            let Some((psi, l)) = berlekamp_massey(code, &syn, &gamma, rho) else {
-                return Ok(DecodeOutcome::Failure(DecodeFailure::KeyEquation));
-            };
-            // Capability from the LFSR length, not deg Ψ: a degenerate
-            // locator can come out *shorter* than the length BM claims,
-            // which would understate ν and let a beyond-capability
-            // pattern masquerade as a light one. (The Chien/Forney/
-            // syndrome gates below would still catch it, but the claim
-            // must be rejected here, symmetrically with Sugiyama.)
-            let nu = l.saturating_sub(rho);
-            if rho + 2 * nu > redundancy {
-                return Ok(DecodeOutcome::Failure(DecodeFailure::CapabilityExceeded {
-                    erasures: rho,
-                    errors: nu,
-                }));
-            }
-            // Structural gate: a correctable pattern always satisfies
-            // deg Ψ = l. Anything else is a detected failure.
-            if psi.degree_or_zero() != l {
-                return Ok(DecodeOutcome::Failure(DecodeFailure::RootCountMismatch));
-            }
-            psi
-        }
-    };
-
-    // Evaluator for the combined key equation Ψ·S ≡ Ω (mod x^{2t}).
-    let omega = psi.mul(&s_poly, field).truncate_mod_xk(redundancy);
-
-    // Chien search over real codeword positions.
-    let positions = locator_positions(code, &psi);
-    if positions.len() != psi.degree_or_zero() {
-        return Ok(DecodeOutcome::Failure(DecodeFailure::RootCountMismatch));
-    }
-
-    // Forney magnitudes and correction.
-    let mut corrected = word.to_vec();
-    let mut corrections = Vec::with_capacity(positions.len());
-    for &pos in &positions {
-        let Ok(mag) = magnitude_at(code, &psi, &omega, pos) else {
-            return Ok(DecodeOutcome::Failure(DecodeFailure::RootCountMismatch));
-        };
-        if mag != 0 {
-            corrected[pos] ^= mag;
-            corrections.push(Correction {
-                position: pos,
-                magnitude: mag,
-                was_erasure: erasures.contains(&pos),
-            });
-        }
-    }
-
-    // Defensive re-verification: the corrected word must be a codeword.
-    if syndromes(code, &corrected).iter().any(|&s| s != 0) {
-        return Ok(DecodeOutcome::Failure(DecodeFailure::Unverified));
-    }
-    if corrections.is_empty() {
-        // Non-zero syndromes but zero net correction cannot verify; the
-        // branch above catches it, so reaching here means word == codeword.
-        return Ok(DecodeOutcome::Clean {
-            data: code.data_of(word)?.to_vec(),
-        });
-    }
-
-    let data = code.data_of(&corrected)?.to_vec();
-    Ok(DecodeOutcome::Corrected {
-        data,
-        codeword: corrected,
-        corrections,
-    })
 }
 
 #[cfg(test)]

@@ -1,7 +1,8 @@
 //! Forney's algorithm for error/erasure magnitudes.
 
+use crate::polyops::{eval, eval_derivative};
 use crate::RsCode;
-use rsmem_gf::{GfError, Poly, Symbol};
+use rsmem_gf::Symbol;
 
 /// Computes the correction magnitude at codeword position `pos` from the
 /// combined locator `Ψ` and evaluator `Ω` satisfying
@@ -11,30 +12,28 @@ use rsmem_gf::{GfError, Poly, Symbol};
 /// e_pos = X^{1−b} · Ω(X^{−1}) / Ψ'(X^{−1}),     X = α^{pos}
 /// ```
 ///
-/// where `b` is the code's first consecutive root exponent.
+/// where `b` is the code's first consecutive root exponent. Returns
+/// `None` when `Ψ'(X^{−1}) = 0`: Ψ has a repeated root, an
+/// uncorrectable pattern.
 pub(crate) fn magnitude_at(
     code: &RsCode,
-    psi: &Poly,
-    omega: &Poly,
+    psi: &[Symbol],
+    omega: &[Symbol],
     pos: usize,
-) -> Result<Symbol, GfError> {
+) -> Option<Symbol> {
     let field = code.field();
     let x_inv = field.alpha_pow_signed(-(pos as i64));
-    let num = omega.eval(field, x_inv);
-    let den = psi.derivative(field).eval(field, x_inv);
-    if den == 0 {
-        // Ψ has a repeated root — uncorrectable pattern.
-        return Err(GfError::DivisionByZero);
-    }
-    let ratio = field.div(num, den)?;
+    let den = eval_derivative(field, psi, x_inv);
+    let ratio = field.div(eval(field, omega, x_inv), den).ok()?;
     let exp = (pos as i64) * (1 - code.first_root() as i64);
-    Ok(field.mul(field.alpha_pow_signed(exp), ratio))
+    Some(field.mul(field.alpha_pow_signed(exp), ratio))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::syndrome::syndrome_poly;
+    use crate::polyops::mul_mod_into;
+    use crate::syndrome::syndromes;
 
     /// Exhaustively verify Forney on every single-error pattern of a small
     /// code — this pins down the `X^{1−b}` convention.
@@ -51,16 +50,16 @@ mod tests {
     fn single_error_check(code: RsCode) {
         let f = code.field().clone();
         let base = code.encode(&vec![0; code.k()]).unwrap();
+        let mut omega = Vec::new();
         for pos in 0..code.n() {
             for val in 1..f.size() as Symbol {
                 let mut word = base.clone();
                 word[pos] ^= val;
-                let s = syndrome_poly(&code, &word);
+                let s = syndromes(&code, &word);
                 // For a single error, Ψ = 1 + X x with X = α^pos, and
                 // Ω = Ψ·S mod x^{2t}.
-                let x = f.alpha_pow(pos as u32);
-                let psi = Poly::from_coeffs([1, x]);
-                let omega = psi.mul(&s, &f).truncate_mod_xk(code.parity_symbols());
+                let psi = [1, f.alpha_pow(pos as u32)];
+                mul_mod_into(&f, &psi, &s, code.parity_symbols(), &mut omega);
                 let got = magnitude_at(&code, &psi, &omega, pos).unwrap();
                 assert_eq!(got, val, "pos={pos} val={val} fcr={}", code.first_root());
             }

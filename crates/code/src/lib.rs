@@ -52,6 +52,7 @@ mod interleave;
 mod lfsr;
 mod locator;
 pub mod matrix;
+mod polyops;
 mod syndrome;
 
 pub use batch::{BatchDecoder, BatchOutcome, DecodeOpts, SyndromeBatch};

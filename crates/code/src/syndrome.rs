@@ -1,8 +1,6 @@
 //! Syndrome computation.
 
 use crate::RsCode;
-#[cfg(test)]
-use rsmem_gf::Poly;
 use rsmem_gf::Symbol;
 
 /// Computes the `n − k` syndromes `S_j = r(α^{b+j})`, `j = 0..n−k`,
@@ -11,6 +9,13 @@ use rsmem_gf::Symbol;
 /// All syndromes are zero iff `r` is a codeword.
 pub fn syndromes(code: &RsCode, word: &[Symbol]) -> Vec<Symbol> {
     let mut out = Vec::with_capacity(code.parity_symbols());
+    syndromes_into(code, word, &mut out);
+    out
+}
+
+/// [`syndromes`] into a caller-owned buffer (cleared first).
+pub(crate) fn syndromes_into(code: &RsCode, word: &[Symbol], out: &mut Vec<Symbol>) {
+    out.clear();
     for table in code.syndrome_tables() {
         // Horner evaluation of the received polynomial at α^{b+j},
         // through the precomputed multiply-by-root table (identical
@@ -21,15 +26,6 @@ pub fn syndromes(code: &RsCode, word: &[Symbol]) -> Vec<Symbol> {
         }
         out.push(acc);
     }
-    out
-}
-
-/// The syndrome polynomial `S(x) = Σ_j S_j x^j`. The decode path now
-/// builds this directly from its own syndrome pass; this helper remains
-/// as the test-suite oracle.
-#[cfg(test)]
-pub(crate) fn syndrome_poly(code: &RsCode, word: &[Symbol]) -> Poly {
-    Poly::from_coeffs(syndromes(code, word))
 }
 
 #[cfg(test)]

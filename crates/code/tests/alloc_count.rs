@@ -1,12 +1,12 @@
 //! Proves the steady-state allocation contract of the batched decode
 //! plane with a counting global allocator: after one warm-up call, a
-//! [`BatchDecoder::decode_batch`] over clean words with no declared
-//! erasures performs **zero heap allocations** — the workspace buffers,
-//! the outcome vector and the syndrome lanes are all reused. This is
+//! [`BatchDecoder::decode_batch`] performs **zero heap allocations** —
+//! the workspace buffers, the outcome vector, the syndrome lanes and the
+//! decode core's buffers for escalated words are all reused. This is
 //! the property that lets the Monte-Carlo shard loop batch millions of
 //! trials without touching the allocator.
 
-use rsmem_code::{BatchDecoder, BatchOutcome, DecodeOpts, RsCode};
+use rsmem_code::{BatchDecoder, BatchOutcome, DecodeOpts, DecoderBackend, RsCode};
 use rsmem_gf::Symbol;
 
 #[path = "../../../tests/support/counting_alloc.rs"]
@@ -110,4 +110,60 @@ fn warm_batches_with_empty_erasure_sets_allocate_nothing() {
         0,
         "warm decode_batch with empty erasure sets must not allocate"
     );
+}
+
+#[test]
+fn warm_batches_of_dirty_words_allocate_nothing() {
+    // Escalated words run the decode core on the decoder's own
+    // workspace, so correcting and failing words stay off the allocator
+    // too: one error, one and two erasures (wrong values), and a
+    // two-error word beyond RS(18,16)'s capability.
+    let code = RsCode::new(18, 16, 8).unwrap();
+    let data: Vec<Symbol> = (0..16).map(|j| (j * 13 + 3) as Symbol).collect();
+    let clean = code.encode(&data).unwrap();
+    let dirty = |flips: &[(usize, Symbol)]| {
+        let mut word = clean.clone();
+        for &(p, v) in flips {
+            word[p] ^= v;
+        }
+        word
+    };
+    let stored = vec![
+        dirty(&[(5, 0x40)]),
+        dirty(&[(2, 0x11)]),
+        dirty(&[(2, 0x11), (9, 0x80)]),
+        dirty(&[(1, 0x10), (9, 0x33)]),
+        clean.clone(),
+    ];
+    let erasures = vec![vec![], vec![2], vec![2, 9], vec![], vec![]];
+    for backend in [DecoderBackend::Sugiyama, DecoderBackend::BerlekampMassey] {
+        let opts = DecodeOpts::with_backend(backend);
+        let mut decoder = BatchDecoder::new();
+        let mut outcomes = Vec::new();
+        let mut words = stored.clone();
+        decoder
+            .decode_batch(&code, &mut words, &erasures, &opts, &mut outcomes)
+            .unwrap();
+        let expected = outcomes.clone();
+        assert!(
+            expected[..3].iter().all(BatchOutcome::is_flagged),
+            "{backend}"
+        );
+        assert!(!expected[3].is_flagged(), "{backend}: beyond capability");
+
+        let before = allocations();
+        for _ in 0..100 {
+            words.clone_from_slice(&stored);
+            decoder
+                .decode_batch(&code, &mut words, &erasures, &opts, &mut outcomes)
+                .unwrap();
+        }
+        let after = allocations();
+        assert_eq!(
+            after - before,
+            0,
+            "{backend}: warm decode_batch over dirty words must not allocate"
+        );
+        assert_eq!(outcomes, expected, "{backend}");
+    }
 }

@@ -8,7 +8,9 @@
 //! scan and Forney's formula, then re-verification. It checks its gates
 //! in the same order as the production decoder, so the two must agree
 //! on every input: the same data, codeword and corrections in order, or
-//! the same failure variant with the same fields.
+//! the same failure variant with the same fields. The in-place entry
+//! points must leave the reference's codeword (or the untouched word)
+//! behind and report the matching compact [`BatchOutcome`].
 //!
 //! The property draws 0…n−k+1 random errors and 0…n−k+1 erasures (whose
 //! stored value may or may not be wrong) on five code shapes, through
@@ -17,7 +19,8 @@
 
 use proptest::prelude::*;
 use rsmem_code::{
-    CodeError, Correction, DecodeFailure, DecodeOutcome, DecoderBackend, RsCode, Symbol,
+    BatchDecoder, BatchOutcome, CodeError, Correction, DecodeFailure, DecodeOpts, DecodeOutcome,
+    DecoderBackend, RsCode, Symbol,
 };
 use rsmem_gf::Poly;
 
@@ -238,8 +241,24 @@ fn draw_case(code: &RsCode, rng: &mut TestRng) -> (Vec<Symbol>, Vec<usize>) {
     (word, erasures)
 }
 
+/// The compact class of a rich outcome, as the in-place paths report it.
+fn class_of(outcome: &DecodeOutcome) -> BatchOutcome {
+    match outcome {
+        DecodeOutcome::Clean { .. } => BatchOutcome::Clean,
+        DecodeOutcome::Corrected { corrections, .. } => {
+            let erased = corrections.iter().filter(|c| c.was_erasure).count() as u32;
+            BatchOutcome::Corrected {
+                errors: corrections.len() as u32 - erased,
+                erasures: erased,
+            }
+        }
+        DecodeOutcome::Failure(failure) => BatchOutcome::Failure(*failure),
+    }
+}
+
 /// Asserts that every decode entry point agrees with the reference on
-/// one input.
+/// one input: the rich scalar decode, the in-place decode and a batch
+/// escalation.
 fn check_against_reference(code: &RsCode, word: &[Symbol], erasures: &[usize]) {
     for backend in BACKENDS {
         let expected = reference_decode(code, word, erasures, backend);
@@ -251,6 +270,28 @@ fn check_against_reference(code: &RsCode, word: &[Symbol], erasures: &[usize]) {
             code.n(),
             code.k()
         );
+        let Ok(expected) = expected else { continue };
+        let after = match &expected {
+            DecodeOutcome::Corrected { codeword, .. } => codeword.clone(),
+            _ => word.to_vec(),
+        };
+        let mut in_place = word.to_vec();
+        let class = code.decode_in_place_with(&mut in_place, erasures, backend);
+        assert_eq!(class, Ok(class_of(&expected)), "{backend} in place");
+        assert_eq!(in_place, after, "{backend} in-place word");
+        let mut batch = vec![word.to_vec()];
+        let mut out = Vec::new();
+        BatchDecoder::new()
+            .decode_batch(
+                code,
+                &mut batch,
+                &[erasures.to_vec()],
+                &DecodeOpts::with_backend(backend),
+                &mut out,
+            )
+            .unwrap();
+        assert_eq!(out, [class_of(&expected)], "{backend} batch");
+        assert_eq!(batch[0], after, "{backend} batch word");
     }
 }
 
