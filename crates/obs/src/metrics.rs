@@ -5,7 +5,10 @@
 //! encoded label string, kept sorted so rendering is deterministic.
 //! Handles ([`Counter`], [`Gauge`], [`Histogram`]) are `Arc`-wrapped
 //! atomics: updating one never touches the registry lock, so hot solver
-//! loops pay a single atomic RMW per observation and nothing more.
+//! loops pay a single atomic RMW per observation and nothing more. A
+//! counter spreads its value over cache-line-padded per-thread slots,
+//! so parallel workers bumping the same counter never contend for one
+//! cache line; reading it sums the slots.
 //!
 //! The [`global`] registry collects solver-level series
 //! (`rsmem_solver_*`, `rsmem_arbiter_*`); `rsmem-service` renders it
@@ -15,45 +18,82 @@
 //! Label values are escaped per the Prometheus text exposition format:
 //! `\` → `\\`, `"` → `\"`, newline → `\n`.
 
+use std::cell::Cell;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
+
+/// Per-thread slots each [`Counter`] spreads its value over.
+const COUNTER_SLOTS: usize = 8;
+
+/// One counter slot, alone on its cache line.
+#[derive(Default)]
+#[repr(align(64))]
+struct Slot(AtomicU64);
+
+/// This thread's counter slot, handed out round-robin on first use, so
+/// up to [`COUNTER_SLOTS`] concurrent threads each update their own.
+fn slot_index() -> usize {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    thread_local! {
+        static SLOT: Cell<usize> = const { Cell::new(usize::MAX) };
+    }
+    SLOT.with(|slot| {
+        if slot.get() == usize::MAX {
+            slot.set(NEXT.fetch_add(1, Ordering::Relaxed) % COUNTER_SLOTS);
+        }
+        slot.get()
+    })
+}
 
 /// A monotonically increasing counter (also usable as a bridge for
 /// externally maintained totals via [`Counter::set`]).
+///
+/// Updates go to the calling thread's slot; [`Counter::get`] sums the
+/// slots.
 #[derive(Clone)]
-pub struct Counter(Arc<AtomicU64>);
+pub struct Counter(Arc<[Slot; COUNTER_SLOTS]>);
 
 impl Counter {
+    fn new() -> Counter {
+        Counter(Arc::new(std::array::from_fn(|_| Slot::default())))
+    }
+
     /// A counter owned by no registry. The time-series sampler tracks
     /// aggregate series (e.g. "all requests" across endpoints) that
     /// deliberately stay out of the `/metrics` exposition; standalone
     /// handles keep those updates identical to registry handles.
     pub fn standalone() -> Counter {
-        Counter(Arc::new(AtomicU64::new(0)))
+        Counter::new()
     }
 
     /// Adds one.
     pub fn inc(&self) {
-        self.0.fetch_add(1, Ordering::Relaxed);
+        self.0[slot_index()].0.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Adds `n` — hot loops batch locally and add once per shard.
     pub fn add(&self, n: u64) {
         if n != 0 {
-            self.0.fetch_add(n, Ordering::Relaxed);
+            self.0[slot_index()].0.fetch_add(n, Ordering::Relaxed);
         }
     }
 
     /// Overwrites the value. For mirroring a total maintained elsewhere
-    /// (e.g. cache statistics) into the exposition; not for hot paths.
+    /// (e.g. cache statistics) into the exposition; not for hot paths,
+    /// and not concurrently with updates from other threads.
     pub fn set(&self, value: u64) {
-        self.0.store(value, Ordering::Relaxed);
+        for (i, slot) in self.0.iter().enumerate() {
+            slot.0
+                .store(if i == 0 { value } else { 0 }, Ordering::Relaxed);
+        }
     }
 
-    /// Current value.
+    /// Current value: the sum of the slots.
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
+        self.0.iter().fold(0, |sum, slot| {
+            sum.wrapping_add(slot.0.load(Ordering::Relaxed))
+        })
     }
 }
 
@@ -392,7 +432,7 @@ impl Registry {
     /// and callers should cache it outside hot loops.
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
         match self.get_or_insert(name, Kind::Counter, labels, || {
-            Metric::Counter(Counter(Arc::new(AtomicU64::new(0))))
+            Metric::Counter(Counter::new())
         }) {
             Metric::Counter(c) => c,
             _ => unreachable!("kind checked in get_or_insert"),
@@ -707,6 +747,33 @@ mod tests {
         other.inc();
         assert_eq!(a.get(), 2);
         assert_eq!(other.get(), 1);
+    }
+
+    #[test]
+    fn counter_slots_sum_across_threads_and_set_replaces_them() {
+        let c = Counter::standalone();
+        std::thread::scope(|scope| {
+            for t in 0..(2 * COUNTER_SLOTS as u64) {
+                let c = &c;
+                scope.spawn(move || {
+                    c.inc();
+                    c.add(t);
+                });
+            }
+        });
+        let n = 2 * COUNTER_SLOTS as u64;
+        assert_eq!(c.get(), n + n * (n - 1) / 2);
+        assert!(
+            c.0.iter()
+                .filter(|s| s.0.load(Ordering::Relaxed) > 0)
+                .count()
+                > 1,
+            "threads spread over slots"
+        );
+        c.set(5);
+        assert_eq!(c.get(), 5);
+        c.inc();
+        assert_eq!(c.get(), 6);
     }
 
     #[test]
