@@ -83,12 +83,47 @@ pub trait MemoryCode: std::fmt::Debug + Send + Sync {
     /// [`CodeError`] for a wrong-length word.
     fn data_of<'w>(&self, word: &'w [Symbol]) -> Result<Cow<'w, [Symbol]>, CodeError>;
 
+    /// Decodes one stored word **in place** given declared erasure
+    /// positions, returning the compact [`BatchOutcome`].
+    ///
+    /// Classification is that of [`MemoryCode::decode`]: a `Corrected`
+    /// word is repaired where it lies, a `Clean` or `Failure` word is
+    /// left untouched. The default goes through `decode` and copies the
+    /// repaired codeword back; the RS code overrides it with its
+    /// allocation-free decode core.
+    ///
+    /// # Errors
+    ///
+    /// As [`MemoryCode::decode`]; the word is untouched on error.
+    fn decode_in_place(
+        &self,
+        word: &mut [Symbol],
+        erasures: &[usize],
+    ) -> Result<BatchOutcome, CodeError> {
+        Ok(match self.decode(word, erasures)? {
+            DecodeOutcome::Clean { .. } => BatchOutcome::Clean,
+            DecodeOutcome::Corrected {
+                codeword,
+                corrections,
+                ..
+            } => {
+                word.copy_from_slice(&codeword);
+                let erased = corrections.iter().filter(|c| c.was_erasure).count() as u32;
+                BatchOutcome::Corrected {
+                    errors: corrections.len() as u32 - erased,
+                    erasures: erased,
+                }
+            }
+            DecodeOutcome::Failure(f) => BatchOutcome::Failure(f),
+        })
+    }
+
     /// Decodes a batch of words in place, appending one
     /// [`BatchOutcome`] per word.
     ///
-    /// The default loops the scalar [`MemoryCode::decode`]; the RS
-    /// adapter overrides it with the SWAR batch plane. Corrected words
-    /// are repaired in place, exactly like
+    /// The default loops [`MemoryCode::decode_in_place`]; the RS code
+    /// overrides it with the SWAR batch plane. Corrected words are
+    /// repaired in place, exactly like
     /// `rsmem_code::BatchDecoder::decode_batch`.
     ///
     /// # Errors
@@ -108,22 +143,7 @@ pub trait MemoryCode: std::fmt::Debug + Send + Sync {
         }
         out.reserve(words.len());
         for (word, era) in words.iter_mut().zip(erasures) {
-            match self.decode(word, era)? {
-                DecodeOutcome::Clean { .. } => out.push(BatchOutcome::Clean),
-                DecodeOutcome::Corrected {
-                    codeword,
-                    corrections,
-                    ..
-                } => {
-                    let erased = corrections.iter().filter(|c| c.was_erasure).count() as u32;
-                    word.copy_from_slice(&codeword);
-                    out.push(BatchOutcome::Corrected {
-                        errors: corrections.len() as u32 - erased,
-                        erasures: erased,
-                    });
-                }
-                DecodeOutcome::Failure(f) => out.push(BatchOutcome::Failure(f)),
-            }
+            out.push(self.decode_in_place(word, era)?);
         }
         Ok(())
     }
@@ -211,6 +231,52 @@ mod tests {
             assert_eq!(code.n(), params.n());
             assert_eq!(code.k(), params.k());
             assert_eq!(code.capability(), params.capability());
+        }
+    }
+
+    #[test]
+    fn decode_in_place_matches_decode_for_every_family() {
+        // RS overrides `decode_in_place` with its decode core; RM and
+        // IRS take the default through `decode`. Either way the word
+        // must end as the rich outcome's codeword (or untouched) and
+        // the class must match.
+        for params in [
+            CodeParams::rs18_16(),
+            CodeParams::rm1(4).unwrap(),
+            CodeParams::interleaved(18, 16, 8, 2).unwrap(),
+        ] {
+            let code = build(params).unwrap();
+            let size = 1u16 << code.symbol_bits();
+            let data: Vec<Symbol> = (0..code.k()).map(|i| (i as u16 * 7 + 1) % size).collect();
+            let clean = code.encode(&data).unwrap();
+            let mut one = clean.clone();
+            one[3] ^= 1;
+            let mut two = one.clone();
+            two[9] ^= 1;
+            for (word, erasures) in [
+                (&clean, vec![]),
+                (&one, vec![]),
+                (&one, vec![3]),
+                (&two, vec![]),
+            ] {
+                let rich = code.decode(word, &erasures).unwrap();
+                let mut in_place = word.clone();
+                let class = code.decode_in_place(&mut in_place, &erasures).unwrap();
+                match &rich {
+                    DecodeOutcome::Corrected { codeword, .. } => {
+                        assert!(class.is_flagged(), "{params}");
+                        assert_eq!(&in_place, codeword, "{params}");
+                    }
+                    DecodeOutcome::Clean { .. } => {
+                        assert_eq!(class, BatchOutcome::Clean, "{params}");
+                        assert_eq!(&in_place, word, "{params}");
+                    }
+                    DecodeOutcome::Failure(f) => {
+                        assert_eq!(class, BatchOutcome::Failure(*f), "{params}");
+                        assert_eq!(&in_place, word, "{params}");
+                    }
+                }
+            }
         }
     }
 

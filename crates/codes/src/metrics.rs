@@ -108,7 +108,7 @@ fn outcome_code(outcome: &DecodeOutcome) -> u64 {
 }
 
 /// Emits a flight-recorder `decode` event for families that do not pass
-/// through the solver crate's `decode_word` (RM and interleaved-RS run
+/// through the solver crate's decode core (RM and interleaved-RS run
 /// their own decoders, so they record here instead).
 pub(crate) fn record_decode_event(
     target: &'static str,

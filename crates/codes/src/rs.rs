@@ -7,12 +7,18 @@ use rsmem_code::{
 };
 use rsmem_models::CodeParams;
 use std::borrow::Cow;
+use std::cell::RefCell;
+
+thread_local! {
+    /// The batch plane's workspace for this thread's `decode_batch`
+    /// calls: its buffers stay warm across MC shards.
+    static DECODER: RefCell<BatchDecoder> = RefCell::new(BatchDecoder::new());
+}
 
 /// The paper's Reed–Solomon code speaks [`MemoryCode`] directly: every
 /// method forwards to the inherent [`RsCode`] method, so trait-level
 /// outcomes are bit-identical to calling the code itself. The batch path
-/// builds the same fresh [`BatchDecoder`] per call that the MC shard
-/// loop always has.
+/// runs on one [`BatchDecoder`] per thread, reused across calls.
 impl MemoryCode for RsCode {
     fn params(&self) -> CodeParams {
         CodeParams::new(self.n(), self.k(), self.symbol_bits())
@@ -24,13 +30,23 @@ impl MemoryCode for RsCode {
     }
 
     fn decode(&self, word: &[Symbol], erasures: &[usize]) -> Result<DecodeOutcome, CodeError> {
-        // Recorder events and solver metrics come from `decode_word`
+        // Recorder events and solver metrics come from the decode core
         // inside `RsCode`; the trait layer only adds the family label.
         let result = RsCode::decode(self, word, erasures);
         if let Ok(outcome) = &result {
             crate::metrics::record_outcome("rs", outcome);
         }
         result
+    }
+
+    fn decode_in_place(
+        &self,
+        word: &mut [Symbol],
+        erasures: &[usize],
+    ) -> Result<BatchOutcome, CodeError> {
+        let outcome = RsCode::decode_in_place(self, word, erasures)?;
+        crate::metrics::record_batch("rs", std::slice::from_ref(&outcome));
+        Ok(outcome)
     }
 
     fn data_of<'w>(&self, word: &'w [Symbol]) -> Result<Cow<'w, [Symbol]>, CodeError> {
@@ -43,7 +59,9 @@ impl MemoryCode for RsCode {
         erasures: &[Vec<usize>],
         out: &mut Vec<BatchOutcome>,
     ) -> Result<(), CodeError> {
-        BatchDecoder::new().decode_batch(self, words, erasures, &DecodeOpts::default(), out)?;
+        DECODER.with_borrow_mut(|decoder| {
+            decoder.decode_batch(self, words, erasures, &DecodeOpts::default(), out)
+        })?;
         crate::metrics::record_batch("rs", out);
         Ok(())
     }

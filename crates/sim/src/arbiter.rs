@@ -21,7 +21,7 @@
 //! no usable output for that word: if the other word decodes, it is
 //! output; if both fail, there is no output.
 
-use rsmem_code::{BatchOutcome, CodeError, DecodeOutcome, Symbol};
+use rsmem_code::{BatchOutcome, CodeError, Symbol};
 use rsmem_codes::MemoryCode;
 use rsmem_obs::recorder;
 use std::borrow::Cow;
@@ -67,14 +67,16 @@ pub enum ArbiterBranch {
 
 /// Validates one module's inputs *before* the masking step touches them:
 /// the word must have exactly `n` symbols and every erasure position must
-/// be in range and unique. (Symbol-range checks are left to the decoder,
-/// which sees every masked symbol anyway.)
+/// be in range and unique, checked against the caller's `seen` scratch.
+/// (Symbol-range checks are left to the decoder, which sees every masked
+/// symbol anyway.)
 fn validate_module<C: MemoryCode + ?Sized>(
     code: &C,
     word: &[Symbol],
     erasures: &[usize],
+    seen: &mut Vec<bool>,
 ) -> Result<(), CodeError> {
-    let result = validate_module_inner(code, word, erasures);
+    let result = validate_module_inner(code, word, erasures, seen);
     if let Err(error) = &result {
         // A malformed module is a service incident, not a decode event:
         // freeze exactly what the caller handed us.
@@ -101,6 +103,7 @@ fn validate_module_inner<C: MemoryCode + ?Sized>(
     code: &C,
     word: &[Symbol],
     erasures: &[usize],
+    seen: &mut Vec<bool>,
 ) -> Result<(), CodeError> {
     if word.len() != code.n() {
         return Err(CodeError::CodewordLength {
@@ -108,7 +111,8 @@ fn validate_module_inner<C: MemoryCode + ?Sized>(
             expected: code.n(),
         });
     }
-    let mut seen = vec![false; code.n()];
+    seen.clear();
+    seen.resize(code.n(), false);
     for &position in erasures {
         if position >= code.n() || seen[position] {
             return Err(CodeError::BadErasure {
@@ -121,16 +125,27 @@ fn validate_module_inner<C: MemoryCode + ?Sized>(
     Ok(())
 }
 
-/// Both masked module words plus the positions erased in *both*
-/// modules (the paper's common-erasure set X).
-pub(crate) type MaskedPair = (Vec<Symbol>, Vec<Symbol>, Vec<usize>);
+/// The output buffers of arbiter step 1, reused from one masking to the
+/// next: both masked module words, the positions erased in *both*
+/// modules (the paper's common-erasure set X), and the validation
+/// scratch.
+#[derive(Debug, Default)]
+pub(crate) struct MaskedPair {
+    /// Module 1's masked word.
+    pub(crate) w1: Vec<Symbol>,
+    /// Module 2's masked word.
+    pub(crate) w2: Vec<Symbol>,
+    /// Positions erased in both modules (kept as erasures for both).
+    pub(crate) common: Vec<usize>,
+    seen: Vec<bool>,
+}
 
-/// Step 1 of the arbiter, factored out so the batched Monte-Carlo path
-/// can mask word-pairs up front and push all decodes through
-/// [`rsmem_code::BatchDecoder`]: validates both modules, substitutes
-/// every single-sided erasure from the sibling module, and returns the
-/// two masked words plus the positions erased in *both* modules (which
-/// stay erasures for both decoders).
+/// Step 1 of the arbiter, factored out so the simulators can mask
+/// word-pairs into reused buffers and decode them in place or in one
+/// batch: validates both modules, substitutes every single-sided erasure
+/// from the sibling module, and leaves in `out` the two masked words
+/// plus the positions erased in *both* modules (which stay erasures for
+/// both decoders).
 ///
 /// # Errors
 ///
@@ -141,31 +156,33 @@ pub(crate) fn mask<C: MemoryCode + ?Sized>(
     erasures1: &[usize],
     word2: &[Symbol],
     erasures2: &[usize],
-) -> Result<MaskedPair, CodeError> {
+    out: &mut MaskedPair,
+) -> Result<(), CodeError> {
     // Malformed inputs must surface as typed errors before the masking
     // step indexes into the words (found by rsmem-stress: out-of-range
     // erasure positions and short words used to panic here).
-    validate_module(code, word1, erasures1)?;
-    validate_module(code, word2, erasures2)?;
+    validate_module(code, word1, erasures1, &mut out.seen)?;
+    validate_module(code, word2, erasures2, &mut out.seen)?;
 
-    let mut w1 = word1.to_vec();
-    let mut w2 = word2.to_vec();
-    let mut common_erasures = Vec::new();
-    let in2 = |p: &usize| erasures2.contains(p);
+    out.w1.clear();
+    out.w1.extend_from_slice(word1);
+    out.w2.clear();
+    out.w2.extend_from_slice(word2);
+    out.common.clear();
     for &p in erasures1 {
-        if in2(&p) {
-            common_erasures.push(p);
+        if erasures2.contains(&p) {
+            out.common.push(p);
         } else {
             // Module 2's symbol is trusted hardware-wise; substitute it.
-            w1[p] = w2[p];
+            out.w1[p] = word2[p];
         }
     }
     for &p in erasures2 {
         if !erasures1.contains(&p) {
-            w2[p] = word1[p];
+            out.w2[p] = word1[p];
         }
     }
-    Ok((w1, w2, common_erasures))
+    Ok(())
 }
 
 /// One decoded word as the comparison step sees it: either a detected
@@ -184,20 +201,9 @@ pub(crate) enum WordVerdict<'a> {
     },
 }
 
-/// The comparison view of a full scalar [`DecodeOutcome`].
-pub(crate) fn verdict_of(outcome: &DecodeOutcome) -> WordVerdict<'_> {
-    match outcome {
-        DecodeOutcome::Failure(_) => WordVerdict::Failed,
-        _ => WordVerdict::Decoded {
-            data: Cow::Borrowed(outcome.data().expect("non-failure produces data")),
-            flagged: outcome.is_flagged(),
-        },
-    }
-}
-
-/// The comparison view of a compact [`BatchOutcome`] whose word was
-/// corrected in place by the batch decoder.
-pub(crate) fn verdict_of_batch<'a, C: MemoryCode + ?Sized>(
+/// The comparison view of a word decoded in place: after a `Clean` or
+/// `Corrected` outcome the word holds the decoder's output.
+pub(crate) fn verdict_of<'a, C: MemoryCode + ?Sized>(
     code: &C,
     word: &'a [Symbol],
     outcome: &BatchOutcome,
@@ -216,8 +222,8 @@ pub(crate) fn verdict_of_batch<'a, C: MemoryCode + ?Sized>(
 }
 
 /// Steps 2½–3 of the arbiter: the flag-based comparison over the two
-/// per-word verdicts, shared verbatim by the scalar [`arbitrate`] and
-/// the batched campaign path (so the decision rule and its metrics
+/// per-word verdicts, shared verbatim by [`arbitrate`], the simulators
+/// and the batched campaign paths (so the decision rule and its metrics
 /// cannot drift apart).
 pub(crate) fn combine(v1: WordVerdict<'_>, v2: WordVerdict<'_>) -> ArbiterOutput {
     let verdict = match (v1, v2) {
@@ -322,20 +328,24 @@ pub fn arbitrate<C: MemoryCode + ?Sized>(
     erasures2: &[usize],
 ) -> Result<ArbiterOutput, CodeError> {
     // Step 1: validation + erasure recovery (masking).
-    let (w1, w2, common_erasures) = mask(code, word1, erasures1, word2, erasures2)?;
+    let mut pair = MaskedPair::default();
+    mask(code, word1, erasures1, word2, erasures2, &mut pair)?;
 
     // Step 2: independent decoding with the common (unmaskable) erasures.
-    let out1 = code.decode(&w1, &common_erasures)?;
-    let out2 = code.decode(&w2, &common_erasures)?;
+    let out1 = code.decode_in_place(&mut pair.w1, &pair.common)?;
+    let out2 = code.decode_in_place(&mut pair.w2, &pair.common)?;
 
     // Step 3: flag-based comparison.
-    Ok(combine(verdict_of(&out1), verdict_of(&out2)))
+    Ok(combine(
+        verdict_of(code, &pair.w1, &out1),
+        verdict_of(code, &pair.w2, &out2),
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rsmem_code::RsCode;
+    use rsmem_code::{DecodeOutcome, RsCode};
 
     fn code() -> RsCode {
         RsCode::new(18, 16, 8).unwrap()

@@ -17,7 +17,7 @@
 //!
 //! The `ablation_mbu` bench and integration tests quantify both.
 
-use crate::arbiter::{combine, mask, verdict_of_batch, ArbiterOutput};
+use crate::arbiter::{combine, mask, verdict_of, ArbiterOutput, MaskedPair};
 use crate::events::sample_exponential;
 use crate::memory::MemoryModule;
 use crate::runner::wilson_interval;
@@ -130,6 +130,75 @@ impl Array {
     }
 }
 
+/// The batch decoder and the buffers of every batch an array campaign
+/// decodes (its scrubs and final reads), reused from one batch to the
+/// next, so a dirty word costs no allocation once the buffers are warm.
+#[derive(Debug, Default)]
+struct Batch {
+    decoder: BatchDecoder,
+    /// The words a scrub decodes (dirty words, or dirty word-pairs).
+    dirty: Vec<usize>,
+    /// The batch's words; the first `len` are in use.
+    words: Vec<Vec<Symbol>>,
+    /// The erasure list of each word in use.
+    erasures: Vec<Vec<usize>>,
+    len: usize,
+    outcomes: Vec<BatchOutcome>,
+    /// Arbiter step 1's buffers for the duplex batches.
+    pair: MaskedPair,
+}
+
+impl Batch {
+    /// Starts an empty batch.
+    fn clear(&mut self) {
+        self.len = 0;
+    }
+
+    /// Appends one word and its erasure list.
+    fn push(&mut self, word: &[Symbol], erasures: &[usize]) {
+        if self.len == self.words.len() {
+            self.words.push(Vec::new());
+            self.erasures.push(Vec::new());
+        }
+        self.words[self.len].clear();
+        self.words[self.len].extend_from_slice(word);
+        self.erasures[self.len].clear();
+        self.erasures[self.len].extend_from_slice(erasures);
+        self.len += 1;
+    }
+
+    /// Appends the two masked words of a module pair (arbiter step 1),
+    /// each with the pair's common erasures.
+    fn push_masked(&mut self, code: &RsCode, m1: &MemoryModule, m2: &MemoryModule) {
+        let mut pair = std::mem::take(&mut self.pair);
+        mask(
+            code,
+            m1.read(),
+            m1.erased(),
+            m2.read(),
+            m2.erased(),
+            &mut pair,
+        )
+        .expect("well-formed stored words");
+        self.push(&pair.w1, &pair.common);
+        self.push(&pair.w2, &pair.common);
+        self.pair = pair;
+    }
+
+    /// Decodes the batch's words in place into `self.outcomes`.
+    fn decode(&mut self, code: &RsCode) {
+        self.decoder
+            .decode_batch(
+                code,
+                &mut self.words[..self.len],
+                &self.erasures[..self.len],
+                &DecodeOpts::default(),
+                &mut self.outcomes,
+            )
+            .expect("well-formed stored words");
+    }
+}
+
 /// Runs `trials` independent stores of a whole simplex array.
 ///
 /// # Errors
@@ -150,12 +219,12 @@ pub fn run_simplex_array(
     span.record("trials", trials);
     span.record("words", config.words);
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut decoder = BatchDecoder::new();
+    let mut batch = Batch::default();
     let mut failed_words = 0usize;
     let mut silent_words = 0usize;
 
     for _ in 0..trials {
-        let (f, s) = run_one_trial(&code, config, interleaver, &mut rng, &mut decoder);
+        let (f, s) = run_one_trial(&code, config, interleaver, &mut rng, &mut batch);
         failed_words += f;
         silent_words += s;
     }
@@ -198,12 +267,12 @@ pub fn run_duplex_array(
     span.record("trials", trials);
     span.record("words", config.words);
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut decoder = BatchDecoder::new();
+    let mut batch = Batch::default();
     let mut failed_words = 0usize;
     let mut silent_words = 0usize;
 
     for _ in 0..trials {
-        let (f, s) = run_one_duplex_trial(&code, config, interleaver, &mut rng, &mut decoder);
+        let (f, s) = run_one_duplex_trial(&code, config, interleaver, &mut rng, &mut batch);
         failed_words += f;
         silent_words += s;
     }
@@ -228,7 +297,7 @@ fn run_one_duplex_trial(
     config: &ArrayConfig,
     interleaver: Interleaver,
     rng: &mut StdRng,
-    decoder: &mut BatchDecoder,
+    batch: &mut Batch,
 ) -> (usize, usize) {
     let originals: Vec<Vec<Symbol>> = (0..config.words)
         .map(|_| {
@@ -278,7 +347,7 @@ fn run_one_duplex_trial(
             break;
         }
         if best == t_scrub {
-            scrub_duplex_arrays(code, &mut replicas, decoder);
+            scrub_duplex_arrays(code, &mut replicas, batch);
             t_scrub += match config.base.scrub {
                 None => f64::INFINITY,
                 Some((period, ScrubTiming::Periodic)) => period,
@@ -314,32 +383,17 @@ fn run_one_duplex_trial(
     // all 2·words masked words at once, then run the flag comparison
     // per pair — the same pipeline as the arbiter, restructured around
     // one `BatchDecoder` pass.
-    let mut words = Vec::with_capacity(2 * originals.len());
-    let mut erasures = Vec::with_capacity(2 * originals.len());
+    batch.clear();
     for w in 0..originals.len() {
-        let (m1, m2) = (&replicas[0].modules[w], &replicas[1].modules[w]);
-        let (w1, w2, common) = mask(code, m1.read(), &m1.erasures(), m2.read(), &m2.erasures())
-            .expect("well-formed stored words");
-        words.push(w1);
-        words.push(w2);
-        erasures.push(common.clone());
-        erasures.push(common);
+        batch.push_masked(code, &replicas[0].modules[w], &replicas[1].modules[w]);
     }
-    let mut outcomes = Vec::with_capacity(words.len());
-    decoder
-        .decode_batch(
-            code,
-            &mut words,
-            &erasures,
-            &DecodeOpts::default(),
-            &mut outcomes,
-        )
-        .expect("well-formed stored words");
+    batch.decode(code);
+    let (words, outcomes) = (&batch.words, &batch.outcomes);
     let mut failed = 0usize;
     let mut silent = 0usize;
     for (w, original) in originals.iter().enumerate() {
-        let v1 = verdict_of_batch(code, &words[2 * w], &outcomes[2 * w]);
-        let v2 = verdict_of_batch(code, &words[2 * w + 1], &outcomes[2 * w + 1]);
+        let v1 = verdict_of(code, &words[2 * w], &outcomes[2 * w]);
+        let v2 = verdict_of(code, &words[2 * w + 1], &outcomes[2 * w + 1]);
         match combine(v1, v2) {
             ArbiterOutput::NoOutput => failed += 1,
             ArbiterOutput::Data { data, .. } => {
@@ -359,41 +413,28 @@ fn run_one_duplex_trial(
 /// through one batch pass. A pair whose modules are both clean is
 /// skipped: its last scrub left it unchanged and no fault has touched
 /// it since.
-fn scrub_duplex_arrays(code: &RsCode, replicas: &mut [Array], decoder: &mut BatchDecoder) {
-    let dirty: Vec<usize> = (0..replicas[0].modules.len())
-        .filter(|&w| replicas.iter().any(|r| r.modules[w].is_dirty()))
-        .collect();
-    if dirty.is_empty() {
+fn scrub_duplex_arrays(code: &RsCode, replicas: &mut [Array], batch: &mut Batch) {
+    batch.dirty.clear();
+    batch.dirty.extend(
+        (0..replicas[0].modules.len())
+            .filter(|&w| replicas.iter().any(|r| r.modules[w].is_dirty())),
+    );
+    if batch.dirty.is_empty() {
         return;
     }
-    let mut words = Vec::with_capacity(2 * dirty.len());
-    let mut erasures = Vec::with_capacity(2 * dirty.len());
-    for &w in &dirty {
-        let (m1, m2) = (&replicas[0].modules[w], &replicas[1].modules[w]);
-        let (w1, w2, common) = mask(code, m1.read(), &m1.erasures(), m2.read(), &m2.erasures())
-            .expect("well-formed stored words");
-        words.push(w1);
-        words.push(w2);
-        erasures.push(common.clone());
-        erasures.push(common);
+    batch.clear();
+    for j in 0..batch.dirty.len() {
+        let w = batch.dirty[j];
+        batch.push_masked(code, &replicas[0].modules[w], &replicas[1].modules[w]);
     }
-    let mut outcomes = Vec::with_capacity(words.len());
-    decoder
-        .decode_batch(
-            code,
-            &mut words,
-            &erasures,
-            &DecodeOpts::default(),
-            &mut outcomes,
-        )
-        .expect("well-formed stored words");
-    for (j, &w) in dirty.iter().enumerate() {
+    batch.decode(code);
+    for (j, &w) in batch.dirty.iter().enumerate() {
         let mut changed = false;
         for (r, replica) in replicas.iter_mut().enumerate() {
             // A decodable word (Clean after masking, or Corrected in
             // place) is rewritten; an undecodable one is left alone.
-            if !matches!(outcomes[2 * j + r], BatchOutcome::Failure(_)) {
-                changed |= replica.modules[w].write(&words[2 * j + r]);
+            if !matches!(batch.outcomes[2 * j + r], BatchOutcome::Failure(_)) {
+                changed |= replica.modules[w].write(&batch.words[2 * j + r]);
             }
         }
         if !changed {
@@ -408,29 +449,21 @@ fn scrub_duplex_arrays(code: &RsCode, replicas: &mut [Array], decoder: &mut Batc
 /// decode, and only the words the decoder actually corrected are
 /// rewritten. A clean word is skipped: its last scrub left it unchanged
 /// and no fault has touched it since.
-fn scrub_simplex_array(code: &RsCode, array: &mut Array, decoder: &mut BatchDecoder) {
-    let dirty: Vec<usize> = (0..array.modules.len())
-        .filter(|&i| array.modules[i].is_dirty())
-        .collect();
-    if dirty.is_empty() {
+fn scrub_simplex_array(code: &RsCode, array: &mut Array, batch: &mut Batch) {
+    batch.dirty.clear();
+    batch
+        .dirty
+        .extend((0..array.modules.len()).filter(|&i| array.modules[i].is_dirty()));
+    if batch.dirty.is_empty() {
         return;
     }
-    let mut words: Vec<Vec<Symbol>> = dirty
-        .iter()
-        .map(|&i| array.modules[i].read().to_vec())
-        .collect();
-    let erasures: Vec<Vec<usize>> = dirty.iter().map(|&i| array.modules[i].erasures()).collect();
-    let mut outcomes = Vec::with_capacity(words.len());
-    decoder
-        .decode_batch(
-            code,
-            &mut words,
-            &erasures,
-            &DecodeOpts::default(),
-            &mut outcomes,
-        )
-        .expect("well-formed stored words");
-    for ((&i, outcome), word) in dirty.iter().zip(&outcomes).zip(&words) {
+    batch.clear();
+    for j in 0..batch.dirty.len() {
+        let module = &array.modules[batch.dirty[j]];
+        batch.push(module.read(), module.erased());
+    }
+    batch.decode(code);
+    for ((&i, outcome), word) in batch.dirty.iter().zip(&batch.outcomes).zip(&batch.words) {
         let module = &mut array.modules[i];
         let changed = matches!(outcome, BatchOutcome::Corrected { .. }) && module.write(word);
         if !changed {
@@ -444,7 +477,7 @@ fn run_one_trial(
     config: &ArrayConfig,
     interleaver: Interleaver,
     rng: &mut StdRng,
-    decoder: &mut BatchDecoder,
+    batch: &mut Batch,
 ) -> (usize, usize) {
     // Store one random dataword per module.
     let originals: Vec<Vec<Symbol>> = (0..config.words)
@@ -501,7 +534,7 @@ fn run_one_trial(
             array.modules[module].stick(sym, value);
             t_perm += sample_exponential(rng, perm_rate);
         } else {
-            scrub_simplex_array(code, &mut array, decoder);
+            scrub_simplex_array(code, &mut array, batch);
             t_scrub += match config.base.scrub {
                 None => f64::INFINITY,
                 Some((period, ScrubTiming::Periodic)) => period,
@@ -511,21 +544,14 @@ fn run_one_trial(
     }
 
     // Final read of every word, decoded in one batch.
-    let mut words: Vec<Vec<Symbol>> = array.modules.iter().map(|m| m.read().to_vec()).collect();
-    let erasures: Vec<Vec<usize>> = array.modules.iter().map(|m| m.erasures()).collect();
-    let mut outcomes = Vec::with_capacity(words.len());
-    decoder
-        .decode_batch(
-            code,
-            &mut words,
-            &erasures,
-            &DecodeOpts::default(),
-            &mut outcomes,
-        )
-        .expect("well-formed stored words");
+    batch.clear();
+    for module in &array.modules {
+        batch.push(module.read(), module.erased());
+    }
+    batch.decode(code);
     let mut failed = 0usize;
     let mut silent = 0usize;
-    for ((outcome, word), original) in outcomes.iter().zip(&words).zip(&originals) {
+    for ((outcome, word), original) in batch.outcomes.iter().zip(&batch.words).zip(&originals) {
         match outcome {
             BatchOutcome::Failure(_) => failed += 1,
             _ => {

@@ -19,6 +19,9 @@ use rsmem_gf::Symbol;
 pub struct MemoryModule {
     stored: Vec<Symbol>,
     stuck: Vec<Option<Symbol>>,
+    /// The stuck positions, ascending: the erasure list, kept up to date
+    /// by [`MemoryModule::stick`] so scrubs can borrow it.
+    erased: Vec<usize>,
     symbol_bits: u32,
     dirty: bool,
 }
@@ -30,6 +33,7 @@ impl MemoryModule {
         MemoryModule {
             stored: codeword,
             stuck: vec![None; n],
+            erased: Vec::new(),
             symbol_bits,
             dirty: true,
         }
@@ -50,13 +54,15 @@ impl MemoryModule {
         &self.stored
     }
 
-    /// Positions currently known-faulty (the erasure set for decoding).
+    /// Positions currently known-faulty (the erasure set for decoding),
+    /// ascending.
     pub fn erasures(&self) -> Vec<usize> {
-        self.stuck
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.map(|_| i))
-            .collect()
+        self.erased.clone()
+    }
+
+    /// [`MemoryModule::erasures`], borrowed.
+    pub fn erased(&self) -> &[usize] {
+        &self.erased
     }
 
     /// True if `pos` holds a permanent fault.
@@ -87,6 +93,10 @@ impl MemoryModule {
     ///
     /// Panics if `pos` is out of range.
     pub fn stick(&mut self, pos: usize, value: Symbol) {
+        if self.stuck[pos].is_none() {
+            let at = self.erased.partition_point(|&p| p < pos);
+            self.erased.insert(at, pos);
+        }
         self.stuck[pos] = Some(value);
         self.stored[pos] = value;
         self.dirty = true;
@@ -164,9 +174,11 @@ mod tests {
     #[test]
     fn erasure_set_tracks_stuck_positions() {
         let mut m = module();
-        m.stick(0, 0x01);
         m.stick(3, 0x02);
+        m.stick(0, 0x01);
+        m.stick(3, 0x04); // re-stuck: still one erasure
         assert_eq!(m.erasures(), vec![0, 3]);
+        assert_eq!(m.erased(), &[0, 3]);
         assert!(m.is_stuck(0) && m.is_stuck(3));
         assert!(!m.is_stuck(1));
     }

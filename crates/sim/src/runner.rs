@@ -9,7 +9,7 @@
 //! Outcome counts are merged by integer addition, which is
 //! order-independent.
 
-use crate::arbiter::{combine, verdict_of_batch, ArbiterOutput};
+use crate::arbiter::{combine, verdict_of, ArbiterOutput};
 use crate::metrics::mc_metrics;
 use crate::system::{DuplexSim, SimplexSim};
 use crate::{SimConfig, SimError};
@@ -344,8 +344,8 @@ fn duplex_shard(sim: &DuplexSim, rng: &mut StdRng, in_shard: usize) -> OutcomeCo
         .expect("well-formed stored words");
     let mut counts = OutcomeCounts::default();
     for (i, data) in datas.iter().enumerate() {
-        let v1 = verdict_of_batch(sim.code(), &words[2 * i], &outcomes[2 * i]);
-        let v2 = verdict_of_batch(sim.code(), &words[2 * i + 1], &outcomes[2 * i + 1]);
+        let v1 = verdict_of(sim.code(), &words[2 * i], &outcomes[2 * i]);
+        let v2 = verdict_of(sim.code(), &words[2 * i + 1], &outcomes[2 * i + 1]);
         let class = match combine(v1, v2) {
             ArbiterOutput::NoOutput => TrialOutcome::Detected,
             ArbiterOutput::Data { data: d, .. } => {

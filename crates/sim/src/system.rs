@@ -1,13 +1,13 @@
 //! Event-driven simulation of the simplex and duplex memory systems.
 
-use crate::arbiter::{combine, mask, verdict_of, ArbiterOutput};
+use crate::arbiter::{combine, mask, verdict_of, ArbiterOutput, MaskedPair};
 use crate::config::{ScrubTiming, SimConfig};
 use crate::events::sample_exponential;
 use crate::memory::MemoryModule;
 use crate::runner::TrialOutcome;
 use crate::SimError;
 use rand::Rng;
-use rsmem_code::{DecodeOutcome, Symbol};
+use rsmem_code::{BatchOutcome, Symbol};
 use rsmem_codes::{build, MemoryCode};
 use std::sync::Arc;
 
@@ -163,15 +163,17 @@ impl SimplexSim {
 
     /// Runs one independent trial.
     pub fn run_trial<R: Rng + ?Sized>(&self, rng: &mut R) -> TrialOutcome {
-        let trial = self.prepare_trial(rng);
+        let mut trial = self.prepare_trial(rng);
         match self
             .code
-            .decode(&trial.word, &trial.erasures)
+            .decode_in_place(&mut trial.word, &trial.erasures)
             .expect("well-formed stored word")
         {
-            DecodeOutcome::Failure(_) => TrialOutcome::Detected,
-            out => {
-                if out.data() == Some(&trial.data[..]) {
+            BatchOutcome::Failure(_) => TrialOutcome::Detected,
+            // Clean or Corrected: the word now holds the decoder's output.
+            _ => {
+                let data = self.code.data_of(&trial.word).expect("word has length n");
+                if *data == trial.data[..] {
                     TrialOutcome::Correct
                 } else {
                     TrialOutcome::SilentCorruption
@@ -194,6 +196,8 @@ impl SimplexSim {
         let mut module = MemoryModule::new(codeword, self.config.m);
         let mut clock = FaultClock::new(rng, &self.config, 1);
         let horizon = self.config.store_days;
+        // The scrubs' decode buffer, then the read-back word.
+        let mut word = Vec::new();
 
         loop {
             match next_step(&clock, horizon) {
@@ -210,36 +214,39 @@ impl SimplexSim {
                     clock.next_perm[0] = time + sample_exponential(rng, rate);
                 }
                 Step::Scrub { time } => {
-                    self.scrub(&mut module);
+                    self.scrub(&mut module, &mut word);
                     clock.next_scrub = schedule_scrub(rng, time, self.config.scrub);
                 }
             }
         }
 
-        let erasures = module.erasures();
+        word.clear();
+        word.extend_from_slice(module.read());
         PendingTrial {
             data,
-            word: module.read().to_vec(),
-            erasures,
+            word,
+            erasures: module.erasures(),
         }
     }
 
-    /// One scrub pass: read, decode, rewrite the corrected word.
-    /// An undecodable word is left untouched (the scrub simply fails).
-    /// A clean module is skipped: the last scrub left it unchanged and
-    /// no fault has touched it since, so this one would too.
-    fn scrub(&self, module: &mut MemoryModule) {
+    /// One scrub pass: read into `word`, decode it in place, rewrite the
+    /// corrected word. An undecodable word is left untouched (the scrub
+    /// simply fails). A clean module is skipped: the last scrub left it
+    /// unchanged and no fault has touched it since, so this one would
+    /// too.
+    fn scrub(&self, module: &mut MemoryModule, word: &mut Vec<Symbol>) {
         if !module.is_dirty() {
             return;
         }
-        let erasures = module.erasures();
+        word.clear();
+        word.extend_from_slice(module.read());
         let changed = match self
             .code
-            .decode(module.read(), &erasures)
+            .decode_in_place(word, module.erased())
             .expect("well-formed stored word")
         {
-            DecodeOutcome::Corrected { codeword, .. } => module.write(&codeword),
-            DecodeOutcome::Clean { .. } | DecodeOutcome::Failure(_) => false,
+            BatchOutcome::Corrected { .. } => module.write(word),
+            BatchOutcome::Clean | BatchOutcome::Failure(_) => false,
         };
         if !changed {
             module.mark_clean();
@@ -273,16 +280,19 @@ impl DuplexSim {
 
     /// Runs one independent trial.
     pub fn run_trial<R: Rng + ?Sized>(&self, rng: &mut R) -> TrialOutcome {
-        let trial = self.prepare_trial(rng);
-        let out1 = self
-            .code
-            .decode(&trial.w1, &trial.common)
+        let mut trial = self.prepare_trial(rng);
+        let code = self.code.as_ref();
+        let out1 = code
+            .decode_in_place(&mut trial.w1, &trial.common)
             .expect("well-formed stored word");
-        let out2 = self
-            .code
-            .decode(&trial.w2, &trial.common)
+        let out2 = code
+            .decode_in_place(&mut trial.w2, &trial.common)
             .expect("well-formed stored word");
-        match combine(verdict_of(&out1), verdict_of(&out2)) {
+        let verdict = combine(
+            verdict_of(code, &trial.w1, &out1),
+            verdict_of(code, &trial.w2, &out2),
+        );
+        match verdict {
             ArbiterOutput::NoOutput => TrialOutcome::Detected,
             ArbiterOutput::Data { data: d, .. } => {
                 if d == trial.data {
@@ -310,6 +320,8 @@ impl DuplexSim {
         let horizon = self.config.store_days;
         let seu_rate = self.config.seu_per_bit_day * self.config.m as f64 * self.config.n as f64;
         let perm_rate = self.config.erasure_per_symbol_day * self.config.n as f64;
+        // The scrubs' masking and decode buffers, then the read-back pair.
+        let mut pair = MaskedPair::default();
 
         loop {
             match next_step(&clock, horizon) {
@@ -323,57 +335,59 @@ impl DuplexSim {
                     clock.next_perm[module] = time + sample_exponential(rng, perm_rate);
                 }
                 Step::Scrub { time } => {
-                    self.scrub(&mut modules);
+                    self.scrub(&mut modules, &mut pair);
                     clock.next_scrub = schedule_scrub(rng, time, self.config.scrub);
                 }
             }
         }
 
         let [m1, m2] = &modules;
-        let (w1, w2, common) = mask(
+        mask(
             self.code.as_ref(),
             m1.read(),
-            &m1.erasures(),
+            m1.erased(),
             m2.read(),
-            &m2.erasures(),
+            m2.erased(),
+            &mut pair,
         )
         .expect("well-formed stored words");
         PendingDuplexTrial {
             data,
-            w1,
-            w2,
-            common,
+            w1: pair.w1,
+            w2: pair.w2,
+            common: pair.common,
         }
     }
 
-    /// Joint scrub: erasure-mask each word from its sibling, decode each,
-    /// rewrite every module whose word decoded. Undecodable words are
-    /// left in place. The pair is skipped while both modules are clean:
-    /// the last scrub left them unchanged and no fault has touched
-    /// either since, so this one would too.
-    fn scrub(&self, modules: &mut [MemoryModule; 2]) {
+    /// Joint scrub: erasure-mask each word from its sibling into `pair`,
+    /// decode each in place, rewrite every module whose word decoded.
+    /// Undecodable words are left in place. The pair is skipped while
+    /// both modules are clean: the last scrub left them unchanged and no
+    /// fault has touched either since, so this one would too.
+    fn scrub(&self, modules: &mut [MemoryModule; 2], pair: &mut MaskedPair) {
         if !modules.iter().any(MemoryModule::is_dirty) {
             return;
         }
         let [m1, m2] = &*modules;
-        let (w1, w2, common) = mask(
+        mask(
             self.code.as_ref(),
             m1.read(),
-            &m1.erasures(),
+            m1.erased(),
             m2.read(),
-            &m2.erasures(),
+            m2.erased(),
+            pair,
         )
         .expect("well-formed stored words");
         let mut changed = false;
-        for (module, word) in modules.iter_mut().zip([w1, w2]) {
+        for (module, word) in modules.iter_mut().zip([&mut pair.w1, &mut pair.w2]) {
             changed |= match self
                 .code
-                .decode(&word, &common)
+                .decode_in_place(word, &pair.common)
                 .expect("well-formed stored word")
             {
-                DecodeOutcome::Clean { .. } => module.write(&word),
-                DecodeOutcome::Corrected { codeword, .. } => module.write(&codeword),
-                DecodeOutcome::Failure(_) => false,
+                // Clean after masking, or Corrected in place.
+                BatchOutcome::Clean | BatchOutcome::Corrected { .. } => module.write(word),
+                BatchOutcome::Failure(_) => false,
             };
         }
         if !changed {
@@ -387,6 +401,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use rsmem_code::DecodeOutcome;
 
     #[test]
     fn fault_free_trials_always_succeed() {
@@ -519,9 +534,17 @@ mod tests {
 
             // What the duplex scrub's two decodes will see.
             let [m1, m2] = &modules;
-            let (w1, w2, common) =
-                mask(code, m1.read(), &m1.erasures(), m2.read(), &m2.erasures()).unwrap();
-            let outcomes = [&w1, &w2].map(|w| code.decode(w, &common).unwrap());
+            let mut pair = MaskedPair::default();
+            mask(
+                code,
+                m1.read(),
+                m1.erased(),
+                m2.read(),
+                m2.erased(),
+                &mut pair,
+            )
+            .unwrap();
+            let outcomes = [&pair.w1, &pair.w2].map(|w| code.decode(w, &pair.common).unwrap());
             let failures = outcomes
                 .iter()
                 .filter(|o| matches!(o, DecodeOutcome::Failure(_)))
@@ -536,8 +559,12 @@ mod tests {
 
             let mut simplex_module = [modules[0].clone()];
             for settled in [
-                check_fixed_point(&mut modules, |m| duplex.scrub(m.try_into().unwrap())),
-                check_fixed_point(&mut simplex_module, |m| simplex.scrub(&mut m[0])),
+                check_fixed_point(&mut modules, |m| {
+                    duplex.scrub(m.try_into().unwrap(), &mut MaskedPair::default())
+                }),
+                check_fixed_point(&mut simplex_module, |m| {
+                    simplex.scrub(&mut m[0], &mut Vec::new())
+                }),
             ] {
                 if settled {
                     cleared += 1;
