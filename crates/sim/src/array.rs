@@ -568,6 +568,7 @@ fn run_one_trial(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rsmem_codes::MemoryCode;
 
     fn base(seu: f64) -> SimConfig {
         SimConfig {
@@ -583,6 +584,134 @@ mod tests {
             mbu_width_bits: mbu,
             interleave_depth: depth,
         }
+    }
+
+    /// A 16-word RS(18,16) array holding `codewords`, each word with up
+    /// to two permanent faults and up to three upsets.
+    fn faulty_array(rng: &mut StdRng, codewords: &[Vec<Symbol>]) -> Array {
+        let modules = codewords
+            .iter()
+            .map(|c| {
+                let mut m = MemoryModule::new(c.clone(), 8);
+                for _ in 0..rng.gen_range(0..=2) {
+                    m.stick(rng.gen_range(0..18), rng.gen_range(0..=255));
+                }
+                for _ in 0..rng.gen_range(0..=3) {
+                    m.flip_bit(rng.gen_range(0..18), rng.gen_range(0..8));
+                }
+                m
+            })
+            .collect();
+        Array {
+            modules,
+            interleaver: Interleaver::new(1).unwrap(),
+            n: 18,
+            m_bits: 8,
+        }
+    }
+
+    /// The word `word` decodes to, or `None` if decoding fails.
+    fn decoded(code: &RsCode, word: &[Symbol], erasures: &[usize]) -> Option<Vec<Symbol>> {
+        let mut out = word.to_vec();
+        match MemoryCode::decode_in_place(code, &mut out, erasures).unwrap() {
+            BatchOutcome::Failure(_) => None,
+            BatchOutcome::Clean | BatchOutcome::Corrected { .. } => Some(out),
+        }
+    }
+
+    /// Word `w`'s modules across `arrays`: stored symbols and erasures.
+    fn word_state(arrays: &[Array], w: usize) -> Vec<(Vec<Symbol>, Vec<usize>)> {
+        arrays
+            .iter()
+            .map(|a| (a.modules[w].read().to_vec(), a.modules[w].erasures()))
+            .collect()
+    }
+
+    /// Scrubs `arrays`, forces every module dirty and scrubs again: no
+    /// word in `converged` may move on the repeat. Returns how many of
+    /// them the first scrub changed.
+    fn check_converged(
+        arrays: &mut [Array],
+        converged: &[bool],
+        mut scrub: impl FnMut(&mut [Array]),
+    ) -> usize {
+        let words = converged.len();
+        let before: Vec<_> = (0..words).map(|w| word_state(arrays, w)).collect();
+        scrub(arrays);
+        let settled: Vec<_> = (0..words).map(|w| word_state(arrays, w)).collect();
+        for array in arrays.iter_mut() {
+            array.modules.iter_mut().for_each(MemoryModule::force_dirty);
+        }
+        scrub(arrays);
+        let mut changed = 0;
+        for w in (0..words).filter(|&w| converged[w]) {
+            assert_eq!(
+                word_state(arrays, w),
+                settled[w],
+                "a repeated scrub moved converged word {w}"
+            );
+            changed += usize::from(settled[w] != before[w]);
+        }
+        changed
+    }
+
+    #[test]
+    fn a_converged_array_scrub_is_a_fixed_point() {
+        let code = RsCode::new(18, 16, 8).unwrap();
+        let mut rng = StdRng::seed_from_u64(0xA22A);
+        let mut batch = Batch::default();
+        let cases = if cfg!(debug_assertions) {
+            1_500
+        } else {
+            20_000
+        };
+        let (mut duplex_changed, mut simplex_changed) = (0, 0);
+        for _ in 0..cases {
+            let codewords: Vec<Vec<Symbol>> = (0..16)
+                .map(|_| {
+                    let data: Vec<Symbol> = (0..16).map(|_| rng.gen_range(0..=255)).collect();
+                    code.encode(&data).unwrap()
+                })
+                .collect();
+            let mut replicas = [0, 1].map(|_| faulty_array(&mut rng, &codewords));
+            let mut simplex = [faulty_array(&mut rng, &codewords)];
+
+            // Word-pairs whose masked words both decode to the same word.
+            let mut pair = MaskedPair::default();
+            let converged: Vec<bool> = (0..16)
+                .map(|w| {
+                    let [m1, m2] = [0, 1].map(|r| &replicas[r].modules[w]);
+                    mask(
+                        &code,
+                        m1.read(),
+                        m1.erased(),
+                        m2.read(),
+                        m2.erased(),
+                        &mut pair,
+                    )
+                    .unwrap();
+                    let [d1, d2] = [&pair.w1, &pair.w2].map(|w| decoded(&code, w, &pair.common));
+                    d1.is_some() && d1 == d2
+                })
+                .collect();
+            duplex_changed += check_converged(&mut replicas, &converged, |r| {
+                scrub_duplex_arrays(&code, r, &mut batch);
+            });
+
+            // Simplex words that decode.
+            let converged: Vec<bool> = simplex[0]
+                .modules
+                .iter()
+                .map(|m| decoded(&code, m.read(), m.erased()).is_some())
+                .collect();
+            simplex_changed += check_converged(&mut simplex, &converged, |a| {
+                scrub_simplex_array(&code, &mut a[0], &mut batch);
+            });
+        }
+        assert!(
+            duplex_changed > 100 && simplex_changed > 100,
+            "converged and changed: {duplex_changed} duplex, {simplex_changed} simplex"
+        );
     }
 
     #[test]

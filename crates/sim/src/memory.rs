@@ -133,6 +133,13 @@ impl MemoryModule {
     pub(crate) fn mark_clean(&mut self) {
         self.dirty = false;
     }
+
+    /// Marks the module dirty without changing it, so the next scrub
+    /// runs in full.
+    #[cfg(test)]
+    pub(crate) fn force_dirty(&mut self) {
+        self.dirty = true;
+    }
 }
 
 #[cfg(test)]

@@ -464,13 +464,29 @@ mod tests {
         );
     }
 
-    /// Marks a module dirty without changing it: an upset flipped back.
-    fn force_dirty(module: &mut MemoryModule) {
-        let pos = (0..module.len())
-            .find(|&p| !module.is_stuck(p))
-            .expect("a healthy symbol");
-        module.flip_bit(pos, 0);
-        module.flip_bit(pos, 0);
+    /// Two modules holding `codeword`, each with up to two permanent
+    /// faults and up to three upsets.
+    fn faulty_pair(rng: &mut StdRng, config: &SimConfig, codeword: &[Symbol]) -> [MemoryModule; 2] {
+        let symbol_values = 1 << config.m;
+        [0, 1].map(|_| {
+            let mut m = MemoryModule::new(codeword.to_vec(), config.m);
+            for _ in 0..rng.gen_range(0..=2) {
+                inject_permanent(rng, &mut m, config.n, symbol_values);
+            }
+            for _ in 0..rng.gen_range(0..=3) {
+                inject_seu(rng, &mut m, config.n, config.m);
+            }
+            m
+        })
+    }
+
+    /// The word `word` decodes to, or `None` if decoding fails.
+    fn decoded(code: &dyn MemoryCode, word: &[Symbol], erasures: &[usize]) -> Option<Vec<Symbol>> {
+        let mut out = word.to_vec();
+        match code.decode_in_place(&mut out, erasures).unwrap() {
+            BatchOutcome::Failure(_) => None,
+            BatchOutcome::Clean | BatchOutcome::Corrected { .. } => Some(out),
+        }
     }
 
     fn content(modules: &[MemoryModule]) -> Vec<(Vec<Symbol>, Vec<usize>)> {
@@ -500,7 +516,7 @@ mod tests {
             "a changing scrub cleared the flags"
         );
         let settled = modules.to_vec();
-        modules.iter_mut().for_each(force_dirty);
+        modules.iter_mut().for_each(MemoryModule::force_dirty);
         scrub(modules);
         assert_eq!(
             modules,
@@ -519,18 +535,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0xF1ED);
         let (mut cleared, mut kept, mut one_sided_failures, mut miscorrections) = (0, 0, 0, 0);
         for _ in 0..1500 {
-            let data = random_data(&mut rng, config.k, 256);
-            let codeword = code.encode(&data).unwrap();
-            let mut modules = [0, 1].map(|_| {
-                let mut m = MemoryModule::new(codeword.clone(), config.m);
-                for _ in 0..rng.gen_range(0..=2) {
-                    inject_permanent(&mut rng, &mut m, config.n, 256);
-                }
-                for _ in 0..rng.gen_range(0..=3) {
-                    inject_seu(&mut rng, &mut m, config.n, config.m);
-                }
-                m
-            });
+            let codeword = code.encode(&random_data(&mut rng, config.k, 256)).unwrap();
+            let mut modules = faulty_pair(&mut rng, &config, &codeword);
 
             // What the duplex scrub's two decodes will see.
             let [m1, m2] = &modules;
@@ -582,6 +588,74 @@ mod tests {
             "{one_sided_failures} one-sided failures"
         );
         assert!(miscorrections > 50, "{miscorrections} miscorrections");
+    }
+
+    /// Scrubs `modules` whose decodes converged, forces them dirty and
+    /// scrubs again: the repeat must move nothing. Returns whether the
+    /// first scrub changed the state.
+    fn check_converged(modules: &mut [MemoryModule], scrub: impl Fn(&mut [MemoryModule])) -> bool {
+        let before = content(modules);
+        scrub(modules);
+        let settled = content(modules);
+        modules.iter_mut().for_each(MemoryModule::force_dirty);
+        scrub(modules);
+        assert_eq!(
+            content(modules),
+            settled,
+            "a repeated scrub moved a converged state"
+        );
+        settled != before
+    }
+
+    #[test]
+    fn a_converged_scrub_is_a_fixed_point() {
+        let config = SimConfig::rs18_16_baseline();
+        let simplex = SimplexSim::new(config).unwrap();
+        let duplex = DuplexSim::new(config).unwrap();
+        let code = duplex.code();
+        let mut rng = StdRng::seed_from_u64(0xC0DE);
+        let cases = if cfg!(debug_assertions) {
+            1_500
+        } else {
+            20_000
+        };
+        let (mut duplex_changed, mut simplex_changed) = (0, 0);
+        for _ in 0..cases {
+            let codeword = code.encode(&random_data(&mut rng, config.k, 256)).unwrap();
+            let mut modules = faulty_pair(&mut rng, &config, &codeword);
+            let mut simplex_module = [modules[0].clone()];
+
+            // Both masked words decode to the same word.
+            let [m1, m2] = &modules;
+            let mut pair = MaskedPair::default();
+            mask(
+                code,
+                m1.read(),
+                m1.erased(),
+                m2.read(),
+                m2.erased(),
+                &mut pair,
+            )
+            .unwrap();
+            let [d1, d2] = [&pair.w1, &pair.w2].map(|w| decoded(code, w, &pair.common));
+            if d1.is_some() && d1 == d2 {
+                duplex_changed += usize::from(check_converged(&mut modules, |m| {
+                    duplex.scrub(m.try_into().unwrap(), &mut MaskedPair::default());
+                }));
+            }
+
+            // The simplex word decodes.
+            let [m] = &simplex_module;
+            if decoded(code, m.read(), m.erased()).is_some() {
+                simplex_changed += usize::from(check_converged(&mut simplex_module, |m| {
+                    simplex.scrub(&mut m[0], &mut Vec::new());
+                }));
+            }
+        }
+        assert!(
+            duplex_changed > 100 && simplex_changed > 100,
+            "converged and changed: {duplex_changed} duplex, {simplex_changed} simplex"
+        );
     }
 
     #[test]
