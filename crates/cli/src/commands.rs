@@ -1023,8 +1023,20 @@ mod tests {
         assert!(run_cli(&["serve", "--cache-cap", "lots"]).is_err());
     }
 
+    /// `rsmem trace` and `rsmem profile` each start a fresh epoch of a
+    /// process-wide recorder, which drops what a concurrent wrapped run
+    /// in this process has recorded so far, so the tests that wrap a
+    /// command take turns.
+    fn wrapper_turn() -> std::sync::MutexGuard<'static, ()> {
+        static WRAPPERS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        WRAPPERS
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     #[test]
     fn trace_requires_a_wrappable_command() {
+        let _turn = wrapper_turn();
         assert!(run_cli(&["trace"]).is_err());
         assert!(run_cli(&["trace", "--"]).is_err());
         assert!(run_cli(&["trace", "trace", "list"]).is_err());
@@ -1037,6 +1049,7 @@ mod tests {
 
     #[test]
     fn trace_stress_captures_miscorrection_exemplars() {
+        let _turn = wrapper_turn();
         // The stress lattice legally miscorrects beyond-bound cases;
         // forensics mode must freeze them with their repro attached.
         let out = run_cli(&["trace", "--", "stress", "--budget", "small"]).unwrap();
@@ -1072,6 +1085,7 @@ mod tests {
 
     #[test]
     fn profile_requires_a_wrappable_command() {
+        let _turn = wrapper_turn();
         assert!(run_cli(&["profile"]).is_err());
         assert!(run_cli(&["profile", "--profile-json"]).is_err());
         assert!(run_cli(&["profile", "profile", "list"]).is_err());
@@ -1081,6 +1095,7 @@ mod tests {
 
     #[test]
     fn profile_fig7_attributes_at_least_90_percent_of_wall_time() {
+        let _turn = wrapper_turn();
         // Acceptance criterion: the profiler must account for ≥90% of a
         // fig7 regeneration's wall time through named spans.
         let out = run_cli(&["profile", "sweep", "fig7", "--profile-json"]).unwrap();
@@ -1116,6 +1131,7 @@ mod tests {
 
     #[test]
     fn profile_text_report_follows_wrapped_output() {
+        let _turn = wrapper_turn();
         let out = run_cli(&["profile", "experiment", "fig5", "--csv"]).unwrap();
         let plain = run_cli(&["experiment", "fig5", "--csv"]).unwrap();
         assert!(out.starts_with(&plain), "wrapped output preserved");
@@ -1128,6 +1144,7 @@ mod tests {
     /// followed by the wrapper's own report.
     #[test]
     fn wrappers_run_the_wrapped_command_after_a_double_dash() {
+        let _turn = wrapper_turn();
         let ber = [
             "ber", "--duplex", "--seu", "1e-3", "--hours", "48", "--points", "3",
         ];

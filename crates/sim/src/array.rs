@@ -18,7 +18,7 @@
 //! The `ablation_mbu` bench and integration tests quantify both.
 
 use crate::arbiter::{combine, mask, verdict_of, ArbiterOutput, MaskedPair};
-use crate::events::sample_exponential;
+use crate::events::{sample_exponential, skip_idle_ticks};
 use crate::memory::MemoryModule;
 use crate::runner::wilson_interval;
 use crate::{ScrubTiming, SimConfig, SimError};
@@ -347,12 +347,16 @@ fn run_one_duplex_trial(
             break;
         }
         if best == t_scrub {
-            scrub_duplex_arrays(code, &mut replicas, batch);
+            let all_clean = scrub_duplex_arrays(code, &mut replicas, batch);
             t_scrub += match config.base.scrub {
                 None => f64::INFINITY,
                 Some((period, ScrubTiming::Periodic)) => period,
                 Some((period, ScrubTiming::Exponential)) => sample_exponential(rng, 1.0 / period),
             };
+            if all_clean {
+                let until = t_seu.into_iter().chain(t_perm).fold(horizon, f64::min);
+                t_scrub = skip_idle_ticks(t_scrub, config.base.scrub, until);
+            }
             continue;
         }
         for r in 0..2 {
@@ -411,16 +415,17 @@ fn run_one_duplex_trial(
 /// masking + decode + rewrite the single-pair `DuplexSim` performs),
 /// with the decodes of every pair that has a dirty module pushed
 /// through one batch pass. A pair whose modules are both clean is
-/// skipped: its last scrub left it unchanged and no fault has touched
-/// it since.
-fn scrub_duplex_arrays(code: &RsCode, replicas: &mut [Array], batch: &mut Batch) {
+/// skipped. A scrubbed pair is left clean under `DuplexSim`'s rule:
+/// when its writes changed nothing, or when both words decoded to the
+/// same word. Returns whether every pair is left clean.
+fn scrub_duplex_arrays(code: &RsCode, replicas: &mut [Array], batch: &mut Batch) -> bool {
     batch.dirty.clear();
     batch.dirty.extend(
         (0..replicas[0].modules.len())
             .filter(|&w| replicas.iter().any(|r| r.modules[w].is_dirty())),
     );
     if batch.dirty.is_empty() {
-        return;
+        return true;
     }
     batch.clear();
     for j in 0..batch.dirty.len() {
@@ -428,27 +433,34 @@ fn scrub_duplex_arrays(code: &RsCode, replicas: &mut [Array], batch: &mut Batch)
         batch.push_masked(code, &replicas[0].modules[w], &replicas[1].modules[w]);
     }
     batch.decode(code);
+    let mut all_clean = true;
     for (j, &w) in batch.dirty.iter().enumerate() {
-        let mut changed = false;
+        let (mut changed, mut decoded) = (false, true);
         for (r, replica) in replicas.iter_mut().enumerate() {
             // A decodable word (Clean after masking, or Corrected in
             // place) is rewritten; an undecodable one is left alone.
-            if !matches!(batch.outcomes[2 * j + r], BatchOutcome::Failure(_)) {
+            if matches!(batch.outcomes[2 * j + r], BatchOutcome::Failure(_)) {
+                decoded = false;
+            } else {
                 changed |= replica.modules[w].write(&batch.words[2 * j + r]);
             }
         }
-        if !changed {
+        if !changed || (decoded && batch.words[2 * j] == batch.words[2 * j + 1]) {
             for replica in replicas.iter_mut() {
                 replica.modules[w].mark_clean();
             }
+        } else {
+            all_clean = false;
         }
     }
+    all_clean
 }
 
 /// Scrub of a simplex array: the dirty words go through one batch
 /// decode, and only the words the decoder actually corrected are
-/// rewritten. A clean word is skipped: its last scrub left it unchanged
-/// and no fault has touched it since.
+/// rewritten. A clean word is skipped. Every scrubbed word is left
+/// clean, as a fixed point, for the reason `SimplexSim`'s scrub gives:
+/// the whole array ends the scrub clean.
 fn scrub_simplex_array(code: &RsCode, array: &mut Array, batch: &mut Batch) {
     batch.dirty.clear();
     batch
@@ -465,10 +477,10 @@ fn scrub_simplex_array(code: &RsCode, array: &mut Array, batch: &mut Batch) {
     batch.decode(code);
     for ((&i, outcome), word) in batch.dirty.iter().zip(&batch.outcomes).zip(&batch.words) {
         let module = &mut array.modules[i];
-        let changed = matches!(outcome, BatchOutcome::Corrected { .. }) && module.write(word);
-        if !changed {
-            module.mark_clean();
+        if let BatchOutcome::Corrected { .. } = outcome {
+            module.write(word);
         }
+        module.mark_clean();
     }
 }
 
@@ -540,6 +552,8 @@ fn run_one_trial(
                 Some((period, ScrubTiming::Periodic)) => period,
                 Some((period, ScrubTiming::Exponential)) => sample_exponential(rng, 1.0 / period),
             };
+            // Every scrub leaves the whole array clean.
+            t_scrub = skip_idle_ticks(t_scrub, config.base.scrub, t_seu.min(t_perm).min(horizon));
         }
     }
 
@@ -586,18 +600,19 @@ mod tests {
         }
     }
 
-    /// A 16-word RS(18,16) array holding `codewords`, each word with up
-    /// to two permanent faults and up to three upsets.
+    /// An array of GF(2^8) `codewords`, each word with up to two
+    /// permanent faults and up to three upsets.
     fn faulty_array(rng: &mut StdRng, codewords: &[Vec<Symbol>]) -> Array {
+        let n = codewords[0].len();
         let modules = codewords
             .iter()
             .map(|c| {
                 let mut m = MemoryModule::new(c.clone(), 8);
                 for _ in 0..rng.gen_range(0..=2) {
-                    m.stick(rng.gen_range(0..18), rng.gen_range(0..=255));
+                    m.stick(rng.gen_range(0..n), rng.gen_range(0..=255));
                 }
                 for _ in 0..rng.gen_range(0..=3) {
-                    m.flip_bit(rng.gen_range(0..18), rng.gen_range(0..8));
+                    m.flip_bit(rng.gen_range(0..n), rng.gen_range(0..8));
                 }
                 m
             })
@@ -605,7 +620,7 @@ mod tests {
         Array {
             modules,
             interleaver: Interleaver::new(1).unwrap(),
-            n: 18,
+            n,
             m_bits: 8,
         }
     }
@@ -657,7 +672,6 @@ mod tests {
 
     #[test]
     fn a_converged_array_scrub_is_a_fixed_point() {
-        let code = RsCode::new(18, 16, 8).unwrap();
         let mut rng = StdRng::seed_from_u64(0xA22A);
         let mut batch = Batch::default();
         let cases = if cfg!(debug_assertions) {
@@ -665,53 +679,58 @@ mod tests {
         } else {
             20_000
         };
-        let (mut duplex_changed, mut simplex_changed) = (0, 0);
-        for _ in 0..cases {
-            let codewords: Vec<Vec<Symbol>> = (0..16)
-                .map(|_| {
-                    let data: Vec<Symbol> = (0..16).map(|_| rng.gen_range(0..=255)).collect();
-                    code.encode(&data).unwrap()
-                })
-                .collect();
-            let mut replicas = [0, 1].map(|_| faulty_array(&mut rng, &codewords));
-            let mut simplex = [faulty_array(&mut rng, &codewords)];
+        // RS(20,16) also corrects an error next to an erasure.
+        for n in [18, 20] {
+            let code = RsCode::new(n, 16, 8).unwrap();
+            let (mut duplex_changed, mut simplex_changed) = (0, 0);
+            for _ in 0..cases {
+                let codewords: Vec<Vec<Symbol>> = (0..16)
+                    .map(|_| {
+                        let data: Vec<Symbol> = (0..16).map(|_| rng.gen_range(0..=255)).collect();
+                        code.encode(&data).unwrap()
+                    })
+                    .collect();
+                let mut replicas = [0, 1].map(|_| faulty_array(&mut rng, &codewords));
+                let mut simplex = [faulty_array(&mut rng, &codewords)];
 
-            // Word-pairs whose masked words both decode to the same word.
-            let mut pair = MaskedPair::default();
-            let converged: Vec<bool> = (0..16)
-                .map(|w| {
-                    let [m1, m2] = [0, 1].map(|r| &replicas[r].modules[w]);
-                    mask(
-                        &code,
-                        m1.read(),
-                        m1.erased(),
-                        m2.read(),
-                        m2.erased(),
-                        &mut pair,
-                    )
-                    .unwrap();
-                    let [d1, d2] = [&pair.w1, &pair.w2].map(|w| decoded(&code, w, &pair.common));
-                    d1.is_some() && d1 == d2
-                })
-                .collect();
-            duplex_changed += check_converged(&mut replicas, &converged, |r| {
-                scrub_duplex_arrays(&code, r, &mut batch);
-            });
+                // Word-pairs whose masked words both decode to the same word.
+                let mut pair = MaskedPair::default();
+                let converged: Vec<bool> = (0..16)
+                    .map(|w| {
+                        let [m1, m2] = [0, 1].map(|r| &replicas[r].modules[w]);
+                        mask(
+                            &code,
+                            m1.read(),
+                            m1.erased(),
+                            m2.read(),
+                            m2.erased(),
+                            &mut pair,
+                        )
+                        .unwrap();
+                        let [d1, d2] =
+                            [&pair.w1, &pair.w2].map(|w| decoded(&code, w, &pair.common));
+                        d1.is_some() && d1 == d2
+                    })
+                    .collect();
+                duplex_changed += check_converged(&mut replicas, &converged, |r| {
+                    scrub_duplex_arrays(&code, r, &mut batch);
+                });
 
-            // Simplex words that decode.
-            let converged: Vec<bool> = simplex[0]
-                .modules
-                .iter()
-                .map(|m| decoded(&code, m.read(), m.erased()).is_some())
-                .collect();
-            simplex_changed += check_converged(&mut simplex, &converged, |a| {
-                scrub_simplex_array(&code, &mut a[0], &mut batch);
-            });
+                // Simplex words that decode.
+                let converged: Vec<bool> = simplex[0]
+                    .modules
+                    .iter()
+                    .map(|m| decoded(&code, m.read(), m.erased()).is_some())
+                    .collect();
+                simplex_changed += check_converged(&mut simplex, &converged, |a| {
+                    scrub_simplex_array(&code, &mut a[0], &mut batch);
+                });
+            }
+            assert!(
+                duplex_changed > 100 && simplex_changed > 100,
+                "RS({n},16): converged and changed: {duplex_changed} duplex, {simplex_changed} simplex"
+            );
         }
-        assert!(
-            duplex_changed > 100 && simplex_changed > 100,
-            "converged and changed: {duplex_changed} duplex, {simplex_changed} simplex"
-        );
     }
 
     #[test]

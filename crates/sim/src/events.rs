@@ -1,5 +1,6 @@
 //! Time-ordered event queue and Poisson event streams.
 
+use crate::config::ScrubTiming;
 use rand::Rng;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -106,6 +107,33 @@ pub fn sample_exponential<R: Rng + ?Sized>(rng: &mut R, rate_per_day: f64) -> f6
     -(1.0 - u).ln() / rate_per_day
 }
 
+/// Where a scrub clock stands after the idle ticks are skipped.
+///
+/// Called after a scrub that left every module clean, with the next tick
+/// `next_tick` already scheduled. Until the next fault, every scrub
+/// would find only clean modules and do nothing, so a periodic clock
+/// can jump over each tick before `until` (the earliest pending fault,
+/// or the horizon). It takes the same `t += period` additions as the
+/// tick-by-tick loop, so the tick times stay bit-identical. The strict
+/// `<` leaves a tick that ties with `until` to the caller's own tie
+/// rule. An exponential clock is left as it is: each of its intervals
+/// is a draw from the random stream the faults share, so skipping
+/// ticks would move every later draw.
+pub(crate) fn skip_idle_ticks(
+    next_tick: f64,
+    scrub: Option<(f64, ScrubTiming)>,
+    until: f64,
+) -> f64 {
+    let Some((period, ScrubTiming::Periodic)) = scrub else {
+        return next_tick;
+    };
+    let mut t = next_tick;
+    while t < until {
+        t += period;
+    }
+    t
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,6 +184,23 @@ mod tests {
     fn zero_rate_never_fires() {
         let mut rng = StdRng::seed_from_u64(7);
         assert_eq!(sample_exponential(&mut rng, 0.0), f64::INFINITY);
+    }
+
+    #[test]
+    fn idle_ticks_are_skipped_only_for_periodic_scrubs() {
+        let periodic = Some((0.25, ScrubTiming::Periodic));
+        // The same additions as stepping tick by tick.
+        let mut t = 0.1;
+        while t < 1.3 {
+            t += 0.25;
+        }
+        assert_eq!(skip_idle_ticks(0.1, periodic, 1.3), t);
+        // A tick at `until` is left to the event loop.
+        assert_eq!(skip_idle_ticks(0.5, periodic, 0.75), 0.75);
+        assert_eq!(skip_idle_ticks(0.5, periodic, 0.5), 0.5);
+        let exponential = Some((0.25, ScrubTiming::Exponential));
+        assert_eq!(skip_idle_ticks(0.1, exponential, 1.3), 0.1);
+        assert_eq!(skip_idle_ticks(f64::INFINITY, None, 1.3), f64::INFINITY);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use rsmem_gf::Symbol;
 /// decoder receives them as erasures.
 ///
 /// The module also tracks whether it is *dirty*: whether anything may
-/// have changed since a scrub last found it a fixed point. A scrub is a
+/// have changed since a scrub last left it a fixed point. A scrub is a
 /// pure function of the module states it reads, so a scrub of modules
 /// that are all clean would reproduce their states exactly, and the
 /// simulators skip it.
@@ -123,13 +123,15 @@ impl MemoryModule {
     }
 
     /// True if a fault or a rewrite may have changed the module since a
-    /// scrub last left it unchanged.
+    /// scrub last left it a fixed point.
     pub(crate) fn is_dirty(&self) -> bool {
         self.dirty
     }
 
-    /// Records that a scrub read this module and changed nothing: until
-    /// the next fault, a repeat of that scrub would find it unchanged.
+    /// Records that a scrub left this module a fixed point: until the
+    /// next fault, a repeat of that scrub would change nothing. The scrub
+    /// may have just rewritten the module; it is the state it leaves
+    /// that a repeat must not move.
     pub(crate) fn mark_clean(&mut self) {
         self.dirty = false;
     }

@@ -2,7 +2,7 @@
 
 use crate::arbiter::{combine, mask, verdict_of, ArbiterOutput, MaskedPair};
 use crate::config::{ScrubTiming, SimConfig};
-use crate::events::sample_exponential;
+use crate::events::{sample_exponential, skip_idle_ticks};
 use crate::memory::MemoryModule;
 use crate::runner::TrialOutcome;
 use crate::SimError;
@@ -53,6 +53,18 @@ impl FaultClock {
                 .collect(),
             next_scrub: schedule_scrub(rng, 0.0, config.scrub),
         }
+    }
+
+    /// Moves the next scrub past the idle ticks before the next fault or
+    /// the horizon; see [`skip_idle_ticks`]. Only for a clock whose last
+    /// scrub left every module clean.
+    fn skip_idle_ticks(&mut self, scrub: Option<(f64, ScrubTiming)>, horizon: f64) {
+        let until = self
+            .next_seu
+            .iter()
+            .chain(&self.next_perm)
+            .fold(horizon, |t, &f| t.min(f));
+        self.next_scrub = skip_idle_ticks(self.next_scrub, scrub, until);
     }
 }
 
@@ -216,6 +228,8 @@ impl SimplexSim {
                 Step::Scrub { time } => {
                     self.scrub(&mut module, &mut word);
                     clock.next_scrub = schedule_scrub(rng, time, self.config.scrub);
+                    // Every scrub leaves the module clean.
+                    clock.skip_idle_ticks(self.config.scrub, horizon);
                 }
             }
         }
@@ -231,26 +245,29 @@ impl SimplexSim {
 
     /// One scrub pass: read into `word`, decode it in place, rewrite the
     /// corrected word. An undecodable word is left untouched (the scrub
-    /// simply fails). A clean module is skipped: the last scrub left it
-    /// unchanged and no fault has touched it since, so this one would
-    /// too.
+    /// simply fails). A clean module is skipped.
+    ///
+    /// Every scrub leaves the module clean, as a fixed point. An
+    /// undecodable or clean word is not written. A word corrected to `c`
+    /// is written, so the module then holds `c` except at its stuck
+    /// symbols, which are exactly its erasures. Their number is the one
+    /// this decode accepted, so the next decode is an erasures-only
+    /// decode within the code's capability: it returns `c`, and
+    /// rewriting `c` changes nothing.
     fn scrub(&self, module: &mut MemoryModule, word: &mut Vec<Symbol>) {
         if !module.is_dirty() {
             return;
         }
         word.clear();
         word.extend_from_slice(module.read());
-        let changed = match self
+        if let BatchOutcome::Corrected { .. } = self
             .code
             .decode_in_place(word, module.erased())
             .expect("well-formed stored word")
         {
-            BatchOutcome::Corrected { .. } => module.write(word),
-            BatchOutcome::Clean | BatchOutcome::Failure(_) => false,
-        };
-        if !changed {
-            module.mark_clean();
+            module.write(word);
         }
+        module.mark_clean();
     }
 }
 
@@ -335,8 +352,11 @@ impl DuplexSim {
                     clock.next_perm[module] = time + sample_exponential(rng, perm_rate);
                 }
                 Step::Scrub { time } => {
-                    self.scrub(&mut modules, &mut pair);
+                    let all_clean = self.scrub(&mut modules, &mut pair);
                     clock.next_scrub = schedule_scrub(rng, time, self.config.scrub);
+                    if all_clean {
+                        clock.skip_idle_ticks(self.config.scrub, horizon);
+                    }
                 }
             }
         }
@@ -362,11 +382,19 @@ impl DuplexSim {
     /// Joint scrub: erasure-mask each word from its sibling into `pair`,
     /// decode each in place, rewrite every module whose word decoded.
     /// Undecodable words are left in place. The pair is skipped while
-    /// both modules are clean: the last scrub left them unchanged and no
-    /// fault has touched either since, so this one would too.
-    fn scrub(&self, modules: &mut [MemoryModule; 2], pair: &mut MaskedPair) {
+    /// both modules are clean. Returns whether it leaves both clean.
+    ///
+    /// The pair is left clean when it is a fixed point: when the writes
+    /// changed nothing, or when both words decoded to the same word `c`.
+    /// In the second case each module then holds `c` except at its own
+    /// stuck symbols, so masking fills every one-sided erasure with `c`,
+    /// and both masked words equal `c` off the common erasures that
+    /// this decode accepted. A repeat decodes both to `c` and writes
+    /// nothing new. If one word failed or the two decoded words differ,
+    /// the pair stays dirty.
+    fn scrub(&self, modules: &mut [MemoryModule; 2], pair: &mut MaskedPair) -> bool {
         if !modules.iter().any(MemoryModule::is_dirty) {
-            return;
+            return true;
         }
         let [m1, m2] = &*modules;
         mask(
@@ -378,21 +406,25 @@ impl DuplexSim {
             pair,
         )
         .expect("well-formed stored words");
-        let mut changed = false;
+        let (mut changed, mut decoded) = (false, true);
         for (module, word) in modules.iter_mut().zip([&mut pair.w1, &mut pair.w2]) {
-            changed |= match self
+            match self
                 .code
                 .decode_in_place(word, &pair.common)
                 .expect("well-formed stored word")
             {
                 // Clean after masking, or Corrected in place.
-                BatchOutcome::Clean | BatchOutcome::Corrected { .. } => module.write(word),
-                BatchOutcome::Failure(_) => false,
-            };
+                BatchOutcome::Clean | BatchOutcome::Corrected { .. } => {
+                    changed |= module.write(word);
+                }
+                BatchOutcome::Failure(_) => decoded = false,
+            }
         }
-        if !changed {
+        let settled = !changed || (decoded && pair.w1 == pair.w2);
+        if settled {
             modules.iter_mut().for_each(MemoryModule::mark_clean);
         }
+        settled
     }
 }
 
@@ -402,6 +434,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use rsmem_code::DecodeOutcome;
+    use rsmem_models::CodeFamily;
 
     #[test]
     fn fault_free_trials_always_succeed() {
@@ -497,9 +530,9 @@ mod tests {
     }
 
     /// Scrubs `modules` once and checks the elision rule: a scrub that
-    /// leaves every module clean changed nothing, and a forced repeat
-    /// changes nothing either; a scrub that leaves a module dirty really
-    /// changed the state. Returns whether the flags were cleared.
+    /// leaves every module clean leaves a state that a forced repeat
+    /// does not move; a scrub that leaves a module dirty really changed
+    /// the state. Returns whether the flags were cleared.
     fn check_fixed_point(
         modules: &mut [MemoryModule],
         scrub: impl Fn(&mut [MemoryModule]),
@@ -510,11 +543,6 @@ mod tests {
             assert_ne!(content(modules), before, "an idle scrub kept a flag set");
             return false;
         }
-        assert_eq!(
-            content(modules),
-            before,
-            "a changing scrub cleared the flags"
-        );
         let settled = modules.to_vec();
         modules.iter_mut().for_each(MemoryModule::force_dirty);
         scrub(modules);
@@ -566,7 +594,7 @@ mod tests {
             let mut simplex_module = [modules[0].clone()];
             for settled in [
                 check_fixed_point(&mut modules, |m| {
-                    duplex.scrub(m.try_into().unwrap(), &mut MaskedPair::default())
+                    duplex.scrub(m.try_into().unwrap(), &mut MaskedPair::default());
                 }),
                 check_fixed_point(&mut simplex_module, |m| {
                     simplex.scrub(&mut m[0], &mut Vec::new())
@@ -609,53 +637,74 @@ mod tests {
 
     #[test]
     fn a_converged_scrub_is_a_fixed_point() {
-        let config = SimConfig::rs18_16_baseline();
-        let simplex = SimplexSim::new(config).unwrap();
-        let duplex = DuplexSim::new(config).unwrap();
-        let code = duplex.code();
-        let mut rng = StdRng::seed_from_u64(0xC0DE);
+        // RS(18,16) cannot correct an error next to an erasure, so its
+        // confirmation decodes are clean; the wider codes also exercise
+        // erasures-only corrections, and every family's decoder.
+        let rs18_16 = SimConfig::rs18_16_baseline();
+        let rs20_16 = SimConfig { n: 20, ..rs18_16 };
+        let rm1_5 = SimConfig {
+            n: 32,
+            k: 6,
+            m: 1,
+            family: CodeFamily::Rm,
+            ..rs18_16
+        };
+        let irs = SimConfig {
+            n: 36,
+            k: 32,
+            family: CodeFamily::Irs,
+            depth: 2,
+            ..rs18_16
+        };
         let cases = if cfg!(debug_assertions) {
             1_500
         } else {
             20_000
         };
-        let (mut duplex_changed, mut simplex_changed) = (0, 0);
-        for _ in 0..cases {
-            let codeword = code.encode(&random_data(&mut rng, config.k, 256)).unwrap();
-            let mut modules = faulty_pair(&mut rng, &config, &codeword);
-            let mut simplex_module = [modules[0].clone()];
+        let mut rng = StdRng::seed_from_u64(0xC0DE);
+        for config in [rs18_16, rs20_16, rm1_5, irs] {
+            let simplex = SimplexSim::new(config).unwrap();
+            let duplex = DuplexSim::new(config).unwrap();
+            let code = duplex.code();
+            let (mut duplex_changed, mut simplex_changed) = (0, 0);
+            for _ in 0..cases {
+                let data = random_data(&mut rng, config.k, 1 << config.m);
+                let codeword = code.encode(&data).unwrap();
+                let mut modules = faulty_pair(&mut rng, &config, &codeword);
+                let mut simplex_module = [modules[0].clone()];
 
-            // Both masked words decode to the same word.
-            let [m1, m2] = &modules;
-            let mut pair = MaskedPair::default();
-            mask(
-                code,
-                m1.read(),
-                m1.erased(),
-                m2.read(),
-                m2.erased(),
-                &mut pair,
-            )
-            .unwrap();
-            let [d1, d2] = [&pair.w1, &pair.w2].map(|w| decoded(code, w, &pair.common));
-            if d1.is_some() && d1 == d2 {
-                duplex_changed += usize::from(check_converged(&mut modules, |m| {
-                    duplex.scrub(m.try_into().unwrap(), &mut MaskedPair::default());
-                }));
-            }
+                // Both masked words decode to the same word.
+                let [m1, m2] = &modules;
+                let mut pair = MaskedPair::default();
+                mask(
+                    code,
+                    m1.read(),
+                    m1.erased(),
+                    m2.read(),
+                    m2.erased(),
+                    &mut pair,
+                )
+                .unwrap();
+                let [d1, d2] = [&pair.w1, &pair.w2].map(|w| decoded(code, w, &pair.common));
+                if d1.is_some() && d1 == d2 {
+                    duplex_changed += usize::from(check_converged(&mut modules, |m| {
+                        duplex.scrub(m.try_into().unwrap(), &mut MaskedPair::default());
+                    }));
+                }
 
-            // The simplex word decodes.
-            let [m] = &simplex_module;
-            if decoded(code, m.read(), m.erased()).is_some() {
-                simplex_changed += usize::from(check_converged(&mut simplex_module, |m| {
-                    simplex.scrub(&mut m[0], &mut Vec::new());
-                }));
+                // The simplex word decodes.
+                let [m] = &simplex_module;
+                if decoded(code, m.read(), m.erased()).is_some() {
+                    simplex_changed += usize::from(check_converged(&mut simplex_module, |m| {
+                        simplex.scrub(&mut m[0], &mut Vec::new());
+                    }));
+                }
             }
+            assert!(
+                duplex_changed > 100 && simplex_changed > 100,
+                "{config:?}: converged and changed: {duplex_changed} duplex, {simplex_changed} simplex"
+            );
         }
-        assert!(
-            duplex_changed > 100 && simplex_changed > 100,
-            "converged and changed: {duplex_changed} duplex, {simplex_changed} simplex"
-        );
     }
 
     #[test]

@@ -4,9 +4,12 @@
 //!
 //! Periodic scrubs draw no randomness, so both campaigns inject the same
 //! faults at the same instants and end on the same erasure sets; they
-//! differ only in how many scrubs (masking, two decodes, rewrite) run in
-//! between. Any per-scrub allocation therefore shows up as a higher
-//! count at 90 s. The counting allocator is per thread, so the campaign
+//! differ only in which scrubs (masking, two decodes, rewrite) run. A
+//! scrub runs only on a word-pair that a fault has touched since a scrub
+//! last left it a fixed point. The 90 s campaign reaches each fault
+//! sooner, so it repairs more (the `correct` assertion below) and runs
+//! more scrubs that do work. Any per-scrub allocation therefore shows up
+//! as a higher count at 90 s. The counting allocator is per thread, so the campaign
 //! runs on the test thread (`threads = 1`).
 
 use rsmem_sim::runner::run_duplex_threaded;
