@@ -129,3 +129,30 @@ fn simplex_array_campaigns_are_pinned() {
 fn duplex_array_campaigns_are_pinned() {
     assert_eq!(array_counts(run_duplex_array), [[18, 14], [48, 23]]);
 }
+
+/// The `mc_array` benchmark's shape: 1024 words, 2-bit MBUs, interleave
+/// depth 4, a periodic scrub every 0.01 day over a 2-day store.
+fn benchmark_array_config() -> ArrayConfig {
+    ArrayConfig {
+        base: SimConfig {
+            seu_per_bit_day: 1e-3,
+            erasure_per_symbol_day: 1e-4,
+            scrub: Some((0.01, ScrubTiming::Periodic)),
+            store_days: 2.0,
+            ..SimConfig::rs18_16_baseline()
+        },
+        words: 1024,
+        mbu_width_bits: 2,
+        interleave_depth: 4,
+    }
+}
+
+/// One trial of the benchmark-shaped duplex campaign. At these rates
+/// most trials end with every word read back correctly, so the seed is
+/// one whose trial loses a word: a change that moves any fault, scrub
+/// or read-back decision is then likely to move the counts.
+#[test]
+fn benchmark_shaped_duplex_array_campaign_is_pinned() {
+    let report = run_duplex_array(&benchmark_array_config(), 1, 25).expect("campaign runs");
+    assert_eq!([report.failed_words, report.silent_words], [1, 1]);
+}
