@@ -196,7 +196,20 @@ impl RsCode {
     /// [`CodeError::DatawordLength`] or [`CodeError::SymbolOutOfRange`] on
     /// malformed input.
     pub fn encode(&self, data: &[Symbol]) -> Result<Vec<Symbol>, CodeError> {
-        encode::encode_systematic(self, data)
+        let mut word = vec![0; self.n];
+        self.encode_into(data, &mut word)?;
+        Ok(word)
+    }
+
+    /// [`RsCode::encode`] into a caller-owned `n`-symbol buffer, without
+    /// allocating. On error `word` is left unchanged.
+    ///
+    /// # Errors
+    ///
+    /// The errors of [`RsCode::encode`], checked first, then
+    /// [`CodeError::CodewordLength`] when `word.len() != n`.
+    pub fn encode_into(&self, data: &[Symbol], word: &mut [Symbol]) -> Result<(), CodeError> {
+        encode::encode_into(self, data, word)
     }
 
     /// Extracts the data symbols from a (corrected) codeword.

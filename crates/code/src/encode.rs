@@ -1,13 +1,24 @@
 //! Systematic Reed–Solomon encoding.
 
 use crate::{CodeError, RsCode};
-use rsmem_gf::{Poly, Symbol};
+use rsmem_gf::Symbol;
 
-/// Systematic encoding: the codeword polynomial is
+/// Systematic encoding into `word`: the codeword polynomial is
 /// `c(x) = d(x)·x^{n−k} + (d(x)·x^{n−k} mod g(x))`,
 /// which is divisible by `g(x)` and carries the data verbatim in its top
 /// `k` coefficients.
-pub(crate) fn encode_systematic(code: &RsCode, data: &[Symbol]) -> Result<Vec<Symbol>, CodeError> {
+///
+/// The remainder comes from the division circuit of a hardware encoder
+/// (like the Altera IP core the paper cites for its complexity model): a
+/// linear-feedback shift register of `n − k` stages, held in the parity
+/// half of `word`, whose feedback taps are the generator coefficients.
+/// The data enters high-order first, one symbol per clock, so the
+/// encoder allocates nothing.
+pub(crate) fn encode_into(
+    code: &RsCode,
+    data: &[Symbol],
+    word: &mut [Symbol],
+) -> Result<(), CodeError> {
     if data.len() != code.k() {
         return Err(CodeError::DatawordLength {
             got: data.len(),
@@ -15,24 +26,33 @@ pub(crate) fn encode_systematic(code: &RsCode, data: &[Symbol]) -> Result<Vec<Sy
         });
     }
     code.check_symbols(data)?;
-    let field = code.field();
-    let parity_len = code.parity_symbols();
-    let shifted = Poly::from_coeffs(data.iter().copied()).shift_up(parity_len);
-    let (_, rem) = shifted
-        .div_rem(code.generator(), field)
-        .expect("generator is nonzero by construction");
-    let mut word = vec![0 as Symbol; code.n()];
-    for (i, &c) in rem.coeffs().iter().enumerate() {
-        word[i] = c;
+    if word.len() != code.n() {
+        return Err(CodeError::CodewordLength {
+            got: word.len(),
+            expected: code.n(),
+        });
     }
-    word[parity_len..].copy_from_slice(data);
-    Ok(word)
+    let field = code.field();
+    // g(x) is monic of degree n−k: its leading coefficient is implicit.
+    let taps = code.generator().coeffs();
+    let (stages, top) = word.split_at_mut(code.parity_symbols());
+    stages.fill(0);
+    for &symbol in data.iter().rev() {
+        // Feedback = incoming symbol + the top register stage.
+        let feedback = symbol ^ stages[stages.len() - 1];
+        for i in (1..stages.len()).rev() {
+            stages[i] = stages[i - 1] ^ field.mul(feedback, taps[i]);
+        }
+        stages[0] = field.mul(feedback, taps[0]);
+    }
+    top.copy_from_slice(data);
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rsmem_gf::GfField;
+    use rsmem_gf::{GfField, Poly};
 
     fn word_poly(word: &[Symbol]) -> Poly {
         Poly::from_coeffs(word.iter().copied())

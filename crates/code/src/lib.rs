@@ -49,7 +49,6 @@ mod error;
 mod euclid;
 mod forney;
 mod interleave;
-mod lfsr;
 mod locator;
 pub mod matrix;
 mod polyops;
@@ -60,7 +59,6 @@ pub use code::RsCode;
 pub use decode::{register_metrics, Correction, DecodeFailure, DecodeOutcome, DecoderBackend};
 pub use error::CodeError;
 pub use interleave::Interleaver;
-pub use lfsr::LfsrEncoder;
 pub use syndrome::syndromes;
 
 /// Re-export of the symbol type used for codeword entries.

@@ -3,8 +3,10 @@
 //! [`reference_encode`] is the textbook systematic encoder written over
 //! [`Poly`] with nothing but the public `RsCode` API: shift the data up
 //! by `n−k`, divide by the generator and put the remainder below the
-//! data. The production encoder must return the same codeword for every
-//! dataword, and the same [`CodeError`] for every malformed one.
+//! data. The production encoder, a shift-register division circuit, must
+//! return the same codeword for every dataword through both entry points
+//! (`encode` and the in-place `encode_into`), and the same [`CodeError`]
+//! for every malformed one.
 //!
 //! The property draws uniform datawords on the five code shapes of
 //! `decode_reference.rs`. It runs 256 cases in debug builds and 20 000
@@ -50,11 +52,20 @@ fn oracle_codes() -> Vec<RsCode> {
     ]
 }
 
-/// Asserts that the encoder agrees with the reference on `data`.
+/// Asserts that both entry points agree with the reference on `data`.
+/// `encode_into` must overwrite a buffer full of stale symbols, and must
+/// leave it untouched on an error.
 fn check_against_reference(code: &RsCode, data: &[Symbol]) {
     let expected = reference_encode(code, data);
     let label = format!("RS({},{}) data={data:?}", code.n(), code.k());
     assert_eq!(code.encode(data), expected, "encode on {label}");
+    let stale: Vec<Symbol> = (0..code.n()).map(|i| (i as Symbol * 7 + 1) % 16).collect();
+    let mut word = stale.clone();
+    let got = code.encode_into(data, &mut word).map(|()| word.clone());
+    assert_eq!(got, expected, "encode_into on {label}");
+    if expected.is_err() {
+        assert_eq!(word, stale, "a failed encode_into wrote to its buffer");
+    }
 }
 
 proptest! {
@@ -68,6 +79,33 @@ proptest! {
             let data: Vec<Symbol> = (0..code.k()).map(|_| rng.below(size) as Symbol).collect();
             check_against_reference(&code, &data);
         }
+    }
+}
+
+#[test]
+fn encode_into_rejects_a_buffer_of_the_wrong_length() {
+    for code in oracle_codes() {
+        let data = vec![1; code.k()];
+        for len in [0, code.n() - 1, code.n() + 1] {
+            let mut word = vec![9; len];
+            assert_eq!(
+                code.encode_into(&data, &mut word),
+                Err(CodeError::CodewordLength {
+                    got: len,
+                    expected: code.n()
+                })
+            );
+            assert!(word.iter().all(|&s| s == 9));
+        }
+        // A malformed dataword is reported first, as `encode` reports it.
+        let mut word = vec![0; code.n() + 1];
+        assert_eq!(
+            code.encode_into(&data[1..], &mut word),
+            Err(CodeError::DatawordLength {
+                got: code.k() - 1,
+                expected: code.k()
+            })
+        );
     }
 }
 
