@@ -224,15 +224,18 @@ pub(crate) fn verdict_of<'a, C: MemoryCode + ?Sized>(
 /// Steps 2½–3 of the arbiter: the flag-based comparison over the two
 /// per-word verdicts, shared verbatim by [`arbitrate`], the simulators
 /// and the batched campaign paths (so the decision rule and its metrics
-/// cannot drift apart).
-pub(crate) fn combine(v1: WordVerdict<'_>, v2: WordVerdict<'_>) -> ArbiterOutput {
+/// cannot drift apart). Returns the output data, borrowed from the
+/// decoded words, and its branch; `None` is no output.
+pub(crate) fn combine<'a>(
+    v1: WordVerdict<'a>,
+    v2: WordVerdict<'a>,
+) -> Option<(Cow<'a, [Symbol]>, ArbiterBranch)> {
     let verdict = match (v1, v2) {
-        (WordVerdict::Failed, WordVerdict::Failed) => ArbiterOutput::NoOutput,
+        (WordVerdict::Failed, WordVerdict::Failed) => None,
         (WordVerdict::Failed, WordVerdict::Decoded { data, .. })
-        | (WordVerdict::Decoded { data, .. }, WordVerdict::Failed) => ArbiterOutput::Data {
-            data: data.into_owned(),
-            branch: ArbiterBranch::SingleSurvivor,
-        },
+        | (WordVerdict::Decoded { data, .. }, WordVerdict::Failed) => {
+            Some((data, ArbiterBranch::SingleSurvivor))
+        }
         (
             WordVerdict::Decoded {
                 data: d1,
@@ -244,56 +247,44 @@ pub(crate) fn combine(v1: WordVerdict<'_>, v2: WordVerdict<'_>) -> ArbiterOutput
             },
         ) => {
             if !f1 && !f2 {
-                ArbiterOutput::Data {
-                    data: d1.into_owned(),
-                    branch: ArbiterBranch::NoFlags,
-                }
+                Some((d1, ArbiterBranch::NoFlags))
             } else if d1 == d2 {
-                ArbiterOutput::Data {
-                    data: d1.into_owned(),
-                    branch: ArbiterBranch::EqualFlagged,
-                }
+                Some((d1, ArbiterBranch::EqualFlagged))
             } else if f1 != f2 {
                 // Exactly one flag: the unflagged word is correct.
                 let winner = if f1 { d2 } else { d1 };
-                ArbiterOutput::Data {
-                    data: winner.into_owned(),
-                    branch: ArbiterBranch::UnflaggedWins,
-                }
+                Some((winner, ArbiterBranch::UnflaggedWins))
             } else {
                 // Both flagged and different: cannot discriminate.
-                ArbiterOutput::NoOutput
+                None
             }
         }
     };
+    let branch = verdict.as_ref().map(|(_, branch)| *branch);
     let metrics = crate::metrics::arbiter_metrics();
-    match &verdict {
-        ArbiterOutput::NoOutput => metrics.no_output.inc(),
-        ArbiterOutput::Data { branch, .. } => match branch {
-            ArbiterBranch::NoFlags => metrics.no_flags.inc(),
-            ArbiterBranch::EqualFlagged => metrics.equal_flagged.inc(),
-            ArbiterBranch::UnflaggedWins => metrics.unflagged_wins.inc(),
-            ArbiterBranch::SingleSurvivor => metrics.single_survivor.inc(),
-        },
+    match branch {
+        None => metrics.no_output.inc(),
+        Some(ArbiterBranch::NoFlags) => metrics.no_flags.inc(),
+        Some(ArbiterBranch::EqualFlagged) => metrics.equal_flagged.inc(),
+        Some(ArbiterBranch::UnflaggedWins) => metrics.unflagged_wins.inc(),
+        Some(ArbiterBranch::SingleSurvivor) => metrics.single_survivor.inc(),
     }
     if recorder::enabled() {
         // `a` encodes the branch (0 = no output), `b` whether data came
         // out — the decisions a post-incident timeline replays.
-        let (name, a) = match &verdict {
-            ArbiterOutput::NoOutput => ("no_output", 0),
-            ArbiterOutput::Data { branch, .. } => match branch {
-                ArbiterBranch::NoFlags => ("no_flags", 1),
-                ArbiterBranch::EqualFlagged => ("equal_flagged", 2),
-                ArbiterBranch::UnflaggedWins => ("unflagged_wins", 3),
-                ArbiterBranch::SingleSurvivor => ("single_survivor", 4),
-            },
+        let (name, a) = match branch {
+            None => ("no_output", 0),
+            Some(ArbiterBranch::NoFlags) => ("no_flags", 1),
+            Some(ArbiterBranch::EqualFlagged) => ("equal_flagged", 2),
+            Some(ArbiterBranch::UnflaggedWins) => ("unflagged_wins", 3),
+            Some(ArbiterBranch::SingleSurvivor) => ("single_survivor", 4),
         };
         recorder::record_event(
             recorder::RecordKind::Arbiter,
             "sim.arbiter",
             name,
             a,
-            u64::from(verdict.data().is_some()),
+            u64::from(branch.is_some()),
         );
     }
     verdict
@@ -336,10 +327,17 @@ pub fn arbitrate<C: MemoryCode + ?Sized>(
     let out2 = code.decode_in_place(&mut pair.w2, &pair.common)?;
 
     // Step 3: flag-based comparison.
-    Ok(combine(
+    let verdict = combine(
         verdict_of(code, &pair.w1, &out1),
         verdict_of(code, &pair.w2, &out2),
-    ))
+    );
+    Ok(match verdict {
+        None => ArbiterOutput::NoOutput,
+        Some((data, branch)) => ArbiterOutput::Data {
+            data: data.into_owned(),
+            branch,
+        },
+    })
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@
 //!
 //! The `ablation_mbu` bench and integration tests quantify both.
 
-use crate::arbiter::{combine, mask, verdict_of, ArbiterOutput, MaskedPair};
+use crate::arbiter::{combine, mask, verdict_of, MaskedPair};
 use crate::events::{sample_exponential, skip_idle_ticks};
 use crate::memory::MemoryModule;
 use crate::runner::wilson_interval;
@@ -93,14 +93,50 @@ pub struct ArrayReport {
 }
 
 /// The physical memory: an interleaved array of simplex codewords.
+///
+/// The array keeps a worklist of its dirty modules, so a scrub visits
+/// only the words a fault or a rewrite touched. Every change to a module
+/// goes through a method that pushes the module when it turns from clean
+/// to dirty, which keeps the worklist, taken as a set, equal to the set
+/// of dirty modules, with no index listed twice.
 struct Array {
     modules: Vec<MemoryModule>,
+    /// The dirty modules, in the order they turned dirty.
+    dirty: Vec<usize>,
     interleaver: Interleaver,
     n: usize,
     m_bits: u32,
 }
 
 impl Array {
+    /// An array of `words` all-zero modules, to be filled by
+    /// [`Array::store`].
+    fn new(words: usize, n: usize, m_bits: u32, interleaver: Interleaver) -> Array {
+        Array {
+            modules: (0..words)
+                .map(|_| MemoryModule::new(vec![0; n], m_bits))
+                .collect(),
+            dirty: (0..words).collect(),
+            interleaver,
+            n,
+            m_bits,
+        }
+    }
+
+    /// Stores `codeword` fault-free in module `module`, as at the start
+    /// of a trial. Call [`Array::mark_all_dirty`] once every module is
+    /// stored.
+    fn store(&mut self, module: usize, codeword: &[Symbol]) {
+        self.modules[module].reset(codeword);
+    }
+
+    /// Lists every module, once each: after [`Array::store`] has reset
+    /// them all, every module is dirty.
+    fn mark_all_dirty(&mut self) {
+        self.dirty.clear();
+        self.dirty.extend(0..self.modules.len());
+    }
+
     /// Total physical symbols.
     fn symbols(&self) -> usize {
         self.modules.len() * self.n
@@ -121,12 +157,37 @@ impl Array {
         (group * depth + word_in_group, sym)
     }
 
-    /// Flips one physical bit.
+    /// Applies `change` to module `module`, listing the module if the
+    /// change turned it dirty.
+    fn change(&mut self, module: usize, change: impl FnOnce(&mut MemoryModule)) {
+        let target = &mut self.modules[module];
+        let was_dirty = target.is_dirty();
+        change(target);
+        if !was_dirty && target.is_dirty() {
+            self.dirty.push(module);
+        }
+    }
+
+    /// Flips one physical bit. An upset on a stuck symbol changes
+    /// nothing, so it leaves a clean module clean.
     fn flip_physical_bit(&mut self, physical_bit: u64) {
         let symbol = (physical_bit / self.m_bits as u64) as usize;
         let bit = (physical_bit % self.m_bits as u64) as u32;
         let (module, sym) = self.locate(symbol);
-        self.modules[module].flip_bit(sym, bit);
+        self.change(module, |m| m.flip_bit(sym, bit));
+    }
+
+    /// Sticks one physical symbol at `value` (a permanent fault).
+    fn stick(&mut self, physical_symbol: usize, value: Symbol) {
+        let (module, sym) = self.locate(physical_symbol);
+        self.change(module, |m| m.stick(sym, value));
+    }
+
+    /// Relists `module` if a scrub left it dirty.
+    fn relist_if_dirty(&mut self, module: usize) {
+        if self.modules[module].is_dirty() {
+            self.dirty.push(module);
+        }
     }
 }
 
@@ -136,7 +197,8 @@ impl Array {
 #[derive(Debug, Default)]
 struct Batch {
     decoder: BatchDecoder,
-    /// The words a scrub decodes (dirty words, or dirty word-pairs).
+    /// The words a scrub decodes (dirty words, or dirty word-pairs),
+    /// ascending.
     dirty: Vec<usize>,
     /// The batch's words; the first `len` are in use.
     words: Vec<Vec<Symbol>>,
@@ -152,6 +214,19 @@ impl Batch {
     /// Starts an empty batch.
     fn clear(&mut self) {
         self.len = 0;
+    }
+
+    /// Drains the worklists of `arrays` into `self.dirty`: the words
+    /// with a dirty module in any array, ascending, each once. This is
+    /// the order a scan of every word would visit them in. The scrub
+    /// relists each module it leaves dirty.
+    fn take_dirty(&mut self, arrays: &mut [Array]) {
+        self.dirty.clear();
+        for array in arrays {
+            self.dirty.append(&mut array.dirty);
+        }
+        self.dirty.sort_unstable();
+        self.dirty.dedup();
     }
 
     /// Appends one word and its erasure list.
@@ -199,6 +274,248 @@ impl Batch {
     }
 }
 
+/// Everything an array campaign reuses from one trial to the next: the
+/// replica arrays (one for simplex, two for duplex), the stored
+/// datawords, one codeword buffer and the batch. A trial rewrites them
+/// in place, so after the first trial a campaign allocates only what
+/// its faults cost.
+struct Campaign {
+    code: RsCode,
+    config: ArrayConfig,
+    arrays: Vec<Array>,
+    /// The current trial's datawords, `k` symbols per word.
+    originals: Vec<Symbol>,
+    codeword: Vec<Symbol>,
+    batch: Batch,
+}
+
+impl Campaign {
+    fn new(code: RsCode, config: ArrayConfig, interleaver: Interleaver, replicas: usize) -> Self {
+        let (n, k) = (code.n(), code.k());
+        Campaign {
+            arrays: (0..replicas)
+                .map(|_| Array::new(config.words, n, config.base.m, interleaver))
+                .collect(),
+            originals: vec![0; config.words * k],
+            codeword: vec![0; n],
+            batch: Batch::default(),
+            code,
+            config,
+        }
+    }
+
+    /// Starts a trial: draws one random dataword per word, encodes it
+    /// once and stores the codeword fault-free in every replica.
+    fn store(&mut self, rng: &mut StdRng) {
+        let size = self.code.field().size();
+        for (w, data) in self.originals.chunks_exact_mut(self.code.k()).enumerate() {
+            for symbol in data.iter_mut() {
+                *symbol = rng.gen_range(0..size) as Symbol;
+            }
+            self.code
+                .encode_into(data, &mut self.codeword)
+                .expect("valid");
+            for array in &mut self.arrays {
+                array.store(w, &self.codeword);
+            }
+        }
+        for array in &mut self.arrays {
+            array.mark_all_dirty();
+        }
+    }
+
+    /// One store of a simplex array; returns its `(failed, silent)` words.
+    fn simplex_trial(&mut self, rng: &mut StdRng) -> (usize, usize) {
+        self.store(rng);
+        let Campaign {
+            code,
+            config,
+            arrays,
+            originals,
+            batch,
+            ..
+        } = self;
+        let array = &mut arrays[0];
+
+        let total_bits = array.bits() as f64;
+        let total_symbols = array.symbols() as f64;
+        let seu_rate = config.base.seu_per_bit_day * total_bits;
+        let perm_rate = config.base.erasure_per_symbol_day * total_symbols;
+        let horizon = config.base.store_days;
+
+        let mut t_seu = sample_exponential(rng, seu_rate);
+        let mut t_perm = sample_exponential(rng, perm_rate);
+        let mut t_scrub = match config.base.scrub {
+            None => f64::INFINITY,
+            Some((period, _)) => period,
+        };
+
+        loop {
+            let next = t_seu.min(t_perm).min(t_scrub);
+            if next >= horizon {
+                break;
+            }
+            if next == t_seu {
+                // One SEU event: flip a contiguous physical burst.
+                let start = rng.gen_range(0..array.bits());
+                for offset in 0..config.mbu_width_bits as u64 {
+                    let b = start + offset;
+                    if b >= array.bits() {
+                        break;
+                    }
+                    array.flip_physical_bit(b);
+                }
+                t_seu += sample_exponential(rng, seu_rate);
+            } else if next == t_perm {
+                let symbol = rng.gen_range(0..array.symbols());
+                let value = rng.gen_range(0..code.field().size()) as Symbol;
+                array.stick(symbol, value);
+                t_perm += sample_exponential(rng, perm_rate);
+            } else {
+                scrub_simplex_array(code, array, batch);
+                t_scrub += match config.base.scrub {
+                    None => f64::INFINITY,
+                    Some((period, ScrubTiming::Periodic)) => period,
+                    Some((period, ScrubTiming::Exponential)) => {
+                        sample_exponential(rng, 1.0 / period)
+                    }
+                };
+                // Every scrub leaves the whole array clean.
+                t_scrub =
+                    skip_idle_ticks(t_scrub, config.base.scrub, t_seu.min(t_perm).min(horizon));
+            }
+        }
+
+        // Final read of every word, decoded in one batch.
+        batch.clear();
+        for module in &array.modules {
+            batch.push(module.read(), module.erased());
+        }
+        batch.decode(code);
+        let mut failed = 0usize;
+        let mut silent = 0usize;
+        let originals = originals.chunks_exact(code.k());
+        for ((outcome, word), original) in batch.outcomes.iter().zip(&batch.words).zip(originals) {
+            match outcome {
+                BatchOutcome::Failure(_) => failed += 1,
+                _ => {
+                    if code.data_of(word).expect("word has length n") != original {
+                        failed += 1;
+                        silent += 1;
+                    }
+                }
+            }
+        }
+        (failed, silent)
+    }
+
+    /// One store of a duplex array; returns its `(failed, silent)` words.
+    fn duplex_trial(&mut self, rng: &mut StdRng) -> (usize, usize) {
+        self.store(rng);
+        let Campaign {
+            code,
+            config,
+            arrays: replicas,
+            originals,
+            batch,
+            ..
+        } = self;
+
+        let per_array_bits = replicas[0].bits() as f64;
+        let per_array_symbols = replicas[0].symbols() as f64;
+        let seu_rate = config.base.seu_per_bit_day * per_array_bits;
+        let perm_rate = config.base.erasure_per_symbol_day * per_array_symbols;
+        let horizon = config.base.store_days;
+
+        let mut t_seu = [
+            sample_exponential(rng, seu_rate),
+            sample_exponential(rng, seu_rate),
+        ];
+        let mut t_perm = [
+            sample_exponential(rng, perm_rate),
+            sample_exponential(rng, perm_rate),
+        ];
+        let mut t_scrub = match config.base.scrub {
+            None => f64::INFINITY,
+            Some((period, _)) => period,
+        };
+
+        loop {
+            let mut best = f64::INFINITY;
+            for r in 0..2 {
+                best = best.min(t_seu[r]).min(t_perm[r]);
+            }
+            best = best.min(t_scrub);
+            if best >= horizon {
+                break;
+            }
+            if best == t_scrub {
+                let all_clean = scrub_duplex_arrays(code, replicas, batch);
+                t_scrub += match config.base.scrub {
+                    None => f64::INFINITY,
+                    Some((period, ScrubTiming::Periodic)) => period,
+                    Some((period, ScrubTiming::Exponential)) => {
+                        sample_exponential(rng, 1.0 / period)
+                    }
+                };
+                if all_clean {
+                    let until = t_seu.into_iter().chain(t_perm).fold(horizon, f64::min);
+                    t_scrub = skip_idle_ticks(t_scrub, config.base.scrub, until);
+                }
+                continue;
+            }
+            for r in 0..2 {
+                if best == t_seu[r] {
+                    let start = rng.gen_range(0..replicas[r].bits());
+                    for offset in 0..config.mbu_width_bits as u64 {
+                        let b = start + offset;
+                        if b >= replicas[r].bits() {
+                            break;
+                        }
+                        replicas[r].flip_physical_bit(b);
+                    }
+                    t_seu[r] += sample_exponential(rng, seu_rate);
+                    break;
+                }
+                if best == t_perm[r] {
+                    let symbol = rng.gen_range(0..replicas[r].symbols());
+                    let value = rng.gen_range(0..code.field().size()) as Symbol;
+                    replicas[r].stick(symbol, value);
+                    t_perm[r] += sample_exponential(rng, perm_rate);
+                    break;
+                }
+            }
+        }
+
+        // Final read: mask every word-pair (arbiter step 1), batch-decode
+        // all 2·words masked words at once, then run the flag comparison
+        // per pair — the same pipeline as the arbiter, restructured around
+        // one `BatchDecoder` pass.
+        batch.clear();
+        for w in 0..config.words {
+            batch.push_masked(code, &replicas[0].modules[w], &replicas[1].modules[w]);
+        }
+        batch.decode(code);
+        let (words, outcomes) = (&batch.words, &batch.outcomes);
+        let mut failed = 0usize;
+        let mut silent = 0usize;
+        for (w, original) in originals.chunks_exact(code.k()).enumerate() {
+            let v1 = verdict_of(code, &words[2 * w], &outcomes[2 * w]);
+            let v2 = verdict_of(code, &words[2 * w + 1], &outcomes[2 * w + 1]);
+            match combine(v1, v2) {
+                None => failed += 1,
+                Some((data, _)) => {
+                    if *data != *original {
+                        failed += 1;
+                        silent += 1;
+                    }
+                }
+            }
+        }
+        (failed, silent)
+    }
+}
+
 /// Runs `trials` independent stores of a whole simplex array.
 ///
 /// # Errors
@@ -209,39 +526,13 @@ pub fn run_simplex_array(
     trials: usize,
     seed: u64,
 ) -> Result<ArrayReport, SimError> {
-    config.validate()?;
-    if trials == 0 {
-        return Err(SimError::NoTrials);
-    }
-    let code = RsCode::new(config.base.n, config.base.k, config.base.m)?;
-    let interleaver = Interleaver::new(config.interleave_depth)?;
-    let mut span = rsmem_obs::span("sim.mc", "simplex_array_campaign");
-    span.record("trials", trials);
-    span.record("words", config.words);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut batch = Batch::default();
-    let mut failed_words = 0usize;
-    let mut silent_words = 0usize;
-
-    for _ in 0..trials {
-        let (f, s) = run_one_trial(&code, config, interleaver, &mut rng, &mut batch);
-        failed_words += f;
-        silent_words += s;
-    }
-
-    let total_words = trials * config.words;
-    let word_failure_fraction = failed_words as f64 / total_words as f64;
-    let prefactor =
-        config.base.m as f64 * (config.base.n - config.base.k) as f64 / config.base.k as f64;
-    Ok(ArrayReport {
+    run_campaign(
+        config,
         trials,
-        words: config.words,
-        failed_words,
-        silent_words,
-        word_failure_fraction,
-        wilson_95: wilson_interval(failed_words, total_words),
-        ber_estimate: prefactor * word_failure_fraction,
-    })
+        seed,
+        ("simplex_array_campaign", 1),
+        Campaign::simplex_trial,
+    )
 }
 
 /// Runs `trials` independent stores of a whole **duplex** array: two
@@ -257,22 +548,40 @@ pub fn run_duplex_array(
     trials: usize,
     seed: u64,
 ) -> Result<ArrayReport, SimError> {
+    run_campaign(
+        config,
+        trials,
+        seed,
+        ("duplex_array_campaign", 2),
+        Campaign::duplex_trial,
+    )
+}
+
+/// Runs `trials` of `trial` on one [`Campaign`] of `replicas` arrays,
+/// under a `sim.mc` span called `name`, and sums the outcomes.
+fn run_campaign(
+    config: &ArrayConfig,
+    trials: usize,
+    seed: u64,
+    (name, replicas): (&'static str, usize),
+    trial: fn(&mut Campaign, &mut StdRng) -> (usize, usize),
+) -> Result<ArrayReport, SimError> {
     config.validate()?;
     if trials == 0 {
         return Err(SimError::NoTrials);
     }
     let code = RsCode::new(config.base.n, config.base.k, config.base.m)?;
     let interleaver = Interleaver::new(config.interleave_depth)?;
-    let mut span = rsmem_obs::span("sim.mc", "duplex_array_campaign");
+    let mut span = rsmem_obs::span("sim.mc", name);
     span.record("trials", trials);
     span.record("words", config.words);
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut batch = Batch::default();
+    let mut campaign = Campaign::new(code, *config, interleaver, replicas);
     let mut failed_words = 0usize;
     let mut silent_words = 0usize;
 
     for _ in 0..trials {
-        let (f, s) = run_one_duplex_trial(&code, config, interleaver, &mut rng, &mut batch);
+        let (f, s) = trial(&mut campaign, &mut rng);
         failed_words += f;
         silent_words += s;
     }
@@ -292,138 +601,16 @@ pub fn run_duplex_array(
     })
 }
 
-fn run_one_duplex_trial(
-    code: &RsCode,
-    config: &ArrayConfig,
-    interleaver: Interleaver,
-    rng: &mut StdRng,
-    batch: &mut Batch,
-) -> (usize, usize) {
-    let originals: Vec<Vec<Symbol>> = (0..config.words)
-        .map(|_| {
-            (0..code.k())
-                .map(|_| rng.gen_range(0..code.field().size()) as Symbol)
-                .collect()
-        })
-        .collect();
-    let mut replicas: Vec<Array> = (0..2)
-        .map(|_| Array {
-            modules: originals
-                .iter()
-                .map(|d| MemoryModule::new(code.encode(d).expect("valid"), config.base.m))
-                .collect(),
-            interleaver,
-            n: code.n(),
-            m_bits: config.base.m,
-        })
-        .collect();
-
-    let per_array_bits = replicas[0].bits() as f64;
-    let per_array_symbols = replicas[0].symbols() as f64;
-    let seu_rate = config.base.seu_per_bit_day * per_array_bits;
-    let perm_rate = config.base.erasure_per_symbol_day * per_array_symbols;
-    let horizon = config.base.store_days;
-
-    let mut t_seu = [
-        sample_exponential(rng, seu_rate),
-        sample_exponential(rng, seu_rate),
-    ];
-    let mut t_perm = [
-        sample_exponential(rng, perm_rate),
-        sample_exponential(rng, perm_rate),
-    ];
-    let mut t_scrub = match config.base.scrub {
-        None => f64::INFINITY,
-        Some((period, _)) => period,
-    };
-
-    loop {
-        let mut best = f64::INFINITY;
-        for r in 0..2 {
-            best = best.min(t_seu[r]).min(t_perm[r]);
-        }
-        best = best.min(t_scrub);
-        if best >= horizon {
-            break;
-        }
-        if best == t_scrub {
-            let all_clean = scrub_duplex_arrays(code, &mut replicas, batch);
-            t_scrub += match config.base.scrub {
-                None => f64::INFINITY,
-                Some((period, ScrubTiming::Periodic)) => period,
-                Some((period, ScrubTiming::Exponential)) => sample_exponential(rng, 1.0 / period),
-            };
-            if all_clean {
-                let until = t_seu.into_iter().chain(t_perm).fold(horizon, f64::min);
-                t_scrub = skip_idle_ticks(t_scrub, config.base.scrub, until);
-            }
-            continue;
-        }
-        for r in 0..2 {
-            if best == t_seu[r] {
-                let start = rng.gen_range(0..replicas[r].bits());
-                for offset in 0..config.mbu_width_bits as u64 {
-                    let b = start + offset;
-                    if b >= replicas[r].bits() {
-                        break;
-                    }
-                    replicas[r].flip_physical_bit(b);
-                }
-                t_seu[r] += sample_exponential(rng, seu_rate);
-                break;
-            }
-            if best == t_perm[r] {
-                let symbol = rng.gen_range(0..replicas[r].symbols());
-                let (module, sym) = replicas[r].locate(symbol);
-                let value = rng.gen_range(0..code.field().size()) as Symbol;
-                replicas[r].modules[module].stick(sym, value);
-                t_perm[r] += sample_exponential(rng, perm_rate);
-                break;
-            }
-        }
-    }
-
-    // Final read: mask every word-pair (arbiter step 1), batch-decode
-    // all 2·words masked words at once, then run the flag comparison
-    // per pair — the same pipeline as the arbiter, restructured around
-    // one `BatchDecoder` pass.
-    batch.clear();
-    for w in 0..originals.len() {
-        batch.push_masked(code, &replicas[0].modules[w], &replicas[1].modules[w]);
-    }
-    batch.decode(code);
-    let (words, outcomes) = (&batch.words, &batch.outcomes);
-    let mut failed = 0usize;
-    let mut silent = 0usize;
-    for (w, original) in originals.iter().enumerate() {
-        let v1 = verdict_of(code, &words[2 * w], &outcomes[2 * w]);
-        let v2 = verdict_of(code, &words[2 * w + 1], &outcomes[2 * w + 1]);
-        match combine(v1, v2) {
-            ArbiterOutput::NoOutput => failed += 1,
-            ArbiterOutput::Data { data, .. } => {
-                if data != *original {
-                    failed += 1;
-                    silent += 1;
-                }
-            }
-        }
-    }
-    (failed, silent)
-}
-
 /// Per-word-pair joint scrub across the two replica arrays (the same
 /// masking + decode + rewrite the single-pair `DuplexSim` performs),
 /// with the decodes of every pair that has a dirty module pushed
-/// through one batch pass. A pair whose modules are both clean is
-/// skipped. A scrubbed pair is left clean under `DuplexSim`'s rule:
+/// through one batch pass. Only the pairs on the two worklists are
+/// visited. A scrubbed pair is left clean under `DuplexSim`'s rule:
 /// when its writes changed nothing, or when both words decoded to the
-/// same word. Returns whether every pair is left clean.
+/// same word. A pair left dirty is relisted. Returns whether every pair
+/// is left clean.
 fn scrub_duplex_arrays(code: &RsCode, replicas: &mut [Array], batch: &mut Batch) -> bool {
-    batch.dirty.clear();
-    batch.dirty.extend(
-        (0..replicas[0].modules.len())
-            .filter(|&w| replicas.iter().any(|r| r.modules[w].is_dirty())),
-    );
+    batch.take_dirty(replicas);
     if batch.dirty.is_empty() {
         return true;
     }
@@ -451,21 +638,21 @@ fn scrub_duplex_arrays(code: &RsCode, replicas: &mut [Array], batch: &mut Batch)
             }
         } else {
             all_clean = false;
+            for replica in replicas.iter_mut() {
+                replica.relist_if_dirty(w);
+            }
         }
     }
     all_clean
 }
 
-/// Scrub of a simplex array: the dirty words go through one batch
-/// decode, and only the words the decoder actually corrected are
-/// rewritten. A clean word is skipped. Every scrubbed word is left
-/// clean, as a fixed point, for the reason `SimplexSim`'s scrub gives:
-/// the whole array ends the scrub clean.
+/// Scrub of a simplex array: the words on its worklist go through one
+/// batch decode, and only the words the decoder actually corrected are
+/// rewritten. Every scrubbed word is left clean, as a fixed point, for
+/// the reason `SimplexSim`'s scrub gives: the whole array ends the
+/// scrub clean, with an empty worklist.
 fn scrub_simplex_array(code: &RsCode, array: &mut Array, batch: &mut Batch) {
-    batch.dirty.clear();
-    batch
-        .dirty
-        .extend((0..array.modules.len()).filter(|&i| array.modules[i].is_dirty()));
+    batch.take_dirty(std::slice::from_mut(array));
     if batch.dirty.is_empty() {
         return;
     }
@@ -482,101 +669,6 @@ fn scrub_simplex_array(code: &RsCode, array: &mut Array, batch: &mut Batch) {
         }
         module.mark_clean();
     }
-}
-
-fn run_one_trial(
-    code: &RsCode,
-    config: &ArrayConfig,
-    interleaver: Interleaver,
-    rng: &mut StdRng,
-    batch: &mut Batch,
-) -> (usize, usize) {
-    // Store one random dataword per module.
-    let originals: Vec<Vec<Symbol>> = (0..config.words)
-        .map(|_| {
-            let data: Vec<Symbol> = (0..code.k())
-                .map(|_| rng.gen_range(0..code.field().size()) as Symbol)
-                .collect();
-            data
-        })
-        .collect();
-    let mut array = Array {
-        modules: originals
-            .iter()
-            .map(|d| MemoryModule::new(code.encode(d).expect("valid"), config.base.m))
-            .collect(),
-        interleaver,
-        n: code.n(),
-        m_bits: config.base.m,
-    };
-
-    let total_bits = array.bits() as f64;
-    let total_symbols = array.symbols() as f64;
-    let seu_rate = config.base.seu_per_bit_day * total_bits;
-    let perm_rate = config.base.erasure_per_symbol_day * total_symbols;
-    let horizon = config.base.store_days;
-
-    let mut t_seu = sample_exponential(rng, seu_rate);
-    let mut t_perm = sample_exponential(rng, perm_rate);
-    let mut t_scrub = match config.base.scrub {
-        None => f64::INFINITY,
-        Some((period, _)) => period,
-    };
-
-    loop {
-        let next = t_seu.min(t_perm).min(t_scrub);
-        if next >= horizon {
-            break;
-        }
-        if next == t_seu {
-            // One SEU event: flip a contiguous physical burst.
-            let start = rng.gen_range(0..array.bits());
-            for offset in 0..config.mbu_width_bits as u64 {
-                let b = start + offset;
-                if b >= array.bits() {
-                    break;
-                }
-                array.flip_physical_bit(b);
-            }
-            t_seu += sample_exponential(rng, seu_rate);
-        } else if next == t_perm {
-            let symbol = rng.gen_range(0..array.symbols());
-            let (module, sym) = array.locate(symbol);
-            let value = rng.gen_range(0..code.field().size()) as Symbol;
-            array.modules[module].stick(sym, value);
-            t_perm += sample_exponential(rng, perm_rate);
-        } else {
-            scrub_simplex_array(code, &mut array, batch);
-            t_scrub += match config.base.scrub {
-                None => f64::INFINITY,
-                Some((period, ScrubTiming::Periodic)) => period,
-                Some((period, ScrubTiming::Exponential)) => sample_exponential(rng, 1.0 / period),
-            };
-            // Every scrub leaves the whole array clean.
-            t_scrub = skip_idle_ticks(t_scrub, config.base.scrub, t_seu.min(t_perm).min(horizon));
-        }
-    }
-
-    // Final read of every word, decoded in one batch.
-    batch.clear();
-    for module in &array.modules {
-        batch.push(module.read(), module.erased());
-    }
-    batch.decode(code);
-    let mut failed = 0usize;
-    let mut silent = 0usize;
-    for ((outcome, word), original) in batch.outcomes.iter().zip(&batch.words).zip(&originals) {
-        match outcome {
-            BatchOutcome::Failure(_) => failed += 1,
-            _ => {
-                if code.data_of(word).expect("word has length n") != &original[..] {
-                    failed += 1;
-                    silent += 1;
-                }
-            }
-        }
-    }
-    (failed, silent)
 }
 
 #[cfg(test)]
@@ -618,6 +710,7 @@ mod tests {
             })
             .collect();
         Array {
+            dirty: (0..codewords.len()).collect(),
             modules,
             interleaver: Interleaver::new(1).unwrap(),
             n,
@@ -656,6 +749,7 @@ mod tests {
         let settled: Vec<_> = (0..words).map(|w| word_state(arrays, w)).collect();
         for array in arrays.iter_mut() {
             array.modules.iter_mut().for_each(MemoryModule::force_dirty);
+            array.mark_all_dirty();
         }
         scrub(arrays);
         let mut changed = 0;
@@ -730,6 +824,100 @@ mod tests {
                 duplex_changed > 100 && simplex_changed > 100,
                 "RS({n},16): converged and changed: {duplex_changed} duplex, {simplex_changed} simplex"
             );
+        }
+    }
+
+    /// Asserts that each array's worklist lists exactly its dirty
+    /// modules, each once.
+    fn assert_worklists_match(arrays: &[Array], step: &str) {
+        for (r, array) in arrays.iter().enumerate() {
+            let mut listed = array.dirty.clone();
+            listed.sort_unstable();
+            let dirty: Vec<usize> = (0..array.modules.len())
+                .filter(|&i| array.modules[i].is_dirty())
+                .collect();
+            assert_eq!(listed, dirty, "replica {r}'s worklist after a {step}");
+        }
+    }
+
+    #[test]
+    fn worklists_list_exactly_the_dirty_modules() {
+        let mut rng = StdRng::seed_from_u64(0x3011);
+        let mut batch = Batch::default();
+        for n in [18, 20] {
+            let code = RsCode::new(n, 16, 8).unwrap();
+            for replicas in [1, 2] {
+                let mut left_dirty = 0;
+                for _ in 0..20 {
+                    let interleaver = Interleaver::new(4).unwrap();
+                    let mut arrays: Vec<Array> = (0..replicas)
+                        .map(|_| Array::new(16, n, 8, interleaver))
+                        .collect();
+                    for w in 0..16 {
+                        let data: Vec<Symbol> = (0..16).map(|_| rng.gen_range(0..=255)).collect();
+                        let codeword = code.encode(&data).unwrap();
+                        arrays.iter_mut().for_each(|a| a.store(w, &codeword));
+                    }
+                    arrays.iter_mut().for_each(Array::mark_all_dirty);
+                    assert_worklists_match(&arrays, "store");
+                    // Stuck physical symbols, by replica.
+                    let mut stuck: Vec<(usize, usize)> = Vec::new();
+                    for _ in 0..200 {
+                        let r = rng.gen_range(0..replicas);
+                        let step = match rng.gen_range(0..5) {
+                            0 => {
+                                let bits = arrays[r].bits();
+                                let start = rng.gen_range(0..bits);
+                                for b in (start..start + rng.gen_range(1..=4)).filter(|&b| b < bits)
+                                {
+                                    arrays[r].flip_physical_bit(b);
+                                }
+                                "burst"
+                            }
+                            1 => {
+                                let symbol = rng.gen_range(0..arrays[r].symbols());
+                                arrays[r].stick(symbol, rng.gen_range(0..=255));
+                                stuck.push((r, symbol));
+                                "stick"
+                            }
+                            2 if !stuck.is_empty() => {
+                                let (r, symbol) = stuck[rng.gen_range(0..stuck.len())];
+                                arrays[r].stick(symbol, rng.gen_range(0..=255));
+                                "re-stick"
+                            }
+                            3 if !stuck.is_empty() => {
+                                let (r, symbol) = stuck[rng.gen_range(0..stuck.len())];
+                                let (module, _) = arrays[r].locate(symbol);
+                                let before = arrays[r].modules[module].clone();
+                                arrays[r]
+                                    .flip_physical_bit(symbol as u64 * 8 + rng.gen_range(0..8));
+                                assert_eq!(arrays[r].modules[module], before, "stuck flip moved");
+                                "flip on a stuck symbol"
+                            }
+                            _ if replicas == 2 => {
+                                left_dirty += usize::from(!scrub_duplex_arrays(
+                                    &code,
+                                    &mut arrays,
+                                    &mut batch,
+                                ));
+                                "duplex scrub"
+                            }
+                            _ => {
+                                scrub_simplex_array(&code, &mut arrays[0], &mut batch);
+                                assert!(arrays[0].dirty.is_empty());
+                                "simplex scrub"
+                            }
+                        };
+                        assert_worklists_match(&arrays, step);
+                    }
+                }
+                if replicas == 2 {
+                    assert!(
+                        left_dirty > 0,
+                        "RS({n},16): no duplex scrub relisted a pair"
+                    );
+                }
+            }
         }
     }
 

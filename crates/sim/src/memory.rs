@@ -39,6 +39,20 @@ impl MemoryModule {
         }
     }
 
+    /// Stores `codeword` in place of the module's contents and clears
+    /// every permanent fault: the module is as [`MemoryModule::new`]
+    /// would build it, without allocating.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `codeword.len() != self.len()`.
+    pub(crate) fn reset(&mut self, codeword: &[Symbol]) {
+        self.stored.copy_from_slice(codeword);
+        self.stuck.fill(None);
+        self.erased.clear();
+        self.dirty = true;
+    }
+
     /// Number of symbols.
     pub fn len(&self) -> usize {
         self.stored.len()
@@ -230,6 +244,18 @@ mod tests {
         assert!(!m.is_dirty());
         assert!(m.write(&[0x10, 0x00, 0x31, 0x40]));
         assert!(m.is_dirty());
+    }
+
+    #[test]
+    fn reset_matches_a_fresh_module() {
+        let mut m = module();
+        m.stick(1, 0xff);
+        m.flip_bit(3, 2);
+        m.mark_clean();
+        m.reset(&[5, 6, 7, 8]);
+        assert_eq!(m, MemoryModule::new(vec![5, 6, 7, 8], 8));
+        m.flip_bit(1, 0);
+        assert_eq!(m.read()[1], 7, "the reset cleared the stuck symbol");
     }
 
     #[test]

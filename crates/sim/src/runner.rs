@@ -9,7 +9,7 @@
 //! Outcome counts are merged by integer addition, which is
 //! order-independent.
 
-use crate::arbiter::{combine, verdict_of, ArbiterOutput};
+use crate::arbiter::{combine, verdict_of};
 use crate::metrics::mc_metrics;
 use crate::system::{DuplexSim, SimplexSim};
 use crate::{SimConfig, SimError};
@@ -347,9 +347,9 @@ fn duplex_shard(sim: &DuplexSim, rng: &mut StdRng, in_shard: usize) -> OutcomeCo
         let v1 = verdict_of(sim.code(), &words[2 * i], &outcomes[2 * i]);
         let v2 = verdict_of(sim.code(), &words[2 * i + 1], &outcomes[2 * i + 1]);
         let class = match combine(v1, v2) {
-            ArbiterOutput::NoOutput => TrialOutcome::Detected,
-            ArbiterOutput::Data { data: d, .. } => {
-                if d == *data {
+            None => TrialOutcome::Detected,
+            Some((d, _)) => {
+                if *d == data[..] {
                     TrialOutcome::Correct
                 } else {
                     TrialOutcome::SilentCorruption

@@ -1,6 +1,6 @@
 //! Event-driven simulation of the simplex and duplex memory systems.
 
-use crate::arbiter::{combine, mask, verdict_of, ArbiterOutput, MaskedPair};
+use crate::arbiter::{combine, mask, verdict_of, MaskedPair};
 use crate::config::{ScrubTiming, SimConfig};
 use crate::events::{sample_exponential, skip_idle_ticks};
 use crate::memory::MemoryModule;
@@ -310,9 +310,9 @@ impl DuplexSim {
             verdict_of(code, &trial.w2, &out2),
         );
         match verdict {
-            ArbiterOutput::NoOutput => TrialOutcome::Detected,
-            ArbiterOutput::Data { data: d, .. } => {
-                if d == trial.data {
+            None => TrialOutcome::Detected,
+            Some((d, _)) => {
+                if *d == trial.data[..] {
                     TrialOutcome::Correct
                 } else {
                     TrialOutcome::SilentCorruption
