@@ -49,7 +49,7 @@ LOGGING (any command):
 
 EXPERIMENT IDS: fig5 fig6 fig7 fig8 fig9 fig10 complexity
 
-SYSTEM FLAGS (ber/simulate/advise):
+SYSTEM FLAGS (ber/simulate/advise/array):
   --duplex               duplex arrangement (default: simplex)
   --code N,K,M           RS code (default: 18,16,8)
   --seu RATE             SEU rate per bit per day (default: 0)
@@ -371,9 +371,18 @@ fn cmd_array(parsed: &Parsed) -> Result<String, String> {
         mbu_width_bits: mbu,
         interleave_depth: depth,
     };
-    let report =
-        rsmem::array::run_simplex_array(&config, trials, seed).map_err(|e| e.to_string())?;
-    Ok(format!(
+    let run = if parsed.has("--duplex") {
+        rsmem::array::run_duplex_array
+    } else {
+        rsmem::array::run_simplex_array
+    };
+    let report = run(&config, trials, seed).map_err(|e| e.to_string())?;
+    Ok(render_array(&report))
+}
+
+/// The one-line summary `rsmem array` prints.
+fn render_array(report: &rsmem::array::ArrayReport) -> String {
+    format!(
         "{} trials × {} words: {} failed words ({} silent); \
          fraction {:.4e} (95% CI [{:.4e}, {:.4e}]), BER ≈ {:.4e}\n",
         report.trials,
@@ -384,7 +393,7 @@ fn cmd_array(parsed: &Parsed) -> Result<String, String> {
         report.wilson_95.0,
         report.wilson_95.1,
         report.ber_estimate
-    ))
+    )
 }
 
 fn cmd_simulate(parsed: &Parsed) -> Result<String, String> {
@@ -794,6 +803,38 @@ mod tests {
     #[test]
     fn unknown_command_is_an_error() {
         assert!(run_cli(&["frobnicate"]).is_err());
+    }
+
+    #[test]
+    fn array_duplex_runs_the_duplex_campaign() {
+        let flags = [
+            "--seu",
+            "1e-2",
+            "--erasure",
+            "1e-3",
+            "--tsc",
+            "900",
+            "--trials",
+            "50",
+            "--seed",
+            "3",
+        ];
+        let simplex = run_cli(&[&["array"], &flags[..]].concat()).unwrap();
+        let duplex = run_cli(&[&["array", "--duplex"], &flags[..]].concat()).unwrap();
+        let config = rsmem::array::ArrayConfig {
+            base: rsmem::SimConfig {
+                seu_per_bit_day: 1e-2,
+                erasure_per_symbol_day: 1e-3,
+                scrub: Some((900.0 / 86_400.0, rsmem::ScrubTiming::Periodic)),
+                ..rsmem::SimConfig::rs18_16_baseline()
+            },
+            words: 32,
+            mbu_width_bits: 1,
+            interleave_depth: 1,
+        };
+        let expected = rsmem::array::run_duplex_array(&config, 50, 3).unwrap();
+        assert_eq!(duplex, render_array(&expected));
+        assert_ne!(duplex, simplex);
     }
 
     #[test]

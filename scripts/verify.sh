@@ -26,6 +26,16 @@ target/release/rsmem-cli stress --seed 0xDA7E --budget 100000
 echo "==> code-family comparison smoke (RS vs RM vs interleaved RS)"
 target/release/rsmem-cli compare --quick >/dev/null
 
+echo "==> duplex array smoke (--duplex must run the duplex campaign, not the simplex one)"
+ARRAY_FLAGS="--seu 1e-2 --erasure 1e-3 --tsc 900 --trials 50 --seed 3"
+# shellcheck disable=SC2086 # the flags are split on purpose
+SIMPLEX_ARRAY=$(target/release/rsmem-cli array $ARRAY_FLAGS)
+# shellcheck disable=SC2086
+DUPLEX_ARRAY=$(target/release/rsmem-cli array --duplex $ARRAY_FLAGS)
+[ "$SIMPLEX_ARRAY" != "$DUPLEX_ARRAY" ] || {
+  echo "array --duplex printed the simplex result: $DUPLEX_ARRAY"; exit 1;
+}
+
 echo "==> flight-recorder smoke (trace a stress run; exemplars must be captured)"
 target/release/rsmem-cli trace --trace-json -- stress --budget small > /tmp/rsmem_trace.json
 target/release/rsmem-cli check-jsonl < /tmp/rsmem_trace.json
