@@ -109,8 +109,8 @@ struct Array {
 }
 
 impl Array {
-    /// An array of `words` all-zero modules, to be filled by
-    /// [`Array::store`].
+    /// An array of `words` all-zero modules, each to be filled by
+    /// [`MemoryModule::reset`].
     fn new(words: usize, n: usize, m_bits: u32, interleaver: Interleaver) -> Array {
         Array {
             modules: (0..words)
@@ -123,15 +123,8 @@ impl Array {
         }
     }
 
-    /// Stores `codeword` fault-free in module `module`, as at the start
-    /// of a trial. Call [`Array::mark_all_dirty`] once every module is
-    /// stored.
-    fn store(&mut self, module: usize, codeword: &[Symbol]) {
-        self.modules[module].reset(codeword);
-    }
-
-    /// Lists every module, once each: after [`Array::store`] has reset
-    /// them all, every module is dirty.
+    /// Lists every module, once each: after a reset of them all, every
+    /// module is dirty.
     fn mark_all_dirty(&mut self) {
         self.dirty.clear();
         self.dirty.extend(0..self.modules.len());
@@ -316,7 +309,7 @@ impl Campaign {
                 .encode_into(data, &mut self.codeword)
                 .expect("valid");
             for array in &mut self.arrays {
-                array.store(w, &self.codeword);
+                array.modules[w].reset(&self.codeword);
             }
         }
         for array in &mut self.arrays {
@@ -856,7 +849,9 @@ mod tests {
                     for w in 0..16 {
                         let data: Vec<Symbol> = (0..16).map(|_| rng.gen_range(0..=255)).collect();
                         let codeword = code.encode(&data).unwrap();
-                        arrays.iter_mut().for_each(|a| a.store(w, &codeword));
+                        arrays
+                            .iter_mut()
+                            .for_each(|a| a.modules[w].reset(&codeword));
                     }
                     arrays.iter_mut().for_each(Array::mark_all_dirty);
                     assert_worklists_match(&arrays, "store");
