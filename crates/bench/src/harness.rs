@@ -32,13 +32,13 @@ pub const SCHEMA: &str = "rsmem-bench/1";
 
 /// Minimum absolute slowdown (µs) before timing is ever flagged — the
 /// timer itself jitters by a few µs, so sub-50 µs deltas are noise.
-pub const MIN_REGRESSION_US: f64 = 50.0;
+const MIN_REGRESSION_US: f64 = 50.0;
 
 /// Minimum relative slowdown before timing is flagged.
-pub const MIN_REGRESSION_FRACTION: f64 = 0.25;
+const MIN_REGRESSION_FRACTION: f64 = 0.25;
 
 /// How many noise-widths (MAD) a slowdown must clear.
-pub const MAD_MULTIPLIER: f64 = 4.0;
+const MAD_MULTIPLIER: f64 = 4.0;
 
 /// One benchmark's measurements.
 #[derive(Debug, Clone, PartialEq)]

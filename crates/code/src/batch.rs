@@ -37,7 +37,6 @@ use std::sync::OnceLock;
 
 /// Counters for the bulk plane, alongside the per-decode solver metrics.
 struct BulkMetrics {
-    batches: Counter,
     clean: Counter,
     escalated: Counter,
 }
@@ -48,7 +47,6 @@ fn bulk_metrics() -> &'static BulkMetrics {
         let r = global();
         let by_path = |p: &str| r.counter("rsmem_bulk_words_total", &[("path", p)]);
         BulkMetrics {
-            batches: r.counter("rsmem_bulk_batches_total", &[]),
             clean: by_path("clean"),
             escalated: by_path("escalated"),
         }
@@ -102,11 +100,6 @@ impl BatchOutcome {
     /// The arbiter flag: true iff a correction was performed.
     pub fn is_flagged(&self) -> bool {
         matches!(self, BatchOutcome::Corrected { .. })
-    }
-
-    /// True for a detected decode failure.
-    pub fn is_failure(&self) -> bool {
-        matches!(self, BatchOutcome::Failure(_))
     }
 }
 
@@ -162,16 +155,6 @@ impl SyndromeBatch {
             stride: code.parity_symbols(),
             soa: ws.soa,
         })
-    }
-
-    /// Number of words in the batch.
-    pub fn word_count(&self) -> usize {
-        self.words
-    }
-
-    /// Number of syndromes per word, `n − k`.
-    pub fn syndrome_count(&self) -> usize {
-        self.stride
     }
 
     /// Syndrome `j` of word `w`.
@@ -248,7 +231,7 @@ struct SoaBuffers {
 /// runs the bulk Horner ladder per generator root into `ws.soa`.
 ///
 /// On byte-wide fields the transpose packs eight words per `u64` and the
-/// whole ladder runs on [`rsmem_gf::bulk::MulTable::horner_step_packed`]
+/// whole ladder runs on [`rsmem_gf::bulk::MulTable::horner_fold_packed`]
 /// — symbols are packed once and unpacked once per root, not once per
 /// Horner step. Wider fields fall back to the symbol-slice ladder. Both
 /// ladders apply `acc ← root·acc ⊕ coeff` from the highest codeword
@@ -448,7 +431,6 @@ impl BatchDecoder {
         }
         record_clean_many(opts.backend, clean);
         let metrics = bulk_metrics();
-        metrics.batches.inc();
         metrics.clean.add(clean);
         metrics.escalated.add(escalated);
         span.record("clean", clean);
@@ -501,7 +483,6 @@ impl BatchDecoder {
         }
         record_clean_many(opts.backend, clean);
         let metrics = bulk_metrics();
-        metrics.batches.inc();
         metrics.clean.add(clean);
         metrics.escalated.add(escalated);
         span.record("clean", clean);
@@ -586,8 +567,6 @@ mod tests {
         let code = rs18_16();
         let (words, _) = words_with_patterns(&code);
         let batch = SyndromeBatch::compute(&code, &words).unwrap();
-        assert_eq!(batch.word_count(), words.len());
-        assert_eq!(batch.syndrome_count(), code.parity_symbols());
         for (w, word) in words.iter().enumerate() {
             let scalar = crate::syndrome::syndromes(&code, word);
             for (j, &s) in scalar.iter().enumerate() {

@@ -15,8 +15,6 @@
 //! These models feed the `decoder_complexity` bench and example, which
 //! also measure this crate's software decoder as an empirical analogue.
 
-use crate::RsCode;
-
 /// Decode latency in clock cycles, `Td ≈ 3n + 10(n − k)`.
 ///
 /// # Examples
@@ -105,11 +103,6 @@ pub fn section6_comparison() -> Vec<ComplexityRow> {
     ]
 }
 
-/// Convenience accessor for an [`RsCode`]'s modelled latency.
-pub fn cycles_for(code: &RsCode) -> u64 {
-    decode_cycles(code.n(), code.k())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,11 +131,5 @@ mod tests {
         assert_eq!(rows[1].redundant_symbols, rows[2].redundant_symbols);
         // Duplex decode latency beats the wide simplex by > 4x.
         assert!(rows[2].decode_cycles > 4 * rows[1].decode_cycles);
-    }
-
-    #[test]
-    fn cycles_for_matches_free_function() {
-        let code = RsCode::new(18, 16, 8).unwrap();
-        assert_eq!(cycles_for(&code), decode_cycles(18, 16));
     }
 }

@@ -50,7 +50,8 @@ mod euclid;
 mod forney;
 mod interleave;
 mod locator;
-pub mod matrix;
+#[cfg(test)]
+mod matrix;
 mod polyops;
 mod syndrome;
 

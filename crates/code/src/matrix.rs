@@ -1,16 +1,15 @@
-//! Generator and parity-check matrices.
+//! Generator and parity-check matrices, compiled for tests only.
 //!
-//! Hardware teams consume a code as matrices (XOR trees are synthesized
-//! from `G`; syndrome networks from `H`). This module derives both from
-//! an [`RsCode`] and underpins the test-suite's algebraic cross-checks,
-//! including an exhaustive minimum-distance verification of the MDS
-//! property on small codes.
+//! This module derives `G` and `H` from an [`RsCode`] by linear algebra,
+//! independently of the shift-register encoder and the Horner syndromes,
+//! so its tests are an oracle for both, and for the MDS distance by an
+//! exhaustive minimum-distance check on small codes.
 
 use crate::{RsCode, Symbol};
 
 /// The `k × n` systematic generator matrix: row `i` is the codeword of
 /// the `i`-th unit dataword, so `codeword = data · G` over GF(2^m).
-pub fn generator_matrix(code: &RsCode) -> Vec<Vec<Symbol>> {
+fn generator_matrix(code: &RsCode) -> Vec<Vec<Symbol>> {
     let k = code.k();
     (0..k)
         .map(|i| {
@@ -24,7 +23,7 @@ pub fn generator_matrix(code: &RsCode) -> Vec<Vec<Symbol>> {
 /// The `(n−k) × n` parity-check matrix `H[j][i] = α^{i·(b+j)}`:
 /// a word `w` is a codeword iff `H·wᵀ = 0` (these are exactly the
 /// syndrome equations).
-pub fn parity_check_matrix(code: &RsCode) -> Vec<Vec<Symbol>> {
+fn parity_check_matrix(code: &RsCode) -> Vec<Vec<Symbol>> {
     let field = code.field();
     let b = code.first_root();
     (0..code.parity_symbols() as u32)
@@ -38,7 +37,7 @@ pub fn parity_check_matrix(code: &RsCode) -> Vec<Vec<Symbol>> {
 
 /// Evaluates `H·wᵀ` (the syndrome vector) by direct matrix product —
 /// an independent oracle for the Horner-based syndrome path.
-pub fn syndromes_by_matrix(code: &RsCode, word: &[Symbol]) -> Vec<Symbol> {
+fn syndromes_by_matrix(code: &RsCode, word: &[Symbol]) -> Vec<Symbol> {
     let field = code.field();
     parity_check_matrix(code)
         .iter()

@@ -13,7 +13,8 @@
 //!   can be stored complemented. Given one cell with a known stuck-at
 //!   value, the encoder picks the polarity that makes the stuck cell
 //!   *correct* — one permanent fault absorbed per word at write time
-//!   without spending any decode budget ([`ReedMuller::encode_for_stuck`]).
+//!   without spending any decode budget. No simulator keeps the stuck-cell
+//!   map this needs, so the masking encoder is compiled for tests only.
 
 use crate::MemoryCode;
 use rsmem_code::complexity::ComplexityRow;
@@ -92,13 +93,14 @@ impl ReedMuller {
     ///
     /// Returns the stored word and the complement flag the system must
     /// keep alongside its stuck-at fault map (the flag is equivalent to
-    /// flipping data bit `a0`; [`ReedMuller::unmask_data`] undoes it).
+    /// flipping data bit `a0`; `unmask_data` undoes it).
     ///
     /// # Errors
     ///
     /// [`CodeError`] for malformed data, an out-of-range position or a
     /// non-bit stuck value.
-    pub fn encode_for_stuck(
+    #[cfg(test)]
+    fn encode_for_stuck(
         &self,
         data: &[Symbol],
         stuck_pos: usize,
@@ -126,9 +128,10 @@ impl ReedMuller {
         Ok((word, complemented))
     }
 
-    /// Reverts the complement flag of [`ReedMuller::encode_for_stuck`]
-    /// on decoded data (complementing the codeword flips `a0` only).
-    pub fn unmask_data(&self, data: &mut [Symbol], complemented: bool) {
+    /// Reverts the complement flag of `encode_for_stuck` on decoded data
+    /// (complementing the codeword flips `a0` only).
+    #[cfg(test)]
+    fn unmask_data(&self, data: &mut [Symbol], complemented: bool) {
         if complemented {
             data[0] ^= 1;
         }

@@ -39,10 +39,10 @@ pub const SCRUB_PERIODS_S: [f64; 4] = [900.0, 1200.0, 1800.0, 3600.0];
 pub const PERMANENT_RATES_PER_SYMBOL_DAY: [f64; 7] = [1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-10];
 
 /// Storage horizon of the transient-fault studies (Figs. 5–7).
-pub const TRANSIENT_HORIZON_HOURS: f64 = 48.0;
+pub(crate) const TRANSIENT_HORIZON_HOURS: f64 = 48.0;
 
 /// Storage horizon of the permanent-fault studies (Figs. 8–10).
-pub const PERMANENT_HORIZON_MONTHS: f64 = 24.0;
+pub(crate) const PERMANENT_HORIZON_MONTHS: f64 = 24.0;
 
 /// Points per curve in the regenerated figures.
 pub const GRID_POINTS: usize = 25;

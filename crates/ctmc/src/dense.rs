@@ -37,17 +37,6 @@ impl DenseMatrix {
         self.n
     }
 
-    /// Solves `x · self = b` for the row vector `x` (the orientation CTMC
-    /// equations use), via LU on the transpose.
-    ///
-    /// # Errors
-    ///
-    /// [`CtmcError::SingularSystem`] when no unique solution exists.
-    pub fn solve_left(&self, b: &[f64]) -> Result<Vec<f64>, CtmcError> {
-        // x·A = b  ⇔  Aᵀ·xᵀ = bᵀ.
-        self.transposed().solve(b)
-    }
-
     /// Solves `self · x = b` by LU factorization with partial pivoting.
     ///
     /// # Errors
@@ -107,18 +96,6 @@ impl DenseMatrix {
         }
         Ok(out)
     }
-
-    /// The transpose.
-    pub fn transposed(&self) -> DenseMatrix {
-        let n = self.n;
-        let mut t = Self::zeros(n);
-        for i in 0..n {
-            for j in 0..n {
-                t[(j, i)] = self[(i, j)];
-            }
-        }
-        t
-    }
 }
 
 impl std::ops::Index<(usize, usize)> for DenseMatrix {
@@ -177,18 +154,6 @@ mod tests {
         m[(1, 0)] = 2.0;
         m[(1, 1)] = 4.0;
         assert_eq!(m.solve(&[1.0, 2.0]), Err(CtmcError::SingularSystem));
-    }
-
-    #[test]
-    fn solve_left_transposes_correctly() {
-        // x·A = b with A = [1 2; 0 1]: x = [b0, b1 − 2·b0].
-        let mut m = DenseMatrix::zeros(2);
-        m[(0, 0)] = 1.0;
-        m[(0, 1)] = 2.0;
-        m[(1, 1)] = 1.0;
-        let x = m.solve_left(&[3.0, 7.0]).unwrap();
-        assert!((x[0] - 3.0).abs() < 1e-12);
-        assert!((x[1] - 1.0).abs() < 1e-12);
     }
 
     #[test]

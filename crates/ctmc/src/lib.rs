@@ -13,11 +13,11 @@
 //!     absorbing-state probabilities retain full *relative* accuracy down
 //!     to the f64 denormal floor (~1e-308) — exactly what the paper's
 //!     BER-vs-permanent-fault sweeps (1e-200 territory) need;
-//!   - [`ode`] — an adaptive RKF45 integrator, used as an independent
-//!     cross-check;
 //!   - [`paths`] — a SURE-style path-bound solver for *acyclic* chains
 //!     (no scrubbing), computing log-space lower/upper bounds that remain
-//!     meaningful below 1e-308;
+//!     meaningful below 1e-308
+//!     (the tests cross-check both solvers against an adaptive RKF45
+//!     integrator, `tests/support/rkf45.rs`);
 //! * [`steady`] — steady-state distribution and mean time to absorption;
 //! * [`sparse::CsrMatrix`] / [`dense::DenseMatrix`] — the minimal linear
 //!   algebra the above needs (no external LA dependency).
@@ -59,7 +59,6 @@
 pub mod dense;
 mod error;
 mod model;
-pub mod ode;
 pub mod paths;
 pub mod poisson;
 pub mod rewards;

@@ -40,7 +40,7 @@ pub trait MarkovModel {
 
 /// Default exploration limit — generous for the paper's models
 /// (duplex RS(36,16) stays below this).
-pub const DEFAULT_MAX_STATES: usize = 2_000_000;
+const DEFAULT_MAX_STATES: usize = 2_000_000;
 
 /// An explored, indexed CTMC: states, generator and initial distribution.
 #[derive(Debug, Clone)]
@@ -78,7 +78,7 @@ impl<S: Clone + Eq + Hash + Debug> StateSpace<S> {
     /// # Errors
     ///
     /// See [`StateSpace::explore`].
-    pub fn explore_with_limit<M>(model: &M, max_states: usize) -> Result<Self, CtmcError>
+    fn explore_with_limit<M>(model: &M, max_states: usize) -> Result<Self, CtmcError>
     where
         M: MarkovModel<State = S>,
     {

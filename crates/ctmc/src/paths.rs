@@ -46,11 +46,6 @@ impl PathBound {
         self.ln_upper.exp()
     }
 
-    /// Log-midpoint estimate, `exp((ln_lower + ln_upper)/2)`.
-    pub fn geometric_mid(&self) -> f64 {
-        (0.5 * (self.ln_lower + self.ln_upper)).exp()
-    }
-
     /// Width of the bound in log space (0 = exact; small = tight).
     pub fn ln_width(&self) -> f64 {
         self.ln_upper - self.ln_lower
@@ -117,7 +112,7 @@ impl LogSum {
 /// # Errors
 ///
 /// [`CtmcError::NotAcyclic`] when any directed cycle exists.
-pub fn check_acyclic<S>(space: &StateSpace<S>) -> Result<(), CtmcError>
+fn check_acyclic<S>(space: &StateSpace<S>) -> Result<(), CtmcError>
 where
     S: Clone + Eq + Hash + Debug,
 {

@@ -27,7 +27,7 @@
 //! 2. **Recurrent Poisson weights.** Weights advance by
 //!    `ln w_{n+1} = ln w_n + ln(Λt) − ln(n+1)` — one `exp` per active
 //!    term instead of a full log-gamma evaluation — and are resynced
-//!    against [`poisson_ln_pmf`] every [`LN_W_RESYNC`] terms so rounding
+//!    against [`poisson_ln_pmf`] every 64 terms so rounding
 //!    drift stays far below the truncation tolerance.
 //! 3. **Row-grouped gather mat-vec.** `v·P` gathers each output
 //!    component's inflow from a row of the state space's transposed
@@ -48,8 +48,8 @@
 //!    convergence test accumulates only the requested components; every
 //!    other point still accumulates the whole vector (its convergence
 //!    test reads every component) and is projected on return. Results
-//!    are bit-identical to projecting the full solve — see
-//!    [`LN_W_PROJECT`].
+//!    are bit-identical to projecting the full solve: the cut-off is a
+//!    log-weight of −800, 54 nats below where `exp` underflows to zero.
 //!
 //! The per-term scalar work is shared across the grid: `ln n` is taken
 //! once per term, `exp` is skipped where it would return zero anyway,
@@ -96,9 +96,6 @@ const TERMS_BUCKETS: &[u64] = &[16, 64, 256, 1024, 4096, 16384, 65536, 262144, 1
 struct SolverMetrics {
     solves: Counter,
     terms: Histogram,
-    skipped_terms: Counter,
-    workspace_reuses: Counter,
-    reallocs: Counter,
 }
 
 fn solver_metrics() -> &'static SolverMetrics {
@@ -108,10 +105,6 @@ fn solver_metrics() -> &'static SolverMetrics {
         SolverMetrics {
             solves: registry.counter("rsmem_solver_uniformization_solves_total", &[]),
             terms: registry.histogram("rsmem_solver_uniformization_terms", &[], TERMS_BUCKETS),
-            skipped_terms: registry.counter("rsmem_solver_uniformization_skipped_terms_total", &[]),
-            workspace_reuses: registry
-                .counter("rsmem_solver_uniformization_workspace_reuses_total", &[]),
-            reallocs: registry.counter("rsmem_solver_uniformization_reallocs_total", &[]),
         }
     })
 }
@@ -190,12 +183,8 @@ impl UniformizationWorkspace {
     }
 
     /// Resizes and resets every buffer for a solve of `n_states` states
-    /// over `n_times` time points. Returns whether any buffer had to
-    /// grow — `false` means the solve runs entirely in reused capacity.
-    fn prepare(&mut self, p0: &[f64], n_times: usize) -> bool {
-        let grew = self.v.capacity() < p0.len()
-            || self.next.capacity() < p0.len()
-            || self.means.capacity() < n_times;
+    /// over `n_times` time points.
+    fn prepare(&mut self, p0: &[f64], n_times: usize) {
         self.v.clear();
         self.v.extend_from_slice(p0);
         self.next.clear();
@@ -213,7 +202,6 @@ impl UniformizationWorkspace {
         self.acc.clear();
         self.acc.resize(n_times, Accumulator::Output);
         self.scratch.clear();
-        grew
     }
 }
 
@@ -232,24 +220,7 @@ where
     S: Clone + Eq + Hash + Debug,
 {
     let p0 = space.initial_distribution();
-    transient_from(space, &p0, t, opts)
-}
-
-/// Computes `p(t)` from an arbitrary initial distribution.
-///
-/// # Errors
-///
-/// As [`transient`], plus [`CtmcError::DimensionMismatch`].
-pub fn transient_from<S>(
-    space: &StateSpace<S>,
-    p0: &[f64],
-    t: f64,
-    opts: &UniformizationOptions,
-) -> Result<Vec<f64>, CtmcError>
-where
-    S: Clone + Eq + Hash + Debug,
-{
-    let mut grid = transient_grid_from(space, p0, &[t], opts)?;
+    let mut grid = transient_grid_from(space, &p0, &[t], opts)?;
     Ok(grid.pop().expect("one time point"))
 }
 
@@ -415,7 +386,7 @@ fn solve(
     obs_span.record("lambda", lambda);
 
     metrics.solves.inc();
-    let mut grew = ws.prepare(p0, times.len());
+    ws.prepare(p0, times.len());
     let mut max_mean = 0.0f64;
     for (k, &t) in times.iter().enumerate() {
         let m = lambda * t;
@@ -451,13 +422,7 @@ fn solve(
                 Accumulator::Scratch(scratch_len - n_states)
             };
         }
-        grew |= ws.scratch.capacity() < scratch_len;
         ws.scratch.resize(scratch_len, 0.0);
-    }
-    if grew {
-        metrics.reallocs.inc();
-    } else {
-        metrics.workspace_reuses.inc();
     }
     let mut out: Vec<Vec<f64>> = ws
         .converged
@@ -467,7 +432,7 @@ fn solve(
     let tol = opts.rel_tol;
 
     // Per-point series lengths plus the terms saved by per-point
-    // convergence skips (accumulated locally; one atomic add at exit).
+    // convergence skips (accumulated locally for the span).
     let mut skipped: u64 = 0;
     for n in 0..opts.max_terms {
         let ln_n = (n as f64).ln();
@@ -526,7 +491,6 @@ fn solve(
                     }
                 }
             }
-            metrics.skipped_terms.add(skipped);
             obs_span.record("terms", n);
             obs_span.record("skipped_terms", skipped);
             return Ok(out);
@@ -536,7 +500,6 @@ fn solve(
         step.apply(&ws.v, &mut ws.next);
         std::mem::swap(&mut ws.v, &mut ws.next);
     }
-    metrics.skipped_terms.add(skipped);
     obs_span.record("converged", false);
     obs_span.record("terms", opts.max_terms);
     Err(CtmcError::NotConverged {

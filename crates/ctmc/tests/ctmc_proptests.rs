@@ -2,8 +2,11 @@
 //! solver agreement, normalization, monotonicity of absorption, and
 //! bit-for-bit agreement of the solvers with plain reference loops.
 
+#[path = "../../../tests/support/rkf45.rs"]
+mod rkf45;
+
 use proptest::prelude::*;
-use rsmem_ctmc::ode::{rkf45, Rkf45Options};
+use rkf45::{rkf45, Rkf45Options};
 use rsmem_ctmc::poisson::poisson_ln_pmf;
 use rsmem_ctmc::rewards::{expected_time_in_states, RewardOptions};
 use rsmem_ctmc::uniformization::{
@@ -379,4 +382,61 @@ proptest! {
             prop_assert!(late[a] >= early[a] - 1e-10);
         }
     }
+}
+
+/// Cyclic repairable system: Good <-> Degraded -> Failed(absorbing).
+struct Repairable;
+
+impl MarkovModel for Repairable {
+    type State = u8;
+    fn initial_state(&self) -> u8 {
+        0
+    }
+    fn transitions(&self, s: &u8, out: &mut Vec<(u8, f64)>) {
+        match s {
+            0 => out.push((1, 1.0)),
+            1 => {
+                out.push((0, 5.0)); // repair (cycle!)
+                out.push((2, 0.2));
+            }
+            _ => {}
+        }
+    }
+}
+
+#[test]
+fn rkf45_agrees_with_uniformization() {
+    let space = StateSpace::explore(&Repairable).unwrap();
+    let t = 4.0;
+    let a = rkf45(&space, t, &Rkf45Options::default()).unwrap();
+    let b = transient(&space, t, &UniformizationOptions::default()).unwrap();
+    for j in 0..space.len() {
+        assert!((a[j] - b[j]).abs() < 1e-7, "j={j}: {} vs {}", a[j], b[j]);
+    }
+}
+
+#[test]
+fn rkf45_conserves_probability() {
+    let space = StateSpace::explore(&Repairable).unwrap();
+    for t in [0.5, 2.0, 10.0] {
+        let p = rkf45(&space, t, &Rkf45Options::default()).unwrap();
+        let total: f64 = p.iter().sum();
+        assert!((total - 1.0).abs() < 1e-7, "t={t}: {total}");
+    }
+}
+
+#[test]
+fn rkf45_at_zero_time_is_identity() {
+    let space = StateSpace::explore(&Repairable).unwrap();
+    assert_eq!(
+        rkf45(&space, 0.0, &Rkf45Options::default()).unwrap()[0],
+        1.0
+    );
+}
+
+#[test]
+fn rkf45_rejects_bad_times() {
+    let space = StateSpace::explore(&Repairable).unwrap();
+    assert!(rkf45(&space, f64::INFINITY, &Rkf45Options::default()).is_err());
+    assert!(rkf45(&space, -0.5, &Rkf45Options::default()).is_err());
 }

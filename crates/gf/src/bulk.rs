@@ -1,5 +1,5 @@
-//! Bulk GF(2^m) data plane: per-constant multiply tables and slice
-//! primitives.
+//! Bulk GF(2^m) data plane: per-constant multiply tables and the Horner
+//! ladder steps of batched syndrome evaluation.
 //!
 //! The scalar [`GfField::mul`] is three dependent table lookups per
 //! product — fine for the polynomial algebra of a single decode, but the
@@ -10,8 +10,8 @@
 //! supported width (for `m ≤ 8` the `hi` half is identically zero and the
 //! expression degenerates to a single lookup).
 //!
-//! Two execution strategies implement the slice primitives, selected once
-//! at field construction ([`GfField::bulk_kind`]):
+//! Two execution strategies implement the ladder, selected once at field
+//! construction ([`GfField::bulk_kind`]):
 //!
 //! * [`BulkKind::Swar64`] (`m ≤ 8`) — eight 8-bit lanes packed into one
 //!   `u64`, multiplied branchlessly: for each bit `k` of the operand,
@@ -21,8 +21,9 @@
 //!   partial product is already `< 2^m ≤ 2^8`, so lane fields never
 //!   carry into each other and no in-loop polynomial reduction is
 //!   needed — `m` shift/and/mul/xor rounds multiply eight symbols.
+//!   [`MulTable::horner_fold_packed`] runs it.
 //! * [`BulkKind::Scalar`] (`m > 8`) — the split-byte tables, one symbol
-//!   at a time.
+//!   at a time ([`MulTable::horner_step`]).
 //!
 //! Both paths compute the *same field product* as [`GfField::mul`] (and
 //! the carry-less [`GfField::mul_reference`] oracle); the exhaustive and
@@ -32,7 +33,7 @@
 
 use crate::{GfField, Symbol};
 
-/// Execution strategy for the bulk slice primitives, chosen once at field
+/// Execution strategy for the bulk Horner ladder, chosen once at field
 /// construction time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BulkKind {
@@ -45,9 +46,6 @@ pub enum BulkKind {
 
 /// Mask with bit 0 of every 8-bit lane set.
 const LANE_LSB: u64 = 0x0101_0101_0101_0101;
-
-/// Symbols per SWAR word.
-const LANES: usize = 8;
 
 /// A per-constant multiply table over one field: the partially evaluated
 /// function `x ↦ c·x`, applied to whole slices.
@@ -66,17 +64,13 @@ const LANES: usize = 8;
 /// # fn main() -> Result<(), rsmem_gf::GfError> {
 /// let f = GfField::new(8)?;
 /// let t = MulTable::new(&f, 0x53);
-/// let mut xs = vec![0x01, 0xca, 0xff];
-/// t.mul_slice(&mut xs);
-/// assert_eq!(xs[0], 0x53);
-/// assert_eq!(xs[1], f.mul(0x53, 0xca));
+/// assert_eq!(t.mul(0x01), 0x53);
+/// assert_eq!(t.mul(0xca), f.mul(0x53, 0xca));
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Clone)]
 pub struct MulTable {
-    /// The constant this table multiplies by.
-    constant: Symbol,
     /// Field width in bits (`m`); bounds the SWAR partial-product rounds.
     m: u32,
     /// Pre-reduced partial products `steps[k] = c · α^k` (i.e. `c · 2^k`
@@ -96,7 +90,6 @@ pub struct MulTable {
 impl std::fmt::Debug for MulTable {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MulTable")
-            .field("constant", &self.constant)
             .field("m", &self.m)
             .field("kind", &self.kind)
             .finish_non_exhaustive()
@@ -131,7 +124,6 @@ impl MulTable {
             }
         }
         MulTable {
-            constant: c,
             m: field.bits(),
             steps,
             kind: field.bulk_kind(),
@@ -140,120 +132,32 @@ impl MulTable {
         }
     }
 
-    /// The constant `c` this table was built for.
-    pub fn constant(&self) -> Symbol {
-        self.constant
-    }
-
     /// Single-symbol product `c·x` via the split-byte tables.
     #[inline]
     pub fn mul(&self, x: Symbol) -> Symbol {
         self.lo[(x & 0xff) as usize] ^ self.hi[(x >> 8) as usize]
     }
 
-    /// In-place slice multiply: `xs[i] ← c · xs[i]`.
-    pub fn mul_slice(&self, xs: &mut [Symbol]) {
-        match self.kind {
-            BulkKind::Swar64 => self.mul_slice_swar(xs),
-            BulkKind::Scalar => self.mul_slice_scalar(xs),
-        }
-    }
-
-    /// Fused multiply-accumulate: `acc[i] ^= c · src[i]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices have different lengths.
-    pub fn mul_add_slice(&self, src: &[Symbol], acc: &mut [Symbol]) {
-        assert_eq!(src.len(), acc.len(), "mul_add_slice length mismatch");
-        match self.kind {
-            BulkKind::Swar64 => {
-                let mut src_chunks = src.chunks_exact(LANES);
-                let mut acc_chunks = acc.chunks_exact_mut(LANES);
-                for (s, a) in src_chunks.by_ref().zip(acc_chunks.by_ref()) {
-                    let r = self.swar_mul(pack8(s));
-                    for (i, ai) in a.iter_mut().enumerate() {
-                        *ai ^= ((r >> (8 * i)) & 0xff) as Symbol;
-                    }
-                }
-                for (s, a) in src_chunks
-                    .remainder()
-                    .iter()
-                    .zip(acc_chunks.into_remainder())
-                {
-                    *a ^= self.mul(*s);
-                }
-            }
-            BulkKind::Scalar => {
-                for (s, a) in src.iter().zip(acc.iter_mut()) {
-                    *a ^= self.mul(*s);
-                }
-            }
-        }
-    }
-
-    /// The Horner ladder step `acc[i] ← c · acc[i] ^ coeff[i]`, the inner
-    /// loop of batched syndrome evaluation.
+    /// The Horner ladder step `acc[i] ← c · acc[i] ^ coeff[i]` through the
+    /// split-byte tables: the inner loop of batched syndrome evaluation
+    /// on fields wider than a byte.
     ///
     /// # Panics
     ///
     /// Panics if the slices have different lengths.
     pub fn horner_step(&self, acc: &mut [Symbol], coeff: &[Symbol]) {
         assert_eq!(acc.len(), coeff.len(), "horner_step length mismatch");
-        match self.kind {
-            BulkKind::Swar64 => {
-                let mut acc_chunks = acc.chunks_exact_mut(LANES);
-                let mut coeff_chunks = coeff.chunks_exact(LANES);
-                for (a, c) in acc_chunks.by_ref().zip(coeff_chunks.by_ref()) {
-                    let r = self.swar_mul(pack8(a));
-                    for (i, ai) in a.iter_mut().enumerate() {
-                        *ai = ((r >> (8 * i)) & 0xff) as Symbol ^ c[i];
-                    }
-                }
-                for (a, c) in acc_chunks
-                    .into_remainder()
-                    .iter_mut()
-                    .zip(coeff_chunks.remainder())
-                {
-                    *a = self.mul(*a) ^ c;
-                }
-            }
-            BulkKind::Scalar => {
-                for (a, c) in acc.iter_mut().zip(coeff.iter()) {
-                    *a = self.mul(*a) ^ c;
-                }
-            }
+        for (a, c) in acc.iter_mut().zip(coeff.iter()) {
+            *a = self.mul(*a) ^ c;
         }
     }
 
-    /// The Horner ladder step on **byte-lane packed** `u64` words: every
-    /// byte lane of `acc` becomes `c · lane ⊕ coeff-lane`.
-    ///
-    /// This is the zero-unpack inner loop for structure-of-arrays
-    /// syndrome evaluation: callers that keep eight symbols packed per
-    /// `u64` across the whole ladder skip the per-step pack/unpack that
-    /// [`MulTable::horner_step`] pays. Each byte lane must hold a field
-    /// symbol; the products are the same field products as
-    /// [`MulTable::mul`], so results stay bit-identical to the scalar
-    /// ladder.
-    ///
-    /// Only meaningful on `m ≤ 8` fields ([`BulkKind::Swar64`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices have different lengths; debug-asserts that
-    /// the table belongs to a byte-wide field.
-    pub fn horner_step_packed(&self, acc: &mut [u64], coeff: &[u64]) {
-        assert_eq!(acc.len(), coeff.len(), "horner_step_packed length mismatch");
-        for (a, &c) in acc.iter_mut().zip(coeff.iter()) {
-            *a = self.horner_fold_packed(*a, c);
-        }
-    }
-
-    /// Single-`u64` form of [`MulTable::horner_step_packed`]: returns
-    /// `c · acc ⊕ coeff` on all eight byte lanes. Callers that keep the
-    /// accumulator in a register across a whole Horner ladder (one root,
-    /// one group of eight words) want this form.
+    /// The Horner ladder step on **byte-lane packed** `u64` words: returns
+    /// `c · acc ⊕ coeff` on all eight byte lanes. Callers that keep eight
+    /// symbols packed per `u64` across a whole Horner ladder (one root,
+    /// one group of eight words) skip the per-step pack/unpack. The
+    /// products are the same field products as [`MulTable::mul`], so
+    /// results stay bit-identical to the scalar ladder.
     ///
     /// Only meaningful on `m ≤ 8` fields ([`BulkKind::Swar64`]);
     /// debug-asserts that the table belongs to one.
@@ -265,25 +169,6 @@ impl MulTable {
             "packed Horner requires an m ≤ 8 field"
         );
         self.swar_mul(acc) ^ coeff
-    }
-
-    /// Table-driven scalar loop (also the remainder path of SWAR).
-    fn mul_slice_scalar(&self, xs: &mut [Symbol]) {
-        for x in xs.iter_mut() {
-            *x = self.mul(*x);
-        }
-    }
-
-    /// SWAR loop: 8 symbols per `u64`, remainder through the tables.
-    fn mul_slice_swar(&self, xs: &mut [Symbol]) {
-        let mut chunks = xs.chunks_exact_mut(LANES);
-        for chunk in chunks.by_ref() {
-            let r = self.swar_mul(pack8(chunk));
-            for (i, x) in chunk.iter_mut().enumerate() {
-                *x = ((r >> (8 * i)) & 0xff) as Symbol;
-            }
-        }
-        self.mul_slice_scalar(chunks.into_remainder());
     }
 
     /// Multiplies all eight byte lanes of `v` by the table's constant.
@@ -309,40 +194,26 @@ impl MulTable {
     }
 }
 
-/// Packs eight symbols into the eight byte lanes of a `u64`.
-#[inline]
-fn pack8(s: &[Symbol]) -> u64 {
-    let mut v = 0u64;
-    for (i, &x) in s.iter().enumerate() {
-        v |= (x as u64) << (8 * i);
-    }
-    v
-}
-
-/// Dot product `Σ_i a[i] · b[i]` over the field.
-///
-/// Both operands vary, so no per-constant table applies; the sum runs on
-/// the field's log/exp tables with a zero-operand skip. Used by the
-/// batched decode plane for evaluator folds and as the test oracle for
-/// the slice primitives.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn dot_product(field: &GfField, a: &[Symbol], b: &[Symbol]) -> Symbol {
-    assert_eq!(a.len(), b.len(), "dot_product length mismatch");
-    let mut acc: Symbol = 0;
-    for (&x, &y) in a.iter().zip(b.iter()) {
-        if x != 0 && y != 0 {
-            acc ^= field.mul(x, y);
-        }
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Symbols per SWAR word.
+    const LANES: usize = 8;
+
+    /// Packs eight symbols into the eight byte lanes of a `u64`.
+    fn pack8(s: &[Symbol]) -> u64 {
+        let mut v = 0u64;
+        for (i, &x) in s.iter().enumerate() {
+            v |= (x as u64) << (8 * i);
+        }
+        v
+    }
+
+    /// Unpacks the eight byte lanes of a `u64`.
+    fn unpack8(r: u64) -> impl Iterator<Item = Symbol> {
+        (0..LANES).map(move |i| ((r >> (8 * i)) & 0xff) as Symbol)
+    }
 
     /// Deterministic pseudo-random symbol stream (SplitMix64-style).
     struct Stream(u64);
@@ -395,17 +266,18 @@ mod tests {
     }
 
     #[test]
-    fn mul_slice_matches_reference_exhaustively_gf256() {
+    fn swar_matches_reference_exhaustively_gf256() {
         // Every constant against the full element range through the
-        // public slice API (exercises the SWAR path and its remainder).
+        // eight-lane SWAR multiply.
         let f = GfField::new(8).unwrap();
         let all: Vec<Symbol> = f.elements().collect();
         for c in f.elements() {
             let t = MulTable::new(&f, c);
-            let mut xs = all.clone();
-            t.mul_slice(&mut xs);
-            for (x, got) in all.iter().zip(xs.iter()) {
-                assert_eq!(*got, f.mul_reference(c, *x), "c={c} x={x}");
+            for chunk in all.chunks_exact(LANES) {
+                let got = unpack8(t.swar_mul(pack8(chunk)));
+                for (x, got) in chunk.iter().zip(got) {
+                    assert_eq!(got, f.mul_reference(c, *x), "c={c} x={x}");
+                }
             }
         }
     }
@@ -420,51 +292,10 @@ mod tests {
             for _ in 0..64 {
                 let c = rng.symbol(&f);
                 let t = MulTable::new(&f, c);
-                let len = 1 + (rng.next() % 23) as usize;
-                let src: Vec<Symbol> = (0..len).map(|_| rng.symbol(&f)).collect();
-                let mut via_swar = src.clone();
-                t.mul_slice_swar(&mut via_swar);
-                let mut via_tables = src.clone();
-                t.mul_slice_scalar(&mut via_tables);
-                assert_eq!(via_swar, via_tables, "m={m} c={c} len={len}");
-            }
-        }
-    }
-
-    #[test]
-    fn mul_slice_matches_field_mul_on_wide_fields() {
-        let mut rng = Stream(0xFEED);
-        for m in [9u32, 10, 12, 16] {
-            let f = GfField::new(m).unwrap();
-            for _ in 0..32 {
-                let c = rng.symbol(&f);
-                let t = MulTable::new(&f, c);
-                let src: Vec<Symbol> = (0..17).map(|_| rng.symbol(&f)).collect();
-                let mut xs = src.clone();
-                t.mul_slice(&mut xs);
-                for (x, got) in src.iter().zip(xs.iter()) {
-                    assert_eq!(*got, f.mul(c, *x), "m={m} c={c} x={x}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn mul_add_slice_is_fused_multiply_xor() {
-        let mut rng = Stream(0xACC0);
-        for m in [4u32, 8, 12] {
-            let f = GfField::new(m).unwrap();
-            for _ in 0..32 {
-                let c = rng.symbol(&f);
-                let t = MulTable::new(&f, c);
-                let len = 1 + (rng.next() % 19) as usize;
-                let src: Vec<Symbol> = (0..len).map(|_| rng.symbol(&f)).collect();
-                let base: Vec<Symbol> = (0..len).map(|_| rng.symbol(&f)).collect();
-                let mut acc = base.clone();
-                t.mul_add_slice(&src, &mut acc);
-                for i in 0..len {
-                    assert_eq!(acc[i], base[i] ^ f.mul(c, src[i]), "m={m} i={i}");
-                }
+                let src: Vec<Symbol> = (0..LANES).map(|_| rng.symbol(&f)).collect();
+                let via_swar: Vec<Symbol> = unpack8(t.swar_mul(pack8(&src))).collect();
+                let via_tables: Vec<Symbol> = src.iter().map(|&x| t.mul(x)).collect();
+                assert_eq!(via_swar, via_tables, "m={m} c={c}");
             }
         }
     }
@@ -472,7 +303,7 @@ mod tests {
     #[test]
     fn horner_step_matches_scalar_ladder() {
         let mut rng = Stream(0x4042);
-        for m in [4u32, 8, 10] {
+        for m in [4u32, 8, 10, 12, 16] {
             let f = GfField::new(m).unwrap();
             for _ in 0..32 {
                 let c = rng.symbol(&f);
@@ -504,30 +335,11 @@ mod tests {
                 t.horner_step(&mut expect, &coeff);
                 let mut acc_p: Vec<u64> = base.chunks_exact(LANES).map(pack8).collect();
                 let coeff_p: Vec<u64> = coeff.chunks_exact(LANES).map(pack8).collect();
-                t.horner_step_packed(&mut acc_p, &coeff_p);
-                let got: Vec<Symbol> = acc_p
-                    .iter()
-                    .flat_map(|&r| (0..LANES).map(move |i| ((r >> (8 * i)) & 0xff) as Symbol))
-                    .collect();
+                for (a, &c) in acc_p.iter_mut().zip(&coeff_p) {
+                    *a = t.horner_fold_packed(*a, c);
+                }
+                let got: Vec<Symbol> = acc_p.iter().flat_map(|&r| unpack8(r)).collect();
                 assert_eq!(got, expect, "m={m} c={c} words={words}");
-            }
-        }
-    }
-
-    #[test]
-    fn dot_product_matches_naive_fold() {
-        let mut rng = Stream(0xD07);
-        for m in [4u32, 8, 16] {
-            let f = GfField::new(m).unwrap();
-            for _ in 0..32 {
-                let len = (rng.next() % 16) as usize;
-                let a: Vec<Symbol> = (0..len).map(|_| rng.symbol(&f)).collect();
-                let b: Vec<Symbol> = (0..len).map(|_| rng.symbol(&f)).collect();
-                let naive = a
-                    .iter()
-                    .zip(b.iter())
-                    .fold(0 as Symbol, |s, (&x, &y)| s ^ f.mul(x, y));
-                assert_eq!(dot_product(&f, &a, &b), naive, "m={m} len={len}");
             }
         }
     }
@@ -537,12 +349,9 @@ mod tests {
         let f = GfField::new(8).unwrap();
         let zero = MulTable::new(&f, 0);
         let one = MulTable::new(&f, 1);
-        let src: Vec<Symbol> = f.elements().collect();
-        let mut xs = src.clone();
-        zero.mul_slice(&mut xs);
-        assert!(xs.iter().all(|&x| x == 0));
-        let mut ys = src.clone();
-        one.mul_slice(&mut ys);
-        assert_eq!(ys, src);
+        for x in f.elements() {
+            assert_eq!(zero.mul(x), 0);
+            assert_eq!(one.mul(x), x);
+        }
     }
 }

@@ -56,7 +56,7 @@ impl GfField {
     ///
     /// Returns [`GfError::UnsupportedWidth`] for bad `m`, or
     /// [`GfError::NotPrimitive`] if `poly` does not generate the field.
-    pub fn with_polynomial(m: u32, poly: u32) -> Result<Self, GfError> {
+    pub(crate) fn with_polynomial(m: u32, poly: u32) -> Result<Self, GfError> {
         if !(2..=16).contains(&m) {
             return Err(GfError::UnsupportedWidth { m });
         }
@@ -106,11 +106,6 @@ impl GfField {
     /// Order of the multiplicative group, `2^m − 1`.
     pub fn order(&self) -> u32 {
         self.size - 1
-    }
-
-    /// The primitive polynomial this field was built from.
-    pub fn primitive_polynomial(&self) -> u32 {
-        self.prim_poly
     }
 
     /// The primitive element `α` (the residue of `x`).
@@ -245,7 +240,7 @@ impl GfField {
     }
 
     /// Iterator over every element of the field, `0..2^m`.
-    pub fn elements(&self) -> impl Iterator<Item = Symbol> + '_ {
+    pub(crate) fn elements(&self) -> impl Iterator<Item = Symbol> + '_ {
         0..self.size as Symbol
     }
 }

@@ -1,17 +1,15 @@
 //! Polynomials over GF(2) as bit vectors: irreducibility and
-//! primitivity search.
+//! primitivity search, compiled for tests only.
 //!
 //! [`crate::primitive`] carries one conventional primitive polynomial per
-//! width; this module can *derive* them — enumerate candidates, test
+//! width; this module *derives* them — enumerate candidates, test
 //! irreducibility by trial division, and test primitivity by element
-//! order — so the table is verifiable from first principles (and users
-//! can build fields from any primitive polynomial they prefer, e.g. to
-//! match existing hardware).
+//! order — so the tests below check the table from first principles.
 
 use crate::primitive::is_primitive;
 
 /// Degree of a GF(2) polynomial given as a bit mask (`None` for zero).
-pub fn degree(poly: u64) -> Option<u32> {
+fn degree(poly: u64) -> Option<u32> {
     if poly == 0 {
         None
     } else {
@@ -20,7 +18,7 @@ pub fn degree(poly: u64) -> Option<u32> {
 }
 
 /// Carry-less product of two GF(2) polynomials.
-pub fn multiply(a: u64, b: u64) -> u64 {
+fn multiply(a: u64, b: u64) -> u64 {
     let mut acc = 0u64;
     let mut a = a;
     let mut b = b;
@@ -39,7 +37,7 @@ pub fn multiply(a: u64, b: u64) -> u64 {
 /// # Panics
 ///
 /// Panics if `b == 0`.
-pub fn remainder(a: u64, b: u64) -> u64 {
+fn remainder(a: u64, b: u64) -> u64 {
     let db = degree(b).expect("division by zero polynomial");
     let mut r = a;
     while let Some(dr) = degree(r) {
@@ -56,7 +54,7 @@ pub fn remainder(a: u64, b: u64) -> u64 {
 ///
 /// Intended for the code-parameter range (degree ≤ 16), where the scan
 /// is instant.
-pub fn is_irreducible(poly: u64) -> bool {
+fn is_irreducible(poly: u64) -> bool {
     let Some(d) = degree(poly) else {
         return false;
     };
@@ -78,14 +76,7 @@ pub fn is_irreducible(poly: u64) -> bool {
 
 /// Enumerates every primitive polynomial of degree `m` (for GF(2^m)),
 /// in increasing numeric order.
-///
-/// # Examples
-///
-/// ```
-/// let all4 = rsmem_gf::gf2::primitive_polynomials(4);
-/// assert_eq!(all4, vec![0x13, 0x19]); // x^4+x+1 and x^4+x^3+1
-/// ```
-pub fn primitive_polynomials(m: u32) -> Vec<u32> {
+fn primitive_polynomials(m: u32) -> Vec<u32> {
     if !(2..=16).contains(&m) {
         return Vec::new();
     }
@@ -95,7 +86,7 @@ pub fn primitive_polynomials(m: u32) -> Vec<u32> {
 }
 
 /// The smallest primitive polynomial of degree `m`, found by search.
-pub fn smallest_primitive(m: u32) -> Option<u32> {
+fn smallest_primitive(m: u32) -> Option<u32> {
     primitive_polynomials(m).into_iter().next()
 }
 
@@ -145,6 +136,7 @@ mod tests {
 
     #[test]
     fn every_primitive_is_irreducible_but_not_conversely() {
+        assert_eq!(primitive_polynomials(4), vec![0x13, 0x19]); // x^4+x+1 and x^4+x^3+1
         for &p in &primitive_polynomials(4) {
             assert!(is_irreducible(p as u64));
         }

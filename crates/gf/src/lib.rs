@@ -11,8 +11,8 @@
 //!   multiplication, Euclidean division, evaluation, formal derivatives
 //!   and the partial extended Euclidean algorithm used by the Sugiyama
 //!   decoder.
-//! * [`interp`] — Lagrange interpolation, used for erasure-only recovery
-//!   and as an independent oracle in tests.
+//! * [`bulk`] — per-constant multiply tables and the Horner ladder steps
+//!   behind `rsmem-code`'s batched syndromes.
 //!
 //! # Examples
 //!
@@ -39,8 +39,8 @@
 pub mod bulk;
 mod error;
 mod field;
-pub mod gf2;
-pub mod interp;
+#[cfg(test)]
+mod gf2;
 mod poly;
 pub mod primitive;
 

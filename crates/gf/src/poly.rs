@@ -97,7 +97,7 @@ impl Poly {
     }
 
     /// Leading coefficient (`None` for the zero polynomial).
-    pub fn leading_coeff(&self) -> Option<Symbol> {
+    fn leading_coeff(&self) -> Option<Symbol> {
         self.coeffs.last().copied()
     }
 

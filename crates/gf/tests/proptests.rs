@@ -1,7 +1,7 @@
 //! Property-based tests for GF(2^m) field axioms and polynomial algebra.
 
 use proptest::prelude::*;
-use rsmem_gf::{interp, GfField, Poly, Symbol};
+use rsmem_gf::{GfField, Poly, Symbol};
 
 fn field_m() -> impl Strategy<Value = u32> {
     // Keep the exhaustive-ish properties cheap: small-to-medium widths.
@@ -108,16 +108,6 @@ proptest! {
         prop_assert_eq!(a.mul(&b, &f).eval(&f, x), f.mul(a.eval(&f, x), b.eval(&f, x)));
     }
 
-    #[test]
-    fn interpolation_roundtrip(coeffs_raw in prop::collection::vec(0u32..256, 1..8)) {
-        let f = GfField::new(8).unwrap();
-        let p = Poly::from_coeffs(coeffs_raw.iter().map(|&v| v as Symbol));
-        let npts = coeffs_raw.len();
-        let pts: Vec<(Symbol, Symbol)> = (1..=npts as Symbol).map(|x| (x, p.eval(&f, x))).collect();
-        let q = interp::lagrange(&pts, &f).unwrap();
-        // q agrees with p on enough points to pin it down.
-        prop_assert_eq!(q, p);
-    }
 }
 
 #[test]

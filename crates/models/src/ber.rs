@@ -95,22 +95,6 @@ pub fn ber_curve<M>(model: &M, times: &[Time]) -> Result<BerCurve, ModelError>
 where
     M: MemoryModel,
 {
-    ber_curve_with_options(model, times, &UniformizationOptions::default())
-}
-
-/// [`ber_curve`] with explicit solver options.
-///
-/// # Errors
-///
-/// See [`ber_curve`].
-pub fn ber_curve_with_options<M>(
-    model: &M,
-    times: &[Time],
-    opts: &UniformizationOptions,
-) -> Result<BerCurve, ModelError>
-where
-    M: MemoryModel,
-{
     for t in times {
         if !t.is_valid() {
             return Err(ModelError::InvalidTime);
@@ -122,7 +106,12 @@ where
     // Fail state is unreachable still runs the (empty) projected solve,
     // so solver errors surface as they would for any other model.
     let fail = space.index_of(&model.fail_state());
-    let grid = transient_grid_projected(&space, &days, fail.as_slice(), opts)?;
+    let grid = transient_grid_projected(
+        &space,
+        &days,
+        fail.as_slice(),
+        &UniformizationOptions::default(),
+    )?;
     let prefactor = model.code_params().ber_prefactor();
     let fail_probability: Vec<f64> = grid
         .iter()

@@ -87,11 +87,6 @@ impl CorrectionCapability {
     pub fn max_random_errors(&self) -> usize {
         self.budget / 2
     }
-
-    /// Maximum erasures correctable with no random errors present.
-    pub fn max_erasures(&self) -> usize {
-        self.budget + self.masked_erasures
-    }
 }
 
 /// The code parameters a memory model is built around.
@@ -322,7 +317,7 @@ impl CodeParams {
     }
 
     /// Paper Eq. (1) prefactor, `m·(n−k)/k`.
-    pub fn ber_prefactor(&self) -> f64 {
+    pub(crate) fn ber_prefactor(&self) -> f64 {
         self.m as f64 * self.redundancy() as f64 / self.k as f64
     }
 }
@@ -415,14 +410,6 @@ impl FaultRates {
         FaultRates {
             seu,
             erasure: ErasureRate::default(),
-        }
-    }
-
-    /// Permanent-only environment (paper Figs. 8–10).
-    pub fn permanent_only(erasure: ErasureRate) -> Self {
-        FaultRates {
-            seu: SeuRate::default(),
-            erasure,
         }
     }
 
@@ -568,7 +555,6 @@ mod tests {
         assert_eq!(cap.budget, 7);
         assert_eq!(cap.masked_erasures, 1);
         assert_eq!(cap.max_random_errors(), 3);
-        assert_eq!(cap.max_erasures(), 8);
         assert!(c.within_capability(8, 0)); // one erasure is free
         assert!(!c.within_capability(9, 0));
         assert!(c.within_capability(1, 3)); // masked erasure + t errors

@@ -149,7 +149,7 @@ impl DuplexModel {
     }
 
     /// Is a counted configuration operational under the fail criterion?
-    pub fn is_operational(&self, x: u16, b: u16, e1: u16, e2: u16, ec: u16) -> bool {
+    fn is_operational(&self, x: u16, b: u16, e1: u16, e2: u16, ec: u16) -> bool {
         let cap = self.code.capability();
         let word1 = cap.admits(x as usize, b as usize + ec as usize + e1 as usize);
         let word2 = cap.admits(x as usize, b as usize + ec as usize + e2 as usize);

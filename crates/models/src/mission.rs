@@ -53,8 +53,6 @@ fn superset_rates() -> FaultRates {
 
 /// A piecewise-constant mission profile for a **simplex** memory word.
 ///
-/// The duplex counterpart is [`DuplexMission`].
-///
 /// # Examples
 ///
 /// ```
@@ -116,16 +114,6 @@ impl SimplexMission {
         })
     }
 
-    /// The phases.
-    pub fn phases(&self) -> &[MissionPhase] {
-        &self.phases
-    }
-
-    /// Total mission duration.
-    pub fn total_duration(&self) -> Time {
-        Time::from_days(self.phases.iter().map(|p| p.duration.as_days()).sum())
-    }
-
     /// The fail-state probability at the end of the last phase.
     ///
     /// # Errors
@@ -160,113 +148,6 @@ impl SimplexMission {
             .map(|ph| {
                 (
                     SimplexModel::new(self.code, ph.rates, self.scrub),
-                    ph.duration,
-                )
-            })
-            .collect();
-        phase_fail_probabilities(&probe, &phases)
-    }
-}
-
-/// A piecewise-constant mission profile for the paper's **duplex**
-/// arrangement — see [`SimplexMission`] for the composition semantics.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DuplexMission {
-    code: CodeParams,
-    scrub: Scrubbing,
-    options: crate::DuplexOptions,
-    phases: Vec<MissionPhase>,
-}
-
-impl DuplexMission {
-    /// Builds a duplex mission profile with default
-    /// [`crate::DuplexOptions`].
-    ///
-    /// # Errors
-    ///
-    /// See [`SimplexMission::new`].
-    pub fn new(
-        code: CodeParams,
-        scrub: Scrubbing,
-        phases: Vec<MissionPhase>,
-    ) -> Result<Self, ModelError> {
-        Self::with_options(code, scrub, crate::DuplexOptions::default(), phases)
-    }
-
-    /// Builds a duplex mission profile with explicit options.
-    ///
-    /// # Errors
-    ///
-    /// See [`SimplexMission::new`].
-    pub fn with_options(
-        code: CodeParams,
-        scrub: Scrubbing,
-        options: crate::DuplexOptions,
-        phases: Vec<MissionPhase>,
-    ) -> Result<Self, ModelError> {
-        if phases.is_empty() {
-            return Err(ModelError::InvalidTime);
-        }
-        scrub.validate()?;
-        for phase in &phases {
-            phase.rates.validate()?;
-            if !phase.duration.is_valid() {
-                return Err(ModelError::InvalidTime);
-            }
-        }
-        Ok(DuplexMission {
-            code,
-            scrub,
-            options,
-            phases,
-        })
-    }
-
-    /// The phases.
-    pub fn phases(&self) -> &[MissionPhase] {
-        &self.phases
-    }
-
-    /// Total mission duration.
-    pub fn total_duration(&self) -> Time {
-        Time::from_days(self.phases.iter().map(|p| p.duration.as_days()).sum())
-    }
-
-    /// The fail-state probability at the end of the last phase.
-    ///
-    /// # Errors
-    ///
-    /// Wrapped solver errors.
-    pub fn fail_probability_at_end(&self) -> Result<f64, ModelError> {
-        Ok(*self
-            .fail_probability_after_each_phase()?
-            .last()
-            .expect("at least one phase"))
-    }
-
-    /// `BER` (paper Eq. 1) at mission end.
-    ///
-    /// # Errors
-    ///
-    /// Wrapped solver errors.
-    pub fn ber_at_end(&self) -> Result<f64, ModelError> {
-        Ok(self.code.ber_prefactor() * self.fail_probability_at_end()?)
-    }
-
-    /// The fail probability after each phase boundary, in order.
-    ///
-    /// # Errors
-    ///
-    /// Wrapped solver errors.
-    pub fn fail_probability_after_each_phase(&self) -> Result<Vec<f64>, ModelError> {
-        let probe =
-            crate::DuplexModel::with_options(self.code, superset_rates(), self.scrub, self.options);
-        let phases: Vec<(crate::DuplexModel, Time)> = self
-            .phases
-            .iter()
-            .map(|ph| {
-                (
-                    crate::DuplexModel::with_options(self.code, ph.rates, self.scrub, self.options),
                     ph.duration,
                 )
             })
@@ -408,54 +289,6 @@ mod tests {
         let steps = mission.fail_probability_after_each_phase().unwrap();
         assert_eq!(steps.len(), 3);
         assert!(steps[0] < steps[1] && steps[1] < steps[2]);
-        assert!((mission.total_duration().as_hours() - 30.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn duplex_mission_matches_constant_rate_model() {
-        let phase = MissionPhase {
-            duration: Time::from_hours(48.0),
-            rates: flare(),
-        };
-        let mission =
-            DuplexMission::new(CodeParams::rs18_16(), Scrubbing::None, vec![phase]).unwrap();
-        let model = crate::DuplexModel::new(CodeParams::rs18_16(), flare(), Scrubbing::None);
-        let constant = ber::ber_curve(&model, &[Time::from_hours(48.0)]).unwrap();
-        let p = mission.fail_probability_at_end().unwrap();
-        let rel = (p - constant.fail_probability[0]).abs() / constant.fail_probability[0];
-        assert!(rel < 1e-9, "{p} vs {}", constant.fail_probability[0]);
-    }
-
-    #[test]
-    fn duplex_mission_flare_ordering_holds() {
-        let calm = DuplexMission::new(
-            CodeParams::rs18_16(),
-            Scrubbing::None,
-            vec![MissionPhase {
-                duration: Time::from_hours(48.0),
-                rates: quiet(),
-            }],
-        )
-        .unwrap();
-        let stormy = DuplexMission::new(
-            CodeParams::rs18_16(),
-            Scrubbing::None,
-            vec![
-                MissionPhase {
-                    duration: Time::from_hours(42.0),
-                    rates: quiet(),
-                },
-                MissionPhase {
-                    duration: Time::from_hours(6.0),
-                    rates: flare(),
-                },
-            ],
-        )
-        .unwrap();
-        assert!(
-            stormy.fail_probability_at_end().unwrap() > calm.fail_probability_at_end().unwrap()
-        );
-        assert!(DuplexMission::new(CodeParams::rs18_16(), Scrubbing::None, vec![]).is_err());
     }
 
     #[test]

@@ -11,11 +11,11 @@
 use std::fmt;
 
 /// Hours per day.
-pub const HOURS_PER_DAY: f64 = 24.0;
+const HOURS_PER_DAY: f64 = 24.0;
 /// Seconds per day.
-pub const SECONDS_PER_DAY: f64 = 86_400.0;
+const SECONDS_PER_DAY: f64 = 86_400.0;
 /// Days per month (mean Gregorian month, 365.25/12).
-pub const DAYS_PER_MONTH: f64 = 365.25 / 12.0;
+const DAYS_PER_MONTH: f64 = 365.25 / 12.0;
 
 /// A point in (or span of) time, stored in days.
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
@@ -76,7 +76,7 @@ impl Time {
     }
 
     /// True for a finite, non-negative time.
-    pub fn is_valid(self) -> bool {
+    pub(crate) fn is_valid(self) -> bool {
         self.days.is_finite() && self.days >= 0.0
     }
 }
@@ -150,20 +150,13 @@ impl SeuRate {
         SeuRate { per_bit_day: rate }
     }
 
-    /// From errors per bit per hour.
-    pub fn per_bit_hour(rate: f64) -> Self {
-        SeuRate {
-            per_bit_day: rate * HOURS_PER_DAY,
-        }
-    }
-
     /// The value per bit per day.
     pub fn as_per_bit_day(self) -> f64 {
         self.per_bit_day
     }
 
     /// True for a finite, non-negative rate.
-    pub fn is_valid(self) -> bool {
+    pub(crate) fn is_valid(self) -> bool {
         self.per_bit_day.is_finite() && self.per_bit_day >= 0.0
     }
 }
@@ -188,7 +181,7 @@ impl ErasureRate {
     }
 
     /// True for a finite, non-negative rate.
-    pub fn is_valid(self) -> bool {
+    pub(crate) fn is_valid(self) -> bool {
         self.per_symbol_day.is_finite() && self.per_symbol_day >= 0.0
     }
 }
@@ -233,8 +226,6 @@ mod tests {
 
     #[test]
     fn rate_conversions() {
-        let r = SeuRate::per_bit_hour(1.0);
-        assert!((r.as_per_bit_day() - 24.0).abs() < 1e-12);
         assert!(SeuRate::per_bit_day(1.7e-5).is_valid());
         assert!(!SeuRate::per_bit_day(f64::NAN).is_valid());
         assert!(!SeuRate::per_bit_day(-1.0).is_valid());

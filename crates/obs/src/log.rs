@@ -192,7 +192,7 @@ pub fn set_sink(sink: Sink) {
 }
 
 /// True when any logging configuration is active.
-pub fn is_configured() -> bool {
+pub(crate) fn is_configured() -> bool {
     MAX_LEVEL.load(Ordering::Relaxed) != 0
 }
 

@@ -112,11 +112,6 @@ impl Gauge {
         self.0.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Subtracts one.
-    pub fn dec(&self) {
-        self.0.fetch_sub(1, Ordering::Relaxed);
-    }
-
     /// Overwrites the value.
     pub fn set(&self, value: i64) {
         self.0.store(value, Ordering::Relaxed);
@@ -319,7 +314,7 @@ impl Histogram {
     /// after the first call with a given histogram, refreshing the same
     /// snapshot performs no heap allocation (the sampler's steady-state
     /// contract).
-    pub fn snapshot_into(&self, out: &mut HistogramSnapshot) {
+    pub(crate) fn snapshot_into(&self, out: &mut HistogramSnapshot) {
         let core = &*self.0;
         if out.bounds != core.bounds {
             out.bounds.clear();
@@ -399,11 +394,6 @@ impl Registry {
     /// `# TYPE` line even while empty (stable exposition from startup).
     pub fn declare_counter(&self, name: &str) {
         self.declare(name, Kind::Counter);
-    }
-
-    /// See [`Registry::declare_counter`].
-    pub fn declare_gauge(&self, name: &str) {
-        self.declare(name, Kind::Gauge);
     }
 
     /// See [`Registry::declare_counter`].
@@ -655,7 +645,7 @@ fn with_label(encoded: &str, key: &str, value: &str) -> String {
 }
 
 /// Escapes a label value: `\` → `\\`, `"` → `\"`, newline → `\n`.
-pub fn escape_label_value(value: &str) -> String {
+pub(crate) fn escape_label_value(value: &str) -> String {
     let mut out = String::with_capacity(value.len());
     for c in value.chars() {
         match c {
@@ -726,8 +716,6 @@ mod tests {
         assert_eq!(c.get(), 5);
         let g = r.gauge("depth", &[]);
         g.inc();
-        g.inc();
-        g.dec();
         assert_eq!(g.get(), 1);
         g.set(-3);
         assert_eq!(g.get(), -3);

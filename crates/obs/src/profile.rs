@@ -15,7 +15,7 @@
 //! ## Thread awareness
 //!
 //! The "current node" lives in a thread-local, exactly like trace IDs.
-//! Worker pools ([`Parallelism::map`], `run_sharded`) capture
+//! Worker pools (`rsmem::Parallelism::map`, `run_sharded`) capture
 //! [`current_node`] on the spawning thread and re-establish it inside
 //! each worker with [`attach_scope`], so spans opened on workers attach
 //! under the span that spawned them instead of dangling at the root.
@@ -37,7 +37,7 @@ use std::sync::{Mutex, MutexGuard};
 /// Upper bounds (µs, inclusive) of the latency histogram buckets; one
 /// implicit `+Inf` bucket follows. Spans here range from a single
 /// `decode` (~µs) to a whole figure regeneration (~s).
-pub const BOUNDS_US: [u64; 8] = [
+const BOUNDS_US: [u64; 8] = [
     10,
     100,
     1_000,

@@ -32,7 +32,7 @@
 //! offer an [`Exemplar`] — code parameters, trace id, the exact
 //! error/erasure pattern, syndromes, the back-ends' verdicts and a
 //! ready-to-paste reproduction. Exemplars are **reservoir-sampled per
-//! kind** ([`EXEMPLARS_PER_KIND`]), so the steady-state cost of the
+//! kind** (eight of each), so the steady-state cost of the
 //! millionth detected failure is O(1) — bump a counter, draw one
 //! pseudo-random number, usually build nothing — while rare kinds
 //! (miscorrections, panics) can never be crowded out by common ones.
@@ -61,10 +61,10 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 pub const SCHEMA: &str = "rsmem-trace/1";
 
 /// Records each per-thread ring holds before overwriting the oldest.
-pub const RING_CAPACITY: usize = 512;
+const RING_CAPACITY: usize = 512;
 
 /// Reservoir capacity per exemplar kind.
-pub const EXEMPLARS_PER_KIND: usize = 8;
+const EXEMPLARS_PER_KIND: usize = 8;
 
 /// Payload words per record (kind/ids pack, timestamp, trace, a, b).
 const WORDS: usize = 5;
@@ -335,7 +335,7 @@ fn with_ring(f: impl FnOnce(&Ring)) {
 // -------------------------------------------------------------------- hooks
 
 /// Records a span opening. No-op (one relaxed load) when disabled.
-pub fn record_span_open(target: &'static str, name: &'static str) {
+pub(crate) fn record_span_open(target: &'static str, name: &'static str) {
     if !enabled() {
         return;
     }
@@ -344,7 +344,7 @@ pub fn record_span_open(target: &'static str, name: &'static str) {
 }
 
 /// Records a span closing with its measured wall time.
-pub fn record_span_close(target: &'static str, name: &'static str, elapsed_us: u64) {
+pub(crate) fn record_span_close(target: &'static str, name: &'static str, elapsed_us: u64) {
     if !enabled() {
         return;
     }

@@ -45,7 +45,7 @@ pub const SCHEMA: &str = "rsmem-metrics/1";
 pub const DEFAULT_CAPACITY: usize = 256;
 
 /// Default sampling interval of the [`global`] sampler.
-pub const DEFAULT_INTERVAL: Duration = Duration::from_secs(1);
+const DEFAULT_INTERVAL: Duration = Duration::from_secs(1);
 
 /// Where a tracked series reads its value from.
 pub enum Source {
@@ -240,7 +240,7 @@ impl Sampler {
     /// The histogram handle tracked under `name`, if any — so the
     /// watchdog can link a latency breach to that histogram's
     /// trace-carrying exemplar.
-    pub fn histogram_handle(&self, name: &str) -> Option<Histogram> {
+    pub(crate) fn histogram_handle(&self, name: &str) -> Option<Histogram> {
         let inner = self.inner.lock().expect("sampler lock");
         inner.sources.iter().find_map(|(n, s)| match s {
             Source::Histogram(h) if n == name => Some(h.clone()),
@@ -319,7 +319,7 @@ impl Sampler {
     /// Per-second rate of scalar series `name` over the last `window`
     /// frames (newest minus oldest, divided by the elapsed time).
     /// `None` without at least two frames or a matching scalar series.
-    pub fn window_rate(&self, name: &str, window: usize) -> Option<f64> {
+    pub(crate) fn window_rate(&self, name: &str, window: usize) -> Option<f64> {
         let frames = self.window(window.max(2));
         let first = frames.first()?;
         let last = frames.last()?;
@@ -333,7 +333,7 @@ impl Sampler {
     /// The distribution histogram `name` observed *within* the last
     /// `window` frames (newest snapshot minus oldest). With a single
     /// frame, the cumulative distribution up to that frame.
-    pub fn window_histogram(&self, name: &str, window: usize) -> Option<HistogramSnapshot> {
+    pub(crate) fn window_histogram(&self, name: &str, window: usize) -> Option<HistogramSnapshot> {
         let frames = self.window(window.max(1));
         let last = frames.last()?.histogram(name)?;
         if frames.len() < 2 {
@@ -341,13 +341,6 @@ impl Sampler {
         }
         let first = frames.first()?.histogram(name)?;
         Some(last.delta(first))
-    }
-
-    /// `q`-quantile of histogram `name` over the last `window` frames;
-    /// see [`Sampler::window_histogram`] and
-    /// [`HistogramSnapshot::quantile`].
-    pub fn window_quantile(&self, name: &str, q: f64, window: usize) -> Option<f64> {
-        self.window_histogram(name, window)?.quantile(q)
     }
 
     /// The full ring as one canonical-JSON `rsmem-metrics/1` document:
@@ -369,7 +362,7 @@ impl Sampler {
 
     /// The newest frame as one canonical-JSON `rsmem-metrics/1` frame,
     /// with rates derived against the frame before it.
-    pub fn latest_json(&self) -> Option<Value> {
+    pub(crate) fn latest_json(&self) -> Option<Value> {
         let frames = self.window(2);
         let frame = frames.last()?;
         let previous = if frames.len() == 2 {
@@ -649,7 +642,11 @@ mod tests {
         }
         sampler.maybe_sample();
         // Cumulative p99 mixes both; the windowed delta isolates the burst.
-        let windowed = sampler.window_quantile("lat", 0.5, 2).unwrap();
+        let windowed = sampler
+            .window_histogram("lat", 2)
+            .unwrap()
+            .quantile(0.5)
+            .unwrap();
         assert!(
             (100.0..=1000.0).contains(&windowed),
             "window median {windowed} should sit in the burst bucket"

@@ -15,13 +15,13 @@ use rsmem::units::{ErasureRate, SeuRate, Time, TimeGrid};
 use rsmem::{CodeFamily, CodeParams, FaultRates, MemorySystem, Scrubbing};
 
 /// Maximum number of grid points a single request may ask for.
-pub const MAX_POINTS: usize = 10_001;
+const MAX_POINTS: usize = 10_001;
 
 /// Default mission horizon when the request gives none.
-pub const DEFAULT_HORIZON_HOURS: f64 = 48.0;
+const DEFAULT_HORIZON_HOURS: f64 = 48.0;
 
 /// Default number of grid points.
-pub const DEFAULT_POINTS: usize = 25;
+const DEFAULT_POINTS: usize = 25;
 
 /// A validated, canonical analyze request.
 #[derive(Debug, Clone, PartialEq)]
@@ -184,7 +184,7 @@ impl AnalyzeRequest {
 
     /// The canonical config object — defaults filled, keys sorted by the
     /// JSON encoder. Its [`Value::encode`] string is the cache key.
-    pub fn canonical_config(&self) -> Value {
+    fn canonical_config(&self) -> Value {
         // `family` (and the interleave `depth` inside `code`) are
         // emitted only for non-RS families, so every pre-existing RS
         // cache key stays byte-identical.

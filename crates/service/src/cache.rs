@@ -136,11 +136,6 @@ impl<V: Clone> SingleFlightCache<V> {
             .count()
     }
 
-    /// True when no completed entries are cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// A snapshot of the counters.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
@@ -295,7 +290,7 @@ mod tests {
         let cache: SingleFlightCache<u32> = SingleFlightCache::new(4);
         let (result, _) = cache.get_or_compute("k", || Err("boom".to_owned()));
         assert_eq!(result.unwrap_err(), "boom");
-        assert!(cache.is_empty());
+        assert_eq!(cache.len(), 0);
         let (result, outcome) = cache.get_or_compute("k", || Ok(1));
         assert_eq!((result.unwrap(), outcome), (1, Outcome::Miss));
     }
@@ -319,7 +314,7 @@ mod tests {
         let cache: SingleFlightCache<u32> = SingleFlightCache::new(0);
         assert_eq!(cache.get_or_compute("k", || Ok(1)).1, Outcome::Miss);
         assert_eq!(cache.get_or_compute("k", || Ok(2)).1, Outcome::Miss);
-        assert!(cache.is_empty());
+        assert_eq!(cache.len(), 0);
     }
 
     #[test]

@@ -9,9 +9,9 @@
 use std::io::{self, BufRead, Write};
 
 /// Maximum accepted size of the request line + headers.
-pub const MAX_HEAD_BYTES: usize = 16 * 1024;
+const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// Maximum accepted `Content-Length`.
-pub const MAX_BODY_BYTES: usize = 1024 * 1024;
+const MAX_BODY_BYTES: usize = 1024 * 1024;
 
 /// A parsed request.
 #[derive(Debug, Clone, PartialEq)]

@@ -2,9 +2,9 @@
 //!
 //! A long-running HTTP service over the `rsmem` toolkit, built entirely
 //! on `std` (the workspace builds offline): hand-rolled HTTP/1.1
-//! ([`http`]), a small canonical JSON codec ([`json`]), a bounded LRU
-//! result cache with single-flight deduplication ([`cache`]), and a
-//! plain-text metrics registry ([`metrics`]).
+//! (`http`), a small canonical JSON codec ([`json`]), a bounded LRU
+//! result cache with single-flight deduplication (`cache`), and a
+//! plain-text metrics registry (`metrics`).
 //!
 //! ## Endpoints
 //!
@@ -49,11 +49,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod analyze;
-pub mod cache;
-pub mod http;
+mod analyze;
+mod cache;
+mod http;
 pub mod json;
-pub mod metrics;
+mod metrics;
 
 use analyze::AnalyzeRequest;
 use cache::{Outcome, SingleFlightCache};

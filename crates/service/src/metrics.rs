@@ -17,7 +17,7 @@ use std::time::{Duration, Instant};
 
 /// Upper bounds of the latency histogram buckets, in microseconds. The
 /// last implicit bucket is `+Inf`.
-pub const LATENCY_BUCKETS_US: [u64; 7] = [100, 500, 1_000, 5_000, 25_000, 100_000, 1_000_000];
+const LATENCY_BUCKETS_US: [u64; 7] = [100, 500, 1_000, 5_000, 25_000, 100_000, 1_000_000];
 
 /// The service's metrics registry. One instance is shared by every
 /// worker; updates are atomic handle operations, with a short registry
@@ -134,14 +134,10 @@ impl Metrics {
         self.shed.inc();
     }
 
-    /// Connections shed so far.
-    pub fn shed(&self) -> u64 {
-        self.shed.get()
-    }
-
     /// Total requests recorded for `endpoint` with `status`. A
     /// read-only query: never creates the series.
-    pub fn request_count(&self, endpoint: &'static str, status: u16) -> u64 {
+    #[cfg(test)]
+    fn request_count(&self, endpoint: &'static str, status: u16) -> u64 {
         let status_text = status.to_string();
         self.registry
             .find_counter(

@@ -6,6 +6,7 @@
 use rsmem::units::{SeuRate, Time, TimeGrid};
 use rsmem::{CodeParams, MemorySystem, Scrubbing};
 use rsmem_service::{Server, ServiceConfig};
+use std::collections::BTreeSet;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -449,20 +450,46 @@ fn trace_id_flows_from_header_through_solve_into_events_and_metrics() {
     }
 
     // The cache-miss solve also published solver-level series that the
-    // service's /metrics renders next to its HTTP series.
+    // service's /metrics renders next to its HTTP series. The families
+    // are pinned exactly: a new series needs a line here.
     let (_, _, metrics) = get(addr, "/metrics");
     assert!(
         metric(&metrics, "rsmem_solver_uniformization_solves_total") >= 1,
         "{metrics}"
     );
-    for family in [
-        "# TYPE rsmem_solver_uniformization_terms histogram",
-        "# TYPE rsmem_solver_decode_total counter",
-        "# TYPE rsmem_solver_mc_shards_total counter",
-        "# TYPE rsmem_arbiter_decisions_total counter",
-    ] {
-        assert!(metrics.contains(family), "{family} missing in:\n{metrics}");
-    }
+    let families: BTreeSet<&str> = metrics
+        .lines()
+        .filter_map(|line| line.strip_prefix("# TYPE "))
+        .collect();
+    let expected: BTreeSet<&str> = [
+        "rsmem_arbiter_decisions_total counter",
+        "rsmem_build_info gauge",
+        "rsmem_bulk_words_total counter",
+        "rsmem_cache_capacity gauge",
+        "rsmem_cache_entries gauge",
+        "rsmem_cache_evictions_total counter",
+        "rsmem_cache_hits_total counter",
+        "rsmem_cache_misses_total counter",
+        "rsmem_cache_singleflight_shared_total counter",
+        "rsmem_connections_shed_total counter",
+        "rsmem_decode_outcomes_total counter",
+        "rsmem_profile_span_us summary",
+        "rsmem_request_duration_us histogram",
+        "rsmem_requests_inflight gauge",
+        "rsmem_requests_total counter",
+        "rsmem_slo_breaches_total counter",
+        "rsmem_solver_decode_outcomes_total counter",
+        "rsmem_solver_decode_total counter",
+        "rsmem_solver_mc_outcomes_total counter",
+        "rsmem_solver_mc_shards_total counter",
+        "rsmem_solver_mc_trials_total counter",
+        "rsmem_solver_uniformization_solves_total counter",
+        "rsmem_solver_uniformization_terms histogram",
+        "rsmem_uptime_seconds gauge",
+    ]
+    .into_iter()
+    .collect();
+    assert_eq!(families, expected, "{metrics}");
     server.shutdown();
 }
 

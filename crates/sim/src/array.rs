@@ -18,10 +18,10 @@
 //! The `ablation_mbu` bench and integration tests quantify both.
 
 use crate::arbiter::{combine, mask, verdict_of, MaskedPair};
-use crate::events::{sample_exponential, skip_idle_ticks};
+use crate::events::{sample_exponential, schedule_scrub, skip_idle_ticks};
 use crate::memory::MemoryModule;
 use crate::runner::wilson_interval;
-use crate::{ScrubTiming, SimConfig, SimError};
+use crate::{SimConfig, SimError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rsmem_code::{BatchDecoder, BatchOutcome, DecodeOpts, Interleaver, RsCode, Symbol};
@@ -168,6 +168,15 @@ impl Array {
         let bit = (physical_bit % self.m_bits as u64) as u32;
         let (module, sym) = self.locate(symbol);
         self.change(module, |m| m.flip_bit(sym, bit));
+    }
+
+    /// One SEU event: flips a burst of `width` physically contiguous bits
+    /// from a random start, clamped at the array end.
+    fn upset<R: Rng + ?Sized>(&mut self, rng: &mut R, width: u32) {
+        let start = rng.gen_range(0..self.bits());
+        for b in start..(start + width as u64).min(self.bits()) {
+            self.flip_physical_bit(b);
+        }
     }
 
     /// Sticks one physical symbol at `value` (a permanent fault).
@@ -349,15 +358,7 @@ impl Campaign {
                 break;
             }
             if next == t_seu {
-                // One SEU event: flip a contiguous physical burst.
-                let start = rng.gen_range(0..array.bits());
-                for offset in 0..config.mbu_width_bits as u64 {
-                    let b = start + offset;
-                    if b >= array.bits() {
-                        break;
-                    }
-                    array.flip_physical_bit(b);
-                }
+                array.upset(rng, config.mbu_width_bits);
                 t_seu += sample_exponential(rng, seu_rate);
             } else if next == t_perm {
                 let symbol = rng.gen_range(0..array.symbols());
@@ -366,13 +367,7 @@ impl Campaign {
                 t_perm += sample_exponential(rng, perm_rate);
             } else {
                 scrub_simplex_array(code, array, batch);
-                t_scrub += match config.base.scrub {
-                    None => f64::INFINITY,
-                    Some((period, ScrubTiming::Periodic)) => period,
-                    Some((period, ScrubTiming::Exponential)) => {
-                        sample_exponential(rng, 1.0 / period)
-                    }
-                };
+                t_scrub = schedule_scrub(rng, t_scrub, config.base.scrub);
                 // Every scrub leaves the whole array clean.
                 t_scrub =
                     skip_idle_ticks(t_scrub, config.base.scrub, t_seu.min(t_perm).min(horizon));
@@ -444,13 +439,7 @@ impl Campaign {
             }
             if best == t_scrub {
                 let all_clean = scrub_duplex_arrays(code, replicas, batch);
-                t_scrub += match config.base.scrub {
-                    None => f64::INFINITY,
-                    Some((period, ScrubTiming::Periodic)) => period,
-                    Some((period, ScrubTiming::Exponential)) => {
-                        sample_exponential(rng, 1.0 / period)
-                    }
-                };
+                t_scrub = schedule_scrub(rng, t_scrub, config.base.scrub);
                 if all_clean {
                     let until = t_seu.into_iter().chain(t_perm).fold(horizon, f64::min);
                     t_scrub = skip_idle_ticks(t_scrub, config.base.scrub, until);
@@ -459,14 +448,7 @@ impl Campaign {
             }
             for r in 0..2 {
                 if best == t_seu[r] {
-                    let start = rng.gen_range(0..replicas[r].bits());
-                    for offset in 0..config.mbu_width_bits as u64 {
-                        let b = start + offset;
-                        if b >= replicas[r].bits() {
-                            break;
-                        }
-                        replicas[r].flip_physical_bit(b);
-                    }
+                    replicas[r].upset(rng, config.mbu_width_bits);
                     t_seu[r] += sample_exponential(rng, seu_rate);
                     break;
                 }
@@ -667,6 +649,7 @@ fn scrub_simplex_array(code: &RsCode, array: &mut Array, batch: &mut Batch) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ScrubTiming;
     use rsmem_codes::MemoryCode;
 
     fn base(seu: f64) -> SimConfig {

@@ -1,102 +1,12 @@
-//! Time-ordered event queue and Poisson event streams.
+//! Event timing shared by the word and array simulators: exponential
+//! inter-arrival draws, scrub scheduling and idle-tick skipping.
 
 use crate::config::ScrubTiming;
 use rand::Rng;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-
-/// A scheduled simulation event.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Scheduled<E> {
-    /// Absolute event time in days.
-    pub time: f64,
-    /// The event payload.
-    pub event: E,
-}
-
-impl<E: PartialEq> Eq for Scheduled<E> {}
-
-impl<E: PartialEq> PartialOrd for Scheduled<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E: PartialEq> Ord for Scheduled<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse order so the BinaryHeap pops the *earliest* event.
-        // Event times are always finite by construction.
-        other
-            .time
-            .partial_cmp(&self.time)
-            .expect("event times are finite")
-    }
-}
-
-/// A min-heap event queue keyed by event time.
-///
-/// # Examples
-///
-/// ```
-/// use rsmem_sim::events::EventQueue;
-/// let mut q = EventQueue::new();
-/// q.schedule(2.0, "late");
-/// q.schedule(1.0, "early");
-/// assert_eq!(q.pop().map(|s| s.event), Some("early"));
-/// ```
-#[derive(Debug, Clone)]
-pub struct EventQueue<E: PartialEq> {
-    heap: BinaryHeap<Scheduled<E>>,
-}
-
-impl<E: PartialEq> EventQueue<E> {
-    /// An empty queue.
-    pub fn new() -> Self {
-        EventQueue {
-            heap: BinaryHeap::new(),
-        }
-    }
-
-    /// Schedules `event` at absolute `time` (days).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time` is not finite.
-    pub fn schedule(&mut self, time: f64, event: E) {
-        assert!(time.is_finite(), "event time must be finite");
-        self.heap.push(Scheduled { time, event });
-    }
-
-    /// Removes and returns the earliest event.
-    pub fn pop(&mut self) -> Option<Scheduled<E>> {
-        self.heap.pop()
-    }
-
-    /// Time of the next event without removing it.
-    pub fn peek_time(&self) -> Option<f64> {
-        self.heap.peek().map(|s| s.time)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
-impl<E: PartialEq> Default for EventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
 
 /// Samples an exponential inter-arrival time with the given rate
 /// (events per day). Returns `f64::INFINITY` for rate 0.
-pub fn sample_exponential<R: Rng + ?Sized>(rng: &mut R, rate_per_day: f64) -> f64 {
+pub(crate) fn sample_exponential<R: Rng + ?Sized>(rng: &mut R, rate_per_day: f64) -> f64 {
     debug_assert!(rate_per_day >= 0.0);
     if rate_per_day == 0.0 {
         return f64::INFINITY;
@@ -105,6 +15,21 @@ pub fn sample_exponential<R: Rng + ?Sized>(rng: &mut R, rate_per_day: f64) -> f6
     // use 1−u to exclude ln(0).
     let u: f64 = rng.gen::<f64>();
     -(1.0 - u).ln() / rate_per_day
+}
+
+/// The time of the scrub after one at `now`: `now + period` for a
+/// periodic clock, `now` plus an exponential draw of mean `period` for an
+/// exponential one, never for no scrubbing.
+pub(crate) fn schedule_scrub<R: Rng + ?Sized>(
+    rng: &mut R,
+    now: f64,
+    scrub: Option<(f64, ScrubTiming)>,
+) -> f64 {
+    match scrub {
+        None => f64::INFINITY,
+        Some((period, ScrubTiming::Periodic)) => now + period,
+        Some((period, ScrubTiming::Exponential)) => now + sample_exponential(rng, 1.0 / period),
+    }
 }
 
 /// Where a scrub clock stands after the idle ticks are skipped.
@@ -139,31 +64,6 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn queue_pops_in_time_order() {
-        let mut q = EventQueue::new();
-        q.schedule(3.0, 'c');
-        q.schedule(1.0, 'a');
-        q.schedule(2.0, 'b');
-        let order: Vec<char> = std::iter::from_fn(|| q.pop().map(|s| s.event)).collect();
-        assert_eq!(order, vec!['a', 'b', 'c']);
-    }
-
-    #[test]
-    fn peek_does_not_remove() {
-        let mut q = EventQueue::new();
-        q.schedule(5.0, 1u8);
-        assert_eq!(q.peek_time(), Some(5.0));
-        assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "finite")]
-    fn infinite_time_panics() {
-        let mut q = EventQueue::new();
-        q.schedule(f64::INFINITY, ());
-    }
 
     #[test]
     fn exponential_sample_mean_is_reciprocal_rate() {

@@ -4,7 +4,7 @@
 //! purely analytically (Markov models solved with SURE). This crate builds
 //! the system the models *describe* and runs it:
 //!
-//! * a [`MemoryModule`] stores an actual RS codeword; SEUs flip real bits
+//! * a memory module stores an actual RS codeword; SEUs flip real bits
 //!   and permanent faults stick real symbols (and are *located*, i.e.
 //!   reported as erasures, per the paper's self-checking assumption);
 //! * the duplex [`arbiter`] implements Section 3 of the paper verbatim on
@@ -51,7 +51,7 @@ pub mod arbiter;
 pub mod array;
 mod config;
 mod error;
-pub mod events;
+mod events;
 mod memory;
 pub mod metrics;
 pub mod miscorrection;
@@ -61,7 +61,6 @@ mod system;
 pub use array::{ArrayConfig, ArrayReport};
 pub use config::{ScrubTiming, SimConfig};
 pub use error::SimError;
-pub use memory::MemoryModule;
 pub use rsmem_models::CodeFamily;
 pub use runner::{MonteCarloReport, TrialOutcome};
 pub use system::{DuplexSim, SimplexSim};

@@ -16,7 +16,7 @@ use rsmem_gf::Symbol;
 /// that are all clean would reproduce their states exactly, and the
 /// simulators skip it.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MemoryModule {
+pub(crate) struct MemoryModule {
     stored: Vec<Symbol>,
     stuck: Vec<Option<Symbol>>,
     /// The stuck positions, ascending: the erasure list, kept up to date
@@ -28,7 +28,7 @@ pub struct MemoryModule {
 
 impl MemoryModule {
     /// Creates a module holding `codeword`, fault-free.
-    pub fn new(codeword: Vec<Symbol>, symbol_bits: u32) -> Self {
+    pub(crate) fn new(codeword: Vec<Symbol>, symbol_bits: u32) -> Self {
         let n = codeword.len();
         MemoryModule {
             stored: codeword,
@@ -45,7 +45,7 @@ impl MemoryModule {
     ///
     /// # Panics
     ///
-    /// Panics if `codeword.len() != self.len()`.
+    /// Panics if `codeword` is not as long as the stored word.
     pub(crate) fn reset(&mut self, codeword: &[Symbol]) {
         self.stored.copy_from_slice(codeword);
         self.stuck.fill(None);
@@ -53,35 +53,20 @@ impl MemoryModule {
         self.dirty = true;
     }
 
-    /// Number of symbols.
-    pub fn len(&self) -> usize {
-        self.stored.len()
-    }
-
-    /// True for a zero-length module (not produced in practice).
-    pub fn is_empty(&self) -> bool {
-        self.stored.is_empty()
-    }
-
     /// The currently stored word (faulty symbols read their stuck value).
-    pub fn read(&self) -> &[Symbol] {
+    pub(crate) fn read(&self) -> &[Symbol] {
         &self.stored
     }
 
     /// Positions currently known-faulty (the erasure set for decoding),
     /// ascending.
-    pub fn erasures(&self) -> Vec<usize> {
+    pub(crate) fn erasures(&self) -> Vec<usize> {
         self.erased.clone()
     }
 
     /// [`MemoryModule::erasures`], borrowed.
-    pub fn erased(&self) -> &[usize] {
+    pub(crate) fn erased(&self) -> &[usize] {
         &self.erased
-    }
-
-    /// True if `pos` holds a permanent fault.
-    pub fn is_stuck(&self, pos: usize) -> bool {
-        self.stuck[pos].is_some()
     }
 
     /// Injects an SEU: flips bit `bit` of symbol `pos`. A stuck symbol
@@ -90,7 +75,7 @@ impl MemoryModule {
     /// # Panics
     ///
     /// Panics if `pos` or `bit` is out of range.
-    pub fn flip_bit(&mut self, pos: usize, bit: u32) {
+    pub(crate) fn flip_bit(&mut self, pos: usize, bit: u32) {
         assert!(bit < self.symbol_bits, "bit index out of symbol width");
         if self.stuck[pos].is_some() {
             return;
@@ -106,7 +91,7 @@ impl MemoryModule {
     /// # Panics
     ///
     /// Panics if `pos` is out of range.
-    pub fn stick(&mut self, pos: usize, value: Symbol) {
+    pub(crate) fn stick(&mut self, pos: usize, value: Symbol) {
         if self.stuck[pos].is_none() {
             let at = self.erased.partition_point(|&p| p < pos);
             self.erased.insert(at, pos);
@@ -122,8 +107,8 @@ impl MemoryModule {
     ///
     /// # Panics
     ///
-    /// Panics if `word.len() != self.len()`.
-    pub fn write(&mut self, word: &[Symbol]) -> bool {
+    /// Panics if `word` is not as long as the stored word.
+    pub(crate) fn write(&mut self, word: &[Symbol]) -> bool {
         assert_eq!(word.len(), self.stored.len());
         let mut changed = false;
         for (i, &w) in word.iter().enumerate() {
@@ -171,7 +156,7 @@ mod tests {
         let m = module();
         assert_eq!(m.read(), &[0x10, 0x20, 0x30, 0x40]);
         assert!(m.erasures().is_empty());
-        assert_eq!(m.len(), 4);
+        assert_eq!(m.read().len(), 4);
     }
 
     #[test]
@@ -202,8 +187,6 @@ mod tests {
         m.stick(3, 0x04); // re-stuck: still one erasure
         assert_eq!(m.erasures(), vec![0, 3]);
         assert_eq!(m.erased(), &[0, 3]);
-        assert!(m.is_stuck(0) && m.is_stuck(3));
-        assert!(!m.is_stuck(1));
     }
 
     #[test]

@@ -89,7 +89,7 @@ impl fmt::Display for MonteCarloReport {
 }
 
 /// 95% Wilson score interval for a binomial proportion.
-pub fn wilson_interval(successes: usize, trials: usize) -> (f64, f64) {
+pub(crate) fn wilson_interval(successes: usize, trials: usize) -> (f64, f64) {
     assert!(trials > 0, "wilson interval of zero trials");
     let z = 1.959_963_984_540_054_f64; // Φ⁻¹(0.975)
     let n = trials as f64;

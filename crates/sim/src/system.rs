@@ -2,7 +2,7 @@
 
 use crate::arbiter::{combine, mask, verdict_of, MaskedPair};
 use crate::config::{ScrubTiming, SimConfig};
-use crate::events::{sample_exponential, skip_idle_ticks};
+use crate::events::{sample_exponential, schedule_scrub, skip_idle_ticks};
 use crate::memory::MemoryModule;
 use crate::runner::TrialOutcome;
 use crate::SimError;
@@ -26,18 +26,6 @@ fn random_data<R: Rng + ?Sized>(rng: &mut R, k: usize, symbol_values: usize) -> 
     (0..k)
         .map(|_| rng.gen_range(0..symbol_values) as Symbol)
         .collect()
-}
-
-fn schedule_scrub<R: Rng + ?Sized>(
-    rng: &mut R,
-    now: f64,
-    scrub: Option<(f64, ScrubTiming)>,
-) -> f64 {
-    match scrub {
-        None => f64::INFINITY,
-        Some((period, ScrubTiming::Periodic)) => now + period,
-        Some((period, ScrubTiming::Exponential)) => now + sample_exponential(rng, 1.0 / period),
-    }
 }
 
 impl FaultClock {

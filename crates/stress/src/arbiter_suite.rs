@@ -44,13 +44,6 @@ pub struct ArbiterCase {
     pub erasures2: Vec<usize>,
 }
 
-impl ArbiterCase {
-    /// The case's code.
-    pub fn code(&self) -> RsCode {
-        RsCode::new(self.n, self.k, self.m).expect("valid")
-    }
-}
-
 /// The oracle's guaranteed-recoverable predicate: simulate the masking
 /// step, then require each decoder's residual pattern (common erasures +
 /// imported/ surviving random errors) to be within capability.

@@ -65,11 +65,6 @@ pub struct DecodeCase {
 }
 
 impl DecodeCase {
-    /// Builds the case's code (always valid by construction).
-    pub fn code(&self) -> RsCode {
-        RsCode::with_first_root(self.n, self.k, self.m, self.b).expect("zoo codes are valid")
-    }
-
     /// Number of true random errors: corrupted positions not declared
     /// as erasures.
     pub fn true_errors(&self, clean: &[Symbol]) -> usize {

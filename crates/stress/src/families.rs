@@ -68,12 +68,6 @@ pub struct FamilyCase {
 }
 
 impl FamilyCase {
-    /// Builds the case's code through the factory (always valid by
-    /// construction).
-    pub fn code(&self) -> Box<dyn MemoryCode> {
-        build(self.params).expect("zoo params are valid")
-    }
-
     /// Number of true random errors: corrupted positions not declared
     /// as erasures.
     pub fn true_errors(&self, clean: &[Symbol]) -> usize {

@@ -5,19 +5,19 @@
 //! all claim the same physics; this crate is the adversary that tries to
 //! pull them apart. Four suites run from a single seed:
 //!
-//! 1. **decode** ([`decode`]) — erasure+error patterns swept across the
+//! 1. **decode** — erasure+error patterns swept across the
 //!    capability lattice (inside / on / beyond `er + 2·re = n − k`)
 //!    through encode → inject → decode with *both* key-equation
 //!    back-ends, classifying corrected / detected / miscorrected and
 //!    enforcing re-encode, syndrome and bounded-distance-uniqueness
 //!    invariants; exhaustive on a small code, seeded-random on the rest
 //!    of the zoo (including the paper's RS(18,16) and RS(36,16));
-//! 2. **families** ([`families`]) — the same lattice sweep driven
+//! 2. **families** — the same lattice sweep driven
 //!    through the [`rsmem_codes::MemoryCode`] trait across the RS,
 //!    Reed–Muller and interleaved-RS implementations, checking the
 //!    trait contracts (plus RS trait-vs-concrete bit-identity and a
 //!    `decode_batch`-vs-scalar differential);
-//! 3. **arbiter** ([`arbiter_suite`]) — correlated two-module patterns
+//! 3. **arbiter** — correlated two-module patterns
 //!    mirroring the paper's duplex state variables (X/Y/b/e1/e2/ec)
 //!    against a brute-force guaranteed-recovery oracle, plus
 //!    malformed-input robustness probes;
@@ -26,7 +26,7 @@
 //!    statistical tolerance band.
 //!
 //! Every violation is **shrunk** to a minimal reproduction and rendered
-//! as a ready-to-paste unit test ([`shrink`]), so a CI failure is
+//! as a ready-to-paste unit test, so a CI failure is
 //! immediately actionable. The whole run is reproducible from
 //! `(seed, budget)` alone — the harness carries its own [`rng`].
 //!
@@ -36,12 +36,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod arbiter_suite;
-pub mod decode;
-pub mod families;
-pub mod report;
+mod arbiter_suite;
+mod decode;
+mod families;
+mod report;
 pub mod rng;
-pub mod shrink;
+mod shrink;
 pub mod xval;
 
 pub use report::{

@@ -17,6 +17,9 @@ cargo fmt --check
 echo "==> cargo clippy (default members, warnings are errors)"
 cargo clippy --all-targets -- -D warnings
 
+echo "==> cargo doc (warnings are errors: a link to a removed or private item fails)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps
+
 echo "==> service loopback smoke test (boots the daemon on an ephemeral port)"
 cargo run -q --release -p rsmem-service --example service_client
 

@@ -2,9 +2,12 @@
 //! ODE, SURE-style path bounds) on the *paper's* Markov models — not toy
 //! chains — so a regression in any solver or model shows up here.
 
+#[path = "support/rkf45.rs"]
+mod rkf45;
+
+use rkf45::{rkf45, Rkf45Options};
 use rsmem::units::{ErasureRate, SeuRate, Time};
 use rsmem::{CodeParams, DuplexModel, FaultRates, MemoryModel, Scrubbing, SimplexModel};
-use rsmem_ctmc::ode::{rkf45, Rkf45Options};
 use rsmem_ctmc::paths::{absorption_bounds, PathOptions};
 use rsmem_ctmc::uniformization::{transient, UniformizationOptions};
 use rsmem_ctmc::StateSpace;

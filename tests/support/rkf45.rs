@@ -1,13 +1,16 @@
-//! An ODE integrator for the Kolmogorov forward equations `p'(t) = p(t)·Q`.
+//! An ODE integrator for the Kolmogorov forward equations `p'(t) = p(t)·Q`,
+//! shared by the solver tests.
 //!
 //! This is a *cross-check* solver: it trades the non-negativity
-//! guarantee of [`crate::uniformization`] for genericity, and the
-//! test-suite uses it as an independent oracle for the primary solver.
+//! guarantee of `rsmem_ctmc::uniformization` for genericity, and the
+//! tests use it as an independent oracle for that primary solver.
 //! Absolute accuracy is limited to roughly the integrator tolerance, so
 //! it is not suitable for the 1e-200-probability regime.
+//!
+//! A test includes this file as a module,
+//! `#[path = "<relative path>/tests/support/rkf45.rs"] mod rkf45;`.
 
-use crate::model::StateSpace;
-use crate::CtmcError;
+use rsmem_ctmc::{CtmcError, StateSpace};
 use std::fmt::Debug;
 use std::hash::Hash;
 
@@ -144,67 +147,4 @@ where
         h *= factor.clamp(0.1, 4.0);
     }
     Ok(p)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::uniformization::{transient, UniformizationOptions};
-    use crate::MarkovModel;
-
-    /// Cyclic repairable system: Good <-> Degraded -> Failed(absorbing).
-    struct Repairable;
-    impl MarkovModel for Repairable {
-        type State = u8;
-        fn initial_state(&self) -> u8 {
-            0
-        }
-        fn transitions(&self, s: &u8, out: &mut Vec<(u8, f64)>) {
-            match s {
-                0 => out.push((1, 1.0)),
-                1 => {
-                    out.push((0, 5.0)); // repair (cycle!)
-                    out.push((2, 0.2));
-                }
-                _ => {}
-            }
-        }
-    }
-
-    #[test]
-    fn rkf45_agrees_with_uniformization() {
-        let space = StateSpace::explore(&Repairable).unwrap();
-        let t = 4.0;
-        let a = rkf45(&space, t, &Rkf45Options::default()).unwrap();
-        let b = transient(&space, t, &UniformizationOptions::default()).unwrap();
-        for j in 0..space.len() {
-            assert!((a[j] - b[j]).abs() < 1e-7, "j={j}: {} vs {}", a[j], b[j]);
-        }
-    }
-
-    #[test]
-    fn probability_is_conserved() {
-        let space = StateSpace::explore(&Repairable).unwrap();
-        for t in [0.5, 2.0, 10.0] {
-            let p = rkf45(&space, t, &Rkf45Options::default()).unwrap();
-            let total: f64 = p.iter().sum();
-            assert!((total - 1.0).abs() < 1e-7, "t={t}: {total}");
-        }
-    }
-
-    #[test]
-    fn zero_time_is_identity() {
-        let space = StateSpace::explore(&Repairable).unwrap();
-        assert_eq!(
-            rkf45(&space, 0.0, &Rkf45Options::default()).unwrap()[0],
-            1.0
-        );
-    }
-
-    #[test]
-    fn bad_time_rejected() {
-        let space = StateSpace::explore(&Repairable).unwrap();
-        assert!(rkf45(&space, f64::INFINITY, &Rkf45Options::default()).is_err());
-        assert!(rkf45(&space, -0.5, &Rkf45Options::default()).is_err());
-    }
 }
