@@ -301,6 +301,24 @@ mod tests {
     }
 
     #[test]
+    fn mul_slice_matches_field_mul_on_wide_fields() {
+        // Above m = 8 the product needs the high-byte table as well as the
+        // low one; check the split-byte product on wide fields.
+        let mut rng = Stream(0xFEED);
+        for m in [9u32, 10, 12, 16] {
+            let f = GfField::new(m).unwrap();
+            for _ in 0..32 {
+                let c = rng.symbol(&f);
+                let t = MulTable::new(&f, c);
+                for _ in 0..17 {
+                    let x = rng.symbol(&f);
+                    assert_eq!(t.mul(x), f.mul(c, x), "m={m} c={c} x={x}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn horner_step_matches_scalar_ladder() {
         let mut rng = Stream(0x4042);
         for m in [4u32, 8, 10, 12, 16] {

@@ -1,5 +1,5 @@
 //! Polynomials over GF(2) as bit vectors: irreducibility and
-//! primitivity search, compiled for tests only.
+//! primitivity search, compiled for unit tests and doctests only.
 //!
 //! [`crate::primitive`] carries one conventional primitive polynomial per
 //! width; this module *derives* them — enumerate candidates, test
@@ -76,6 +76,18 @@ fn is_irreducible(poly: u64) -> bool {
 
 /// Enumerates every primitive polynomial of degree `m` (for GF(2^m)),
 /// in increasing numeric order.
+///
+/// # Examples
+///
+/// This module is private, so the example runs the same scan through
+/// the public primitivity test:
+///
+/// ```
+/// use rsmem_gf::primitive::is_primitive;
+///
+/// let all4: Vec<u32> = (1u32 << 4..1 << 5).filter(|&p| is_primitive(p, 4)).collect();
+/// assert_eq!(all4, vec![0x13, 0x19]); // x^4+x+1 and x^4+x^3+1
+/// ```
 fn primitive_polynomials(m: u32) -> Vec<u32> {
     if !(2..=16).contains(&m) {
         return Vec::new();

@@ -39,7 +39,7 @@
 pub mod bulk;
 mod error;
 mod field;
-#[cfg(test)]
+#[cfg(any(test, doctest))]
 mod gf2;
 mod poly;
 pub mod primitive;
