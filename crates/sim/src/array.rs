@@ -347,10 +347,7 @@ impl Campaign {
 
         let mut t_seu = sample_exponential(rng, seu_rate);
         let mut t_perm = sample_exponential(rng, perm_rate);
-        let mut t_scrub = match config.base.scrub {
-            None => f64::INFINITY,
-            Some((period, _)) => period,
-        };
+        let mut t_scrub = schedule_scrub(rng, 0.0, config.base.scrub);
 
         loop {
             let next = t_seu.min(t_perm).min(t_scrub);
@@ -423,10 +420,7 @@ impl Campaign {
             sample_exponential(rng, perm_rate),
             sample_exponential(rng, perm_rate),
         ];
-        let mut t_scrub = match config.base.scrub {
-            None => f64::INFINITY,
-            Some((period, _)) => period,
-        };
+        let mut t_scrub = schedule_scrub(rng, 0.0, config.base.scrub);
 
         loop {
             let mut best = f64::INFINITY;
@@ -921,17 +915,22 @@ mod tests {
     fn single_bit_array_matches_single_word_rate() {
         // With mbu = 1 and no interleaving, each word is an independent
         // copy of the single-word simulator: the per-word failure fraction
-        // must agree with runner::run_simplex within CI noise.
+        // must agree with runner::run_simplex within CI noise, unscrubbed
+        // and under exponential scrubbing, whose first tick is a draw.
         let seu = 5e-3;
-        let array = run_simplex_array(&config(seu, 1, 1), 120, 9).unwrap();
-        let single = crate::runner::run_simplex(&base(seu), 1920, 9).unwrap();
-        let diff = (array.word_failure_fraction - single.failure_fraction).abs();
-        assert!(
-            diff < 0.02,
-            "array {} vs single-word {}",
-            array.word_failure_fraction,
-            single.failure_fraction
-        );
+        for scrub in [None, Some((0.25, ScrubTiming::Exponential))] {
+            let mut array_config = config(seu, 1, 1);
+            array_config.base.scrub = scrub;
+            let array = run_simplex_array(&array_config, 120, 9).unwrap();
+            let single = crate::runner::run_simplex(&array_config.base, 1920, 9).unwrap();
+            let diff = (array.word_failure_fraction - single.failure_fraction).abs();
+            assert!(
+                diff < 0.02,
+                "{scrub:?}: array {} vs single-word {}",
+                array.word_failure_fraction,
+                single.failure_fraction
+            );
+        }
     }
 
     #[test]

@@ -122,12 +122,12 @@ fn array_counts(
 
 #[test]
 fn simplex_array_campaigns_are_pinned() {
-    assert_eq!(array_counts(run_simplex_array), [[174, 18], [231, 23]]);
+    assert_eq!(array_counts(run_simplex_array), [[174, 18], [209, 30]]);
 }
 
 #[test]
 fn duplex_array_campaigns_are_pinned() {
-    assert_eq!(array_counts(run_duplex_array), [[18, 14], [48, 23]]);
+    assert_eq!(array_counts(run_duplex_array), [[18, 14], [65, 37]]);
 }
 
 /// The `mc_array` benchmark's shape: 1024 words, 2-bit MBUs, interleave
