@@ -838,6 +838,19 @@ mod tests {
     }
 
     #[test]
+    fn array_runs_the_configured_code_family() {
+        let flags = [
+            "--seu", "1e-2", "--trials", "20", "--words", "8", "--seed", "3",
+        ];
+        let array = |code: &str| run_cli(&[&["array", "--code", code], &flags[..]].concat());
+        let rm = array("rm:5").unwrap();
+        assert!(rm.contains("20 trials × 8 words"), "{rm}");
+        // IRS(18,16) at depth 2 has the geometry of RS(36,32), but its
+        // own decoder.
+        assert_ne!(array("irs:18,16,8,2").unwrap(), array("36,32,8").unwrap());
+    }
+
+    #[test]
     fn stress_small_budget_runs_clean() {
         let out = run_cli(&["stress", "--seed", "0xDA7E", "--budget", "500"]).unwrap();
         assert!(out.contains("stress run"), "{out}");

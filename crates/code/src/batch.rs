@@ -20,14 +20,15 @@
 //!    (clean), and **escalate** the rest one at a time to the decode
 //!    core that every RS decode runs, which corrects them in place.
 //!
-//! [`BatchDecoder`] owns every intermediate buffer, the core's workspace
-//! included, and reuses it across calls: after warm-up a batch performs
-//! **zero heap allocations**, whether its words are clean, corrected or
-//! beyond repair (pinned by allocation-counting tests).
+//! [`BatchDecoder`] owns the kernel's buffers and escalates on the
+//! thread's decode-core workspace, the one the scalar entry points use,
+//! and reuses both across calls: after warm-up a batch performs **zero
+//! heap allocations**, whether its words are clean, corrected or beyond
+//! repair (pinned by allocation-counting tests).
 
 use crate::decode::{
-    decode_in_place, record_clean_many, rich_outcome, validate_erasures_into, DecodeFailure,
-    DecodeOutcome, DecodeWorkspace, DecoderBackend,
+    decode_in_place, record_clean_many, rich_outcome, validate_erasures_into, with_workspace,
+    DecodeFailure, DecodeOutcome, DecoderBackend,
 };
 use crate::{CodeError, RsCode};
 use rsmem_gf::bulk::BulkKind;
@@ -335,11 +336,11 @@ fn syndromes_soa<W: AsRef<[Symbol]>>(code: &RsCode, words: &[W], ws: &mut SoaBuf
 
 /// A reusable batched-decode workspace.
 ///
-/// Holds the transpose and syndrome buffers and the decode core's
-/// workspace, so that steady-state batches perform **zero** heap
-/// allocations after the first call, dirty words included — the
-/// property the MC shard loop relies on and the `alloc_count` tests
-/// pin. The decoder is cheap to construct but not `Sync`; give each
+/// Holds the transpose and syndrome buffers; escalated words run on the
+/// thread's decode-core workspace, which the scalar entry points share,
+/// so that steady-state batches perform **zero** heap allocations after
+/// the first call, dirty words included — the property the MC shard
+/// loop relies on and the `alloc_count` tests pin. The decoder is cheap to construct but not `Sync`; give each
 /// worker thread its own.
 ///
 /// # Examples
@@ -364,9 +365,6 @@ fn syndromes_soa<W: AsRef<[Symbol]>>(code: &RsCode, words: &[W], ws: &mut SoaBuf
 pub struct BatchDecoder {
     /// Transpose/syndrome buffers of the SoA kernel.
     ws: SoaBuffers,
-    /// The decode core's buffers, for escalated words and erasure
-    /// validation.
-    core: DecodeWorkspace,
 }
 
 impl BatchDecoder {
@@ -421,13 +419,9 @@ impl BatchDecoder {
                 continue;
             }
             escalated += 1;
-            out.push(decode_in_place(
-                code,
-                word,
-                era,
-                opts.backend,
-                &mut self.core,
-            )?);
+            out.push(with_workspace(|core| {
+                decode_in_place(code, word, era, opts.backend, core)
+            })?);
         }
         record_clean_many(opts.backend, clean);
         let metrics = bulk_metrics();
@@ -478,8 +472,10 @@ impl BatchDecoder {
                 continue;
             }
             escalated += 1;
-            let outcome = decode_in_place(code, word, era, opts.backend, &mut self.core)?;
-            out.push(rich_outcome(code, word.clone(), outcome, &self.core));
+            out.push(with_workspace(|core| {
+                let outcome = decode_in_place(code, word, era, opts.backend, core)?;
+                Ok::<_, CodeError>(rich_outcome(code, word.clone(), outcome, core))
+            })?);
         }
         record_clean_many(opts.backend, clean);
         let metrics = bulk_metrics();
@@ -494,7 +490,7 @@ impl BatchDecoder {
     /// order (length → symbols → erasures), so an error leaves every
     /// word untouched.
     fn validate(
-        &mut self,
+        &self,
         code: &RsCode,
         words: &[Vec<Symbol>],
         erasures: &[Vec<usize>],
@@ -509,7 +505,7 @@ impl BatchDecoder {
             check_word(code, word)?;
             let era = erasures_of(erasures, w);
             if !era.is_empty() {
-                validate_erasures_into(code, era, &mut self.core.seen)?;
+                with_workspace(|core| validate_erasures_into(code, era, &mut core.seen))?;
             }
         }
         Ok(())

@@ -12,7 +12,8 @@
 //! adjacent symbols belong to different words and an MBU degrades into
 //! independent single-symbol errors — restoring the model's assumption.
 //! The `rsmem-sim` array simulator uses this module to quantify the
-//! effect (see the `ablation_mbu` bench).
+//! effect (see `tests/array_vs_model.rs` and
+//! `examples/mbu_interleaving.rs`).
 
 use crate::{CodeError, Symbol};
 

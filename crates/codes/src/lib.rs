@@ -56,6 +56,28 @@ pub trait MemoryCode: std::fmt::Debug + Send + Sync {
     /// symbols.
     fn encode(&self, data: &[Symbol]) -> Result<Vec<Symbol>, CodeError>;
 
+    /// [`MemoryCode::encode`] into a caller-owned `n`-symbol buffer.
+    ///
+    /// The default goes through `encode` and copies the codeword; the
+    /// RS code overrides it with its in-place divider, which allocates
+    /// nothing.
+    ///
+    /// # Errors
+    ///
+    /// The errors of `encode`, then [`CodeError::CodewordLength`] when
+    /// `word` is not `n` symbols long. On error `word` is unchanged.
+    fn encode_into(&self, data: &[Symbol], word: &mut [Symbol]) -> Result<(), CodeError> {
+        let codeword = self.encode(data)?;
+        if word.len() != codeword.len() {
+            return Err(CodeError::CodewordLength {
+                got: word.len(),
+                expected: codeword.len(),
+            });
+        }
+        word.copy_from_slice(&codeword);
+        Ok(())
+    }
+
     /// Decodes a stored word given declared erasure positions.
     ///
     /// The outcome contract matches `RsCode::decode`: `Clean` when the
@@ -277,6 +299,37 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn encode_into_matches_encode_for_every_family() {
+        // RS overrides `encode_into` with its in-place divider; RM and
+        // IRS take the default through `encode`.
+        for params in [
+            CodeParams::rs18_16(),
+            CodeParams::rm1(4).unwrap(),
+            CodeParams::interleaved(18, 16, 8, 2).unwrap(),
+        ] {
+            let code = build(params).unwrap();
+            let size = 1u16 << code.symbol_bits();
+            for seed in 0..4u16 {
+                let data: Vec<Symbol> = (0..code.k() as u16)
+                    .map(|i| (i * 7 + seed * 13 + 1) % size)
+                    .collect();
+                let mut word = vec![0; code.n()];
+                code.encode_into(&data, &mut word).unwrap();
+                assert_eq!(word, code.encode(&data).unwrap(), "{params}");
+            }
+            // A wrong-length buffer or dataword is rejected and the
+            // buffer is left as it was.
+            let data = vec![0; code.k()];
+            let mut short = vec![1; code.n() - 1];
+            assert!(code.encode_into(&data, &mut short).is_err(), "{params}");
+            assert_eq!(short, vec![1; code.n() - 1], "{params}");
+            let mut word = vec![1; code.n()];
+            assert!(code.encode_into(&data[1..], &mut word).is_err(), "{params}");
+            assert_eq!(word, vec![1; code.n()], "{params}");
         }
     }
 

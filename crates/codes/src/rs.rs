@@ -29,6 +29,10 @@ impl MemoryCode for RsCode {
         RsCode::encode(self, data)
     }
 
+    fn encode_into(&self, data: &[Symbol], word: &mut [Symbol]) -> Result<(), CodeError> {
+        RsCode::encode_into(self, data, word)
+    }
+
     fn decode(&self, word: &[Symbol], erasures: &[usize]) -> Result<DecodeOutcome, CodeError> {
         // Recorder events and solver metrics come from the decode core
         // inside `RsCode`; the trait layer only adds the family label.

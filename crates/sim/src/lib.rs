@@ -63,4 +63,3 @@ pub use config::{ScrubTiming, SimConfig};
 pub use error::SimError;
 pub use rsmem_models::CodeFamily;
 pub use runner::{MonteCarloReport, TrialOutcome};
-pub use system::{DuplexSim, SimplexSim};

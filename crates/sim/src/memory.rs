@@ -7,7 +7,7 @@ use rsmem_gf::Symbol;
 ///
 /// Permanent faults are *located* — the paper assumes self-checking
 /// hardware (e.g. Iddq monitoring \[9\]) identifies the faulty symbol, so
-/// [`MemoryModule::erasures`] reports every stuck position and the
+/// [`MemoryModule::erased`] reports every stuck position and the
 /// decoder receives them as erasures.
 ///
 /// The module also tracks whether it is *dirty*: whether anything may
@@ -60,11 +60,6 @@ impl MemoryModule {
 
     /// Positions currently known-faulty (the erasure set for decoding),
     /// ascending.
-    pub(crate) fn erasures(&self) -> Vec<usize> {
-        self.erased.clone()
-    }
-
-    /// [`MemoryModule::erasures`], borrowed.
     pub(crate) fn erased(&self) -> &[usize] {
         &self.erased
     }
@@ -155,7 +150,7 @@ mod tests {
     fn fresh_module_reads_back_clean() {
         let m = module();
         assert_eq!(m.read(), &[0x10, 0x20, 0x30, 0x40]);
-        assert!(m.erasures().is_empty());
+        assert!(m.erased().is_empty());
         assert_eq!(m.read().len(), 4);
     }
 
@@ -185,7 +180,6 @@ mod tests {
         m.stick(3, 0x02);
         m.stick(0, 0x01);
         m.stick(3, 0x04); // re-stuck: still one erasure
-        assert_eq!(m.erasures(), vec![0, 3]);
         assert_eq!(m.erased(), &[0, 3]);
     }
 

@@ -9,16 +9,13 @@
 //! Outcome counts are merged by integer addition, which is
 //! order-independent.
 
-use crate::arbiter::{combine, verdict_of};
 use crate::metrics::mc_metrics;
-use crate::system::{DuplexSim, SimplexSim};
+use crate::system::{Engine, Layout, ReadBack};
 use crate::{SimConfig, SimError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rsmem_code::{BatchOutcome, Symbol};
-use rsmem_codes::MemoryCode;
+use rsmem_codes::build;
 use rsmem_obs::log::{current_trace_id, trace_scope};
-use rsmem_obs::recorder;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
@@ -117,14 +114,14 @@ pub(crate) fn wilson_interval(successes: usize, trials: usize) -> (f64, f64) {
 /// associative and commutative, so shard completion order cannot affect
 /// the final report.
 #[derive(Debug, Clone, Copy, Default)]
-struct OutcomeCounts {
-    correct: usize,
-    silent: usize,
-    detected: usize,
+pub(crate) struct OutcomeCounts {
+    pub(crate) correct: usize,
+    pub(crate) silent: usize,
+    pub(crate) detected: usize,
 }
 
 impl OutcomeCounts {
-    fn record(&mut self, outcome: TrialOutcome) {
+    pub(crate) fn record(&mut self, outcome: TrialOutcome) {
         match outcome {
             TrialOutcome::Correct => self.correct += 1,
             TrialOutcome::SilentCorruption => self.silent += 1,
@@ -132,7 +129,7 @@ impl OutcomeCounts {
         }
     }
 
-    fn merge(mut self, other: OutcomeCounts) -> OutcomeCounts {
+    pub(crate) fn merge(mut self, other: OutcomeCounts) -> OutcomeCounts {
         self.correct += other.correct;
         self.silent += other.silent;
         self.detected += other.detected;
@@ -163,8 +160,8 @@ fn summarize(counts: OutcomeCounts, n: usize, k: usize, m: u32) -> MonteCarloRep
 /// `run_shard_trials` receives the shard's RNG and its trial count and
 /// returns the shard's outcome counts. Handing the closure the *whole*
 /// shard (rather than one trial at a time) lets campaign entry points
-/// prepare all trials first and then push the final read-back decodes
-/// through one [`BatchDecoder`] pass per shard.
+/// play all trials first and then decode every read-back in one batch
+/// per shard.
 fn run_sharded<F>(trials: usize, seed: u64, threads: usize, run_shard_trials: F) -> OutcomeCounts
 where
     F: Fn(&mut StdRng, usize) -> OutcomeCounts + Sync,
@@ -232,156 +229,6 @@ where
     })
 }
 
-/// Classifies one simplex trial from its compact batch outcome: the
-/// exact classification [`SimplexSim::run_trial`] applies to the scalar
-/// [`rsmem_code::DecodeOutcome`].
-fn classify_simplex<C: MemoryCode + ?Sized>(
-    code: &C,
-    outcome: &BatchOutcome,
-    word: &[Symbol],
-    data: &[Symbol],
-) -> TrialOutcome {
-    match outcome {
-        BatchOutcome::Failure(_) => TrialOutcome::Detected,
-        // Clean or Corrected: the word was fixed up in place, so its
-        // data section is the decoder's output.
-        _ => {
-            if code.data_of(word).expect("word has length n").as_ref() == data {
-                TrialOutcome::Correct
-            } else {
-                TrialOutcome::SilentCorruption
-            }
-        }
-    }
-}
-
-/// The exemplar code spec of a campaign's code.
-fn code_spec<C: MemoryCode + ?Sized>(code: &C) -> String {
-    format!(
-        "{}:{},{},{}",
-        code.params().family().name(),
-        code.n(),
-        code.k(),
-        code.symbol_bits()
-    )
-}
-
-/// Freezes one MC silent-corruption exemplar: the *stored* (pre-decode)
-/// word is the exact pattern that slipped through, which is what the
-/// batch decoder's in-place repair would otherwise destroy.
-fn record_silent_exemplar<C: MemoryCode + ?Sized>(
-    code: &C,
-    stored: &[Symbol],
-    erasures: &[usize],
-    verdicts: Vec<String>,
-) {
-    recorder::record_exemplar_with("mc-silent-corruption", || recorder::Exemplar {
-        code: code_spec(code),
-        word: stored.iter().map(|&s| u32::from(s)).collect(),
-        erasures: erasures.iter().map(|&p| p as u32).collect(),
-        verdicts,
-        detail: "read returned wrong data with no indication".to_owned(),
-        ..recorder::Exemplar::default()
-    });
-}
-
-/// One simplex shard: play out every trial's fault history, then decode
-/// all the final read-backs in a single batch pass.
-fn simplex_shard(sim: &SimplexSim, rng: &mut StdRng, in_shard: usize) -> OutcomeCounts {
-    let mut datas = Vec::with_capacity(in_shard);
-    let mut words = Vec::with_capacity(in_shard);
-    let mut erasures = Vec::with_capacity(in_shard);
-    for _ in 0..in_shard {
-        let trial = sim.prepare_trial(rng);
-        datas.push(trial.data);
-        words.push(trial.word);
-        erasures.push(trial.erasures);
-    }
-    // Forensics mode: the batch decode repairs words in place, so keep
-    // the stored words only while the flight recorder wants exemplars.
-    let stored = recorder::enabled().then(|| words.clone());
-    let mut outcomes = Vec::with_capacity(in_shard);
-    sim.code()
-        .decode_batch(&mut words, &erasures, &mut outcomes)
-        .expect("well-formed stored words");
-    let mut counts = OutcomeCounts::default();
-    for (i, ((outcome, word), data)) in outcomes.iter().zip(&words).zip(&datas).enumerate() {
-        let class = classify_simplex(sim.code(), outcome, word, data);
-        if class == TrialOutcome::SilentCorruption {
-            if let Some(stored) = &stored {
-                record_silent_exemplar(
-                    sim.code(),
-                    &stored[i],
-                    &erasures[i],
-                    vec![format!("simplex: {outcome:?}")],
-                );
-            }
-        }
-        counts.record(class);
-    }
-    counts
-}
-
-/// One duplex shard: play out every trial (including the arbiter's
-/// masking step), batch-decode all `2 × in_shard` masked words at once,
-/// then run the flag comparison per pair.
-fn duplex_shard(sim: &DuplexSim, rng: &mut StdRng, in_shard: usize) -> OutcomeCounts {
-    let mut datas = Vec::with_capacity(in_shard);
-    let mut words = Vec::with_capacity(2 * in_shard);
-    let mut erasures = Vec::with_capacity(2 * in_shard);
-    for _ in 0..in_shard {
-        let trial = sim.prepare_trial(rng);
-        datas.push(trial.data);
-        words.push(trial.w1);
-        words.push(trial.w2);
-        erasures.push(trial.common.clone());
-        erasures.push(trial.common);
-    }
-    let stored = recorder::enabled().then(|| words.clone());
-    let mut outcomes = Vec::with_capacity(2 * in_shard);
-    sim.code()
-        .decode_batch(&mut words, &erasures, &mut outcomes)
-        .expect("well-formed stored words");
-    let mut counts = OutcomeCounts::default();
-    for (i, data) in datas.iter().enumerate() {
-        let v1 = verdict_of(sim.code(), &words[2 * i], &outcomes[2 * i]);
-        let v2 = verdict_of(sim.code(), &words[2 * i + 1], &outcomes[2 * i + 1]);
-        let class = match combine(v1, v2) {
-            None => TrialOutcome::Detected,
-            Some((d, _)) => {
-                if *d == data[..] {
-                    TrialOutcome::Correct
-                } else {
-                    TrialOutcome::SilentCorruption
-                }
-            }
-        };
-        if class == TrialOutcome::SilentCorruption {
-            if let Some(stored) = &stored {
-                // Both masked module words, module 2 appended after
-                // module 1 (each n symbols), plus both decode verdicts:
-                // everything the arbiter saw when it let this through.
-                let pair: Vec<Symbol> = stored[2 * i]
-                    .iter()
-                    .chain(&stored[2 * i + 1])
-                    .copied()
-                    .collect();
-                record_silent_exemplar(
-                    sim.code(),
-                    &pair,
-                    &erasures[2 * i],
-                    vec![
-                        format!("module1: {:?}", outcomes[2 * i]),
-                        format!("module2: {:?}", outcomes[2 * i + 1]),
-                    ],
-                );
-            }
-        }
-        counts.record(class);
-    }
-    counts
-}
-
 /// Attaches a finished campaign's outcome counts (and the implied
 /// trials/second) to its span; a no-op when logging is off.
 fn record_campaign(span: &mut rsmem_obs::Span, counts: &OutcomeCounts) {
@@ -428,18 +275,7 @@ pub fn run_simplex_threaded(
     seed: u64,
     threads: usize,
 ) -> Result<MonteCarloReport, SimError> {
-    if trials == 0 {
-        return Err(SimError::NoTrials);
-    }
-    let sim = SimplexSim::new(*config)?;
-    let mut span = rsmem_obs::span("sim.mc", "simplex_campaign");
-    span.record("trials", trials);
-    span.record("threads", threads);
-    let counts = run_sharded(trials, seed, threads, |rng, in_shard| {
-        simplex_shard(&sim, rng, in_shard)
-    });
-    record_campaign(&mut span, &counts);
-    Ok(summarize(counts, config.n, config.k, config.m))
+    run_words(config, trials, seed, threads, ("simplex_campaign", 1))
 }
 
 /// Runs `trials` independent duplex storage periods on one thread.
@@ -468,15 +304,35 @@ pub fn run_duplex_threaded(
     seed: u64,
     threads: usize,
 ) -> Result<MonteCarloReport, SimError> {
+    run_words(config, trials, seed, threads, ("duplex_campaign", 2))
+}
+
+/// Runs a sharded word campaign of `replicas` modules per trial under a
+/// `sim.mc` span called `name`. Each shard plays its trials on one
+/// engine and reads all of them back in one batch.
+fn run_words(
+    config: &SimConfig,
+    trials: usize,
+    seed: u64,
+    threads: usize,
+    (name, replicas): (&'static str, usize),
+) -> Result<MonteCarloReport, SimError> {
     if trials == 0 {
         return Err(SimError::NoTrials);
     }
-    let sim = DuplexSim::new(*config)?;
-    let mut span = rsmem_obs::span("sim.mc", "duplex_campaign");
+    config.validate()?;
+    let code = build(config.code_params()?)?;
+    let mut span = rsmem_obs::span("sim.mc", name);
     span.record("trials", trials);
     span.record("threads", threads);
     let counts = run_sharded(trials, seed, threads, |rng, in_shard| {
-        duplex_shard(&sim, rng, in_shard)
+        let mut engine = Engine::new(code.as_ref(), config, replicas, Layout::Word);
+        let mut read = ReadBack::default();
+        for _ in 0..in_shard {
+            engine.play(rng);
+            engine.read_into(&mut read);
+        }
+        engine.classify(&mut read)
     });
     record_campaign(&mut span, &counts);
     Ok(summarize(counts, config.n, config.k, config.m))
@@ -485,6 +341,9 @@ pub fn run_duplex_threaded(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::system::run_trial;
+
+    type Campaign = fn(&SimConfig, usize, u64) -> Result<MonteCarloReport, SimError>;
 
     #[test]
     fn wilson_interval_properties() {
@@ -579,9 +438,9 @@ mod tests {
 
     #[test]
     fn batched_campaign_matches_per_trial_decodes() {
-        // The campaign entry points batch all of a shard's final decodes
-        // through BatchDecoder. Rebuilding the same shard layout with the
-        // scalar per-trial `run_trial` must give bit-identical counts —
+        // The campaign entry points batch all of a shard's final decodes.
+        // Rebuilding the same shard layout with the scalar per-trial
+        // `run_trial` must give bit-identical counts —
         // the batch plane is an optimization, never a behavior change.
         let mut config = SimConfig::rs18_16_baseline();
         config.seu_per_bit_day = 2e-2;
@@ -589,34 +448,23 @@ mod tests {
         let trials = 300usize;
         let seed = 5u64;
 
-        let per_trial = |run: &dyn Fn(&mut StdRng) -> TrialOutcome| {
-            let mut counts = OutcomeCounts::default();
+        let code = build(config.code_params().unwrap()).unwrap();
+        for (replicas, run) in [(1, run_simplex as Campaign), (2, run_duplex)] {
+            let mut scalar = OutcomeCounts::default();
             for shard in 0..trials.div_ceil(SHARD_TRIALS) {
                 let mut rng = StdRng::seed_from_u64(shard_seed(seed, shard as u64));
+                let mut engine = Engine::new(code.as_ref(), &config, replicas, Layout::Word);
                 for _ in 0..SHARD_TRIALS.min(trials - shard * SHARD_TRIALS) {
-                    counts.record(run(&mut rng));
+                    scalar.record(run_trial(&mut engine, &mut rng));
                 }
             }
-            counts
-        };
-
-        let simplex = SimplexSim::new(config).unwrap();
-        let scalar = per_trial(&|rng| simplex.run_trial(rng));
-        let batched = run_simplex(&config, trials, seed).unwrap();
-        assert_eq!(
-            (batched.correct, batched.silent, batched.detected),
-            (scalar.correct, scalar.silent, scalar.detected),
-            "simplex batch/scalar divergence"
-        );
-
-        let duplex = DuplexSim::new(config).unwrap();
-        let scalar = per_trial(&|rng| duplex.run_trial(rng));
-        let batched = run_duplex(&config, trials, seed).unwrap();
-        assert_eq!(
-            (batched.correct, batched.silent, batched.detected),
-            (scalar.correct, scalar.silent, scalar.detected),
-            "duplex batch/scalar divergence"
-        );
+            let batched = run(&config, trials, seed).unwrap();
+            assert_eq!(
+                (batched.correct, batched.silent, batched.detected),
+                (scalar.correct, scalar.silent, scalar.detected),
+                "{replicas}-replica batch/scalar divergence"
+            );
+        }
     }
 
     #[test]

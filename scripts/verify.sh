@@ -29,7 +29,7 @@ target/release/rsmem-cli stress --seed 0xDA7E --budget 100000
 echo "==> code-family comparison smoke (RS vs RM vs interleaved RS)"
 target/release/rsmem-cli compare --quick >/dev/null
 
-echo "==> duplex array smoke (--duplex must run the duplex campaign, not the simplex one)"
+echo "==> array smoke (--duplex must run the duplex campaign, --code the configured family)"
 ARRAY_FLAGS="--seu 1e-2 --erasure 1e-3 --tsc 900 --trials 50 --seed 3"
 # shellcheck disable=SC2086 # the flags are split on purpose
 SIMPLEX_ARRAY=$(target/release/rsmem-cli array $ARRAY_FLAGS)
@@ -37,6 +37,15 @@ SIMPLEX_ARRAY=$(target/release/rsmem-cli array $ARRAY_FLAGS)
 DUPLEX_ARRAY=$(target/release/rsmem-cli array --duplex $ARRAY_FLAGS)
 [ "$SIMPLEX_ARRAY" != "$DUPLEX_ARRAY" ] || {
   echo "array --duplex printed the simplex result: $DUPLEX_ARRAY"; exit 1;
+}
+# The array runs the configured code family: IRS(18,16) at depth 2 has the
+# geometry of RS(36,32) but must not run as it.
+# shellcheck disable=SC2086
+IRS_ARRAY=$(target/release/rsmem-cli array --code irs:18,16,8,2 $ARRAY_FLAGS)
+# shellcheck disable=SC2086
+RS_ARRAY=$(target/release/rsmem-cli array --code 36,32,8 $ARRAY_FLAGS)
+[ "$IRS_ARRAY" != "$RS_ARRAY" ] || {
+  echo "array --code irs:18,16,8,2 printed the RS(36,32) result: $IRS_ARRAY"; exit 1;
 }
 
 echo "==> flight-recorder smoke (trace a stress run; exemplars must be captured)"
