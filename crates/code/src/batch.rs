@@ -105,36 +105,22 @@ impl BatchOutcome {
 }
 
 /// All `n−k` syndromes of many received words, evaluated in one
-/// structure-of-arrays pass with the bulk GF primitives.
+/// structure-of-arrays pass: the tests' view of [`syndromes_soa`],
+/// checked against the scalar syndromes.
 ///
 /// Layout is lane-major: syndrome `j` of word `w` lives at
 /// `soa[j·words + w]`, so each syndrome index is contiguous across the
 /// batch (the shape the bulk Horner ladder produces without a final
 /// transpose).
-///
-/// # Examples
-///
-/// ```
-/// use rsmem_code::{RsCode, SyndromeBatch};
-///
-/// # fn main() -> Result<(), rsmem_code::CodeError> {
-/// let code = RsCode::new(18, 16, 8)?;
-/// let clean = code.encode(&(0..16).collect::<Vec<_>>())?;
-/// let mut dirty = clean.clone();
-/// dirty[3] ^= 0x40;
-/// let batch = SyndromeBatch::compute(&code, &[clean, dirty])?;
-/// assert!(batch.is_clean(0));
-/// assert!(!batch.is_clean(1));
-/// # Ok(())
-/// # }
-/// ```
+#[cfg(test)]
 #[derive(Debug, Clone)]
-pub struct SyndromeBatch {
+struct SyndromeBatch {
     words: usize,
     stride: usize,
     soa: Vec<Symbol>,
 }
 
+#[cfg(test)]
 impl SyndromeBatch {
     /// Evaluates all `n−k` syndromes of every word in `words`.
     ///
@@ -142,10 +128,7 @@ impl SyndromeBatch {
     ///
     /// [`CodeError::CodewordLength`] / [`CodeError::SymbolOutOfRange`]
     /// on the first malformed word.
-    pub fn compute<W: AsRef<[Symbol]>>(
-        code: &RsCode,
-        words: &[W],
-    ) -> Result<SyndromeBatch, CodeError> {
+    fn compute<W: AsRef<[Symbol]>>(code: &RsCode, words: &[W]) -> Result<SyndromeBatch, CodeError> {
         for word in words {
             check_word(code, word.as_ref())?;
         }
@@ -163,7 +146,7 @@ impl SyndromeBatch {
     /// # Panics
     ///
     /// Panics when `w` or `j` is out of range.
-    pub fn get(&self, w: usize, j: usize) -> Symbol {
+    fn get(&self, w: usize, j: usize) -> Symbol {
         assert!(w < self.words && j < self.stride, "index out of range");
         self.soa[j * self.words + w]
     }
@@ -174,13 +157,13 @@ impl SyndromeBatch {
     /// # Panics
     ///
     /// Panics when `w` is out of range.
-    pub fn is_clean(&self, w: usize) -> bool {
+    fn is_clean(&self, w: usize) -> bool {
         assert!(w < self.words, "index out of range");
         word_is_clean(&self.soa, self.words, self.stride, w)
     }
 
     /// True when the whole batch is clean.
-    pub fn all_clean(&self) -> bool {
+    fn all_clean(&self) -> bool {
         self.soa.iter().all(|&s| s == 0)
     }
 }
@@ -227,9 +210,9 @@ struct SoaBuffers {
     soa: Vec<Symbol>,
 }
 
-/// The structure-of-arrays syndrome kernel shared by [`SyndromeBatch`]
-/// and [`BatchDecoder`]: transposes the batch into position lanes and
-/// runs the bulk Horner ladder per generator root into `ws.soa`.
+/// The structure-of-arrays syndrome kernel of [`BatchDecoder`] and of
+/// the tests' `SyndromeBatch`: transposes the batch into position lanes
+/// and runs the bulk Horner ladder per generator root into `ws.soa`.
 ///
 /// On byte-wide fields the transpose packs eight words per `u64` and the
 /// whole ladder runs on [`rsmem_gf::bulk::MulTable::horner_fold_packed`]

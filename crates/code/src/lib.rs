@@ -55,7 +55,7 @@ mod matrix;
 mod polyops;
 mod syndrome;
 
-pub use batch::{BatchDecoder, BatchOutcome, DecodeOpts, SyndromeBatch};
+pub use batch::{BatchDecoder, BatchOutcome, DecodeOpts};
 pub use code::RsCode;
 pub use decode::{register_metrics, Correction, DecodeFailure, DecodeOutcome, DecoderBackend};
 pub use error::CodeError;
