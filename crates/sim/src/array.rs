@@ -23,7 +23,7 @@
 //! one physical bit, then the burst through the interleaver.
 
 use crate::runner::{wilson_interval, OutcomeCounts};
-use crate::system::{Engine, Layout, ReadBack};
+use crate::system::{Engine, Layout};
 use crate::{SimConfig, SimError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -126,8 +126,8 @@ pub fn run_duplex_array(
 }
 
 /// Runs `trials` trials of one engine of `replicas` arrays under a
-/// `sim.mc` span called `name`, reading back and classifying each
-/// trial's words in one batch, and sums the outcomes.
+/// `sim.mc` span called `name`, classifying each trial's read-back in
+/// one batch, and sums the outcomes.
 fn run_campaign(
     config: &ArrayConfig,
     trials: usize,
@@ -149,12 +149,10 @@ fn run_campaign(
     span.record("words", config.words);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut engine = Engine::new(code.as_ref(), &config.base, replicas, layout);
-    let mut read = ReadBack::default();
     let mut counts = OutcomeCounts::default();
     for _ in 0..trials {
         engine.play(&mut rng);
-        engine.read_into(&mut read);
-        counts = counts.merge(engine.classify(&mut read));
+        counts = counts.merge(engine.classify());
     }
 
     let failed_words = counts.silent + counts.detected;

@@ -10,7 +10,7 @@
 //! order-independent.
 
 use crate::metrics::mc_metrics;
-use crate::system::{Engine, Layout, ReadBack};
+use crate::system::{Engine, Layout};
 use crate::{SimConfig, SimError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -327,12 +327,10 @@ fn run_words(
     span.record("threads", threads);
     let counts = run_sharded(trials, seed, threads, |rng, in_shard| {
         let mut engine = Engine::new(code.as_ref(), config, replicas, Layout::Word);
-        let mut read = ReadBack::default();
         for _ in 0..in_shard {
             engine.play(rng);
-            engine.read_into(&mut read);
         }
-        engine.classify(&mut read)
+        engine.classify()
     });
     record_campaign(&mut span, &counts);
     Ok(summarize(counts, config.n, config.k, config.m))

@@ -7,9 +7,9 @@
 //! A word trial is a one-word store per replica. The two kinds of
 //! campaign differ only in their [`Layout`], which fixes how an upset
 //! draws the bits it flips, and in how they drive the engine: word
-//! campaigns are sharded, each shard reading back all of its trials in
-//! one batch, while an array campaign runs on one RNG and reads back one
-//! trial's words at a time.
+//! campaigns are sharded, each shard classifying the read-backs of all
+//! its trials in one batch, while an array campaign runs on one RNG and
+//! classifies each trial's read-back on its own.
 
 use crate::arbiter::{combine, mask, verdict_of, MaskedPair};
 use crate::config::SimConfig;
@@ -82,6 +82,11 @@ impl Store {
 
     /// Maps a physical symbol index to `(module, symbol)`.
     pub(crate) fn locate(&self, physical_symbol: usize) -> (usize, usize) {
+        // A one-word store (every word trial) has interleave depth 1, so
+        // the map is the identity; skip its divisions.
+        if self.modules.len() == 1 {
+            return (0, physical_symbol);
+        }
         let depth = self.interleaver.depth();
         let group_len = self.n * depth;
         let group = physical_symbol / group_len;
@@ -101,13 +106,17 @@ impl Store {
         }
     }
 
-    /// Flips one physical bit. An upset on a stuck symbol changes
-    /// nothing, so it leaves a clean module clean.
-    pub(crate) fn flip_physical_bit(&mut self, physical_bit: u64) {
-        let symbol = (physical_bit / self.m_bits as u64) as usize;
-        let bit = (physical_bit % self.m_bits as u64) as u32;
-        let (module, sym) = self.locate(symbol);
+    /// Flips bit `bit` of one physical symbol. An upset on a stuck
+    /// symbol changes nothing, so it leaves a clean module clean.
+    fn flip_bit(&mut self, physical_symbol: usize, bit: u32) {
+        let (module, sym) = self.locate(physical_symbol);
         self.change(module, |m| m.flip_bit(sym, bit));
+    }
+
+    /// Flips one physical bit.
+    pub(crate) fn flip_physical_bit(&mut self, physical_bit: u64) {
+        let m = u64::from(self.m_bits);
+        self.flip_bit((physical_bit / m) as usize, (physical_bit % m) as u32);
     }
 
     /// Sticks one physical symbol at `value` (a permanent fault).
@@ -126,6 +135,9 @@ impl Store {
 
 /// The buffers of a batch of words to decode, reused from one batch to
 /// the next, so a word costs no allocation once they are warm.
+///
+/// A scrub decodes in the slots above the first `len`, which may hold
+/// queued read-backs, and leaves `len` as it found it.
 #[derive(Debug, Default)]
 pub(crate) struct Batch {
     /// The words a scrub decodes (dirty words, or dirty word-pairs),
@@ -136,6 +148,7 @@ pub(crate) struct Batch {
     /// The erasure list of each word in use.
     erasures: Vec<Vec<usize>>,
     len: usize,
+    /// The outcomes of the last decode, from its first word on.
     outcomes: Vec<BatchOutcome>,
     /// Arbiter step 1's buffers for the duplex batches.
     pair: MaskedPair,
@@ -186,13 +199,14 @@ impl Batch {
         self.pair = pair;
     }
 
-    /// Decodes the batch's words in place into `self.outcomes`, word by
-    /// word below [`BATCH_CROSSOVER`] and in one batch from there on.
-    fn decode(&mut self, code: &dyn MemoryCode) {
-        let words = &mut self.words[..self.len];
-        let erasures = &self.erasures[..self.len];
+    /// Decodes the words from `from` on in place into `self.outcomes`,
+    /// word by word below [`BATCH_CROSSOVER`] words and in one batch from
+    /// there on.
+    fn decode(&mut self, code: &dyn MemoryCode, from: usize) {
+        let words = &mut self.words[from..self.len];
+        let erasures = &self.erasures[from..self.len];
         self.outcomes.clear();
-        if self.len < BATCH_CROSSOVER {
+        if words.len() < BATCH_CROSSOVER {
             for (word, erasures) in words.iter_mut().zip(erasures) {
                 let outcome = code
                     .decode_in_place(word, erasures)
@@ -222,19 +236,21 @@ pub(crate) fn scrub_simplex(code: &dyn MemoryCode, store: &mut Store, batch: &mu
     if batch.dirty.is_empty() {
         return;
     }
-    batch.len = 0;
+    let base = batch.len;
     for j in 0..batch.dirty.len() {
         let module = &store.modules[batch.dirty[j]];
         batch.push(module.read(), module.erased());
     }
-    batch.decode(code);
-    for ((&i, outcome), word) in batch.dirty.iter().zip(&batch.outcomes).zip(&batch.words) {
+    batch.decode(code, base);
+    let words = &batch.words[base..];
+    for ((&i, outcome), word) in batch.dirty.iter().zip(&batch.outcomes).zip(words) {
         let module = &mut store.modules[i];
         if let BatchOutcome::Corrected { .. } = outcome {
             module.write(word);
         }
         module.mark_clean();
     }
+    batch.len = base;
 }
 
 /// Joint scrub of two replica stores, word-pair by word-pair: erasure-
@@ -260,12 +276,13 @@ pub(crate) fn scrub_duplex(
     if batch.dirty.is_empty() {
         return true;
     }
-    batch.len = 0;
+    let base = batch.len;
     for j in 0..batch.dirty.len() {
         let w = batch.dirty[j];
         batch.push_masked(code, &replicas[0].modules[w], &replicas[1].modules[w]);
     }
-    batch.decode(code);
+    batch.decode(code, base);
+    let words = &batch.words[base..];
     let mut all_clean = true;
     for (j, &w) in batch.dirty.iter().enumerate() {
         let (mut changed, mut decoded) = (false, true);
@@ -275,10 +292,10 @@ pub(crate) fn scrub_duplex(
             if matches!(batch.outcomes[2 * j + r], BatchOutcome::Failure(_)) {
                 decoded = false;
             } else {
-                changed |= replica.modules[w].write(&batch.words[2 * j + r]);
+                changed |= replica.modules[w].write(&words[2 * j + r]);
             }
         }
-        if !changed || (decoded && batch.words[2 * j] == batch.words[2 * j + 1]) {
+        if !changed || (decoded && words[2 * j] == words[2 * j + 1]) {
             for replica in replicas.iter_mut() {
                 replica.modules[w].mark_clean();
             }
@@ -289,6 +306,7 @@ pub(crate) fn scrub_duplex(
             }
         }
     }
+    batch.len = base;
     all_clean
 }
 
@@ -310,10 +328,10 @@ pub(crate) enum Layout {
 }
 
 /// One simplex (one replica) or duplex (two replicas) memory and
-/// everything its trials reuse: the stores, the stored datawords, one
-/// codeword buffer and the scrub batch. A trial rewrites them in place,
-/// so after the first trial a campaign allocates only what its faults
-/// cost.
+/// everything its trials reuse: the stores, one codeword buffer, and the
+/// batch that holds the queued read-backs and the scrubs' words. A trial
+/// rewrites them in place, so after the first trial a campaign allocates
+/// only what its faults cost.
 pub(crate) struct Engine<'c> {
     code: &'c dyn MemoryCode,
     config: SimConfig,
@@ -323,10 +341,13 @@ pub(crate) struct Engine<'c> {
     /// Permanent faults per day in one replica.
     perm_rate: f64,
     replicas: Vec<Store>,
-    /// The current trial's datawords, `k` symbols per word.
+    /// The datawords of the queued read-backs, `k` symbols per word
+    /// (simplex) or pair (duplex).
     originals: Vec<Symbol>,
     codeword: Vec<Symbol>,
-    scrubs: Batch,
+    /// The queued read-backs, one word (simplex) or two masked words
+    /// (duplex) per entry of `originals`.
+    batch: Batch,
 }
 
 impl<'c> Engine<'c> {
@@ -364,25 +385,46 @@ impl<'c> Engine<'c> {
             seu_rate,
             perm_rate: config.erasure_per_symbol_day * replicas[0].symbols() as f64,
             replicas,
-            originals: vec![0; words * k],
+            originals: Vec::with_capacity(words * k),
             codeword: vec![0; n],
-            scrubs: Batch::default(),
+            batch: Batch::default(),
         }
     }
 
-    /// Plays one trial up to its read-back: draws one random dataword
-    /// per word, stores its codeword fault-free in every replica, then
-    /// runs the faults and scrubs up to the horizon.
+    /// Plays one trial and queues its read-back: draws one random
+    /// dataword per word, stores its codeword fault-free in every
+    /// replica, runs the faults and scrubs up to the horizon, then reads
+    /// every word (simplex) or masks every pair (duplex, arbiter step 1).
     pub(crate) fn play<R: Rng + ?Sized>(&mut self, rng: &mut R) {
         self.store(rng);
         self.run(rng);
+        match self.replicas.as_slice() {
+            [store] => {
+                for module in &store.modules {
+                    self.batch.push(module.read(), module.erased());
+                }
+            }
+            [s1, s2] => {
+                for (m1, m2) in s1.modules.iter().zip(&s2.modules) {
+                    self.batch.push_masked(self.code, m1, m2);
+                }
+            }
+            _ => unreachable!("1 or 2 replicas"),
+        }
     }
 
+    /// Appends the trial's datawords to `originals` and stores them.
     fn store<R: Rng + ?Sized>(&mut self, rng: &mut R) {
         // `1 << m` is the symbol-value count of every family (GF(2^m)
         // size for RS, binary for RM).
         let values = 1usize << self.code.symbol_bits();
-        for (w, data) in self.originals.chunks_exact_mut(self.code.k()).enumerate() {
+        let start = self.originals.len();
+        let words = self.replicas[0].modules.len();
+        self.originals.resize(start + words * self.code.k(), 0);
+        for (w, data) in self.originals[start..]
+            .chunks_exact_mut(self.code.k())
+            .enumerate()
+        {
             for symbol in data.iter_mut() {
                 *symbol = rng.gen_range(0..values) as Symbol;
             }
@@ -432,10 +474,10 @@ impl<'c> Engine<'c> {
             if next_scrub < time {
                 let all_clean = match self.replicas.as_mut_slice() {
                     [store] => {
-                        scrub_simplex(self.code, store, &mut self.scrubs);
+                        scrub_simplex(self.code, store, &mut self.batch);
                         true
                     }
-                    stores => scrub_duplex(self.code, stores, &mut self.scrubs),
+                    stores => scrub_duplex(self.code, stores, &mut self.batch),
                 };
                 next_scrub = schedule_scrub(rng, next_scrub, scrub);
                 if all_clean {
@@ -467,12 +509,11 @@ impl<'c> Engine<'c> {
     /// One SEU in replica `r`, drawn as the layout says.
     fn upset<R: Rng + ?Sized>(&mut self, rng: &mut R, r: usize) {
         let store = &mut self.replicas[r];
-        let m = u64::from(store.m_bits);
         match self.layout {
             Layout::Word => {
                 let symbol = rng.gen_range(0..store.n);
                 let bit = rng.gen_range(0..store.m_bits);
-                store.flip_physical_bit(symbol as u64 * m + u64::from(bit));
+                store.flip_bit(symbol, bit);
             }
             Layout::Array { mbu_width_bits, .. } => {
                 let bits = store.bits();
@@ -484,62 +525,33 @@ impl<'c> Engine<'c> {
         }
     }
 
-    /// Appends the trial's read-back to `read`: every word (simplex) or
-    /// both masked words of every pair (duplex, arbiter step 1), and
-    /// their datawords.
-    pub(crate) fn read_into(&self, read: &mut ReadBack) {
-        match self.replicas.as_slice() {
-            [store] => {
-                for module in &store.modules {
-                    read.batch.push(module.read(), module.erased());
-                }
-            }
-            [s1, s2] => {
-                for (m1, m2) in s1.modules.iter().zip(&s2.modules) {
-                    read.batch.push_masked(self.code, m1, m2);
-                }
-            }
-            _ => unreachable!("1 or 2 replicas"),
-        }
-        read.originals.extend_from_slice(&self.originals);
-    }
-
-    /// Decodes everything in `read` in one batch, classifies it with the
-    /// simplex or the duplex classifier, and empties `read`.
-    pub(crate) fn classify(&self, read: &mut ReadBack) -> OutcomeCounts {
+    /// Decodes every queued read-back in one batch, classifies it with
+    /// the simplex or the duplex classifier, and empties the queue.
+    pub(crate) fn classify(&mut self) -> OutcomeCounts {
         // The decode repairs words in place, so keep the stored words
         // only while the flight recorder wants exemplars.
-        let stored = recorder::enabled().then(|| read.batch.words[..read.batch.len].to_vec());
-        read.batch.decode(self.code);
-        let counts = if self.replicas.len() == 1 {
-            classify_simplex(self.code, read, stored.as_deref())
-        } else {
-            classify_duplex(self.code, read, stored.as_deref())
+        let stored = recorder::enabled().then(|| self.batch.words[..self.batch.len].to_vec());
+        self.batch.decode(self.code, 0);
+        let classify = match self.replicas.len() {
+            1 => classify_simplex,
+            _ => classify_duplex,
         };
-        read.batch.len = 0;
-        read.originals.clear();
+        let counts = classify(self.code, &self.batch, &self.originals, stored.as_deref());
+        self.batch.len = 0;
+        self.originals.clear();
         counts
     }
-}
-
-/// The read-backs of one or more trials, decoded and classified
-/// together, with the datawords they should hold.
-#[derive(Debug, Default)]
-pub(crate) struct ReadBack {
-    batch: Batch,
-    /// `k` symbols per simplex word or duplex pair.
-    originals: Vec<Symbol>,
 }
 
 /// Classifies each decoded simplex word against its dataword, and
 /// records a silent corruption's `stored` word as an exemplar.
 fn classify_simplex(
     code: &dyn MemoryCode,
-    read: &ReadBack,
+    batch: &Batch,
+    originals: &[Symbol],
     stored: Option<&[Vec<Symbol>]>,
 ) -> OutcomeCounts {
-    let batch = &read.batch;
-    let originals = read.originals.chunks_exact(code.k());
+    let originals = originals.chunks_exact(code.k());
     let mut counts = OutcomeCounts::default();
     for (i, ((outcome, word), original)) in batch
         .outcomes
@@ -574,12 +586,13 @@ fn classify_simplex(
 /// corruption's two `stored` masked words as an exemplar.
 fn classify_duplex(
     code: &dyn MemoryCode,
-    read: &ReadBack,
+    batch: &Batch,
+    originals: &[Symbol],
     stored: Option<&[Vec<Symbol>]>,
 ) -> OutcomeCounts {
-    let (words, outcomes) = (&read.batch.words, &read.batch.outcomes);
+    let (words, outcomes) = (&batch.words, &batch.outcomes);
     let mut counts = OutcomeCounts::default();
-    for (i, original) in read.originals.chunks_exact(code.k()).enumerate() {
+    for (i, original) in originals.chunks_exact(code.k()).enumerate() {
         let v1 = verdict_of(code, &words[2 * i], &outcomes[2 * i]);
         let v2 = verdict_of(code, &words[2 * i + 1], &outcomes[2 * i + 1]);
         let class = match combine(v1, v2) {
@@ -599,7 +612,7 @@ fn classify_duplex(
             record_silent_exemplar(
                 code,
                 &pair,
-                &read.batch.erasures[2 * i],
+                &batch.erasures[2 * i],
                 vec![
                     format!("module1: {:?}", outcomes[2 * i]),
                     format!("module2: {:?}", outcomes[2 * i + 1]),
@@ -641,7 +654,9 @@ fn record_silent_exemplar(
 /// (simplex) or one [`crate::arbiter::arbitrate`] (duplex).
 #[cfg(test)]
 pub(crate) fn run_trial<R: Rng + ?Sized>(engine: &mut Engine, rng: &mut R) -> TrialOutcome {
-    engine.play(rng);
+    engine.store(rng);
+    engine.run(rng);
+    let original = std::mem::take(&mut engine.originals);
     let code = engine.code;
     let data = match engine.replicas.as_slice() {
         [store] => {
@@ -663,7 +678,7 @@ pub(crate) fn run_trial<R: Rng + ?Sized>(engine: &mut Engine, rng: &mut R) -> Tr
     };
     match data {
         None => TrialOutcome::Detected,
-        Some(data) if data == engine.originals => TrialOutcome::Correct,
+        Some(data) if data == original => TrialOutcome::Correct,
         Some(_) => TrialOutcome::SilentCorruption,
     }
 }
