@@ -24,11 +24,11 @@ use rsmem_obs::recorder;
 /// Batches shorter than this decode word by word through
 /// [`MemoryCode::decode_in_place`]; longer ones go through one
 /// [`MemoryCode::decode_batch`]. On RS(18,16) with 80 % clean words, the
-/// mix the scrubs see, the batch plane took 1.4–2.4 times the scalar
-/// time per word at 1–2 words, 1.1 times at 4 and 0.7–0.85 times from 8
-/// words up. Word scrubs decode 1 or 2 words, array scrubs about 17 on
-/// `mc_array`, and read-backs hundreds.
-const BATCH_CROSSOVER: usize = 8;
+/// mix the scrubs see, the batch plane took about 2 times the scalar
+/// time per word at 1 word, 1.3–1.5 times at 2, 1.0–1.2 times at 4,
+/// 0.91–0.94 times at 6 and 0.6–0.9 times from 8 words up. Word scrubs
+/// decode 1 or 2 words, array scrubs a few pairs, read-backs hundreds.
+const BATCH_CROSSOVER: usize = 6;
 
 /// The memory of one replica: `words` modules in one physical symbol
 /// sequence behind an interleaver.
