@@ -51,7 +51,8 @@ EXPERIMENT IDS: fig5 fig6 fig7 fig8 fig9 fig10 complexity
 
 SYSTEM FLAGS (ber/simulate/advise/array):
   --duplex               duplex arrangement (default: simplex)
-  --code N,K,M           RS code (default: 18,16,8)
+  --code SPEC            code: N,K,M (RS), rm:R or irs:N,K,M,D
+                         (default: 18,16,8)
   --seu RATE             SEU rate per bit per day (default: 0)
   --erasure RATE         permanent-fault rate per symbol per day (default: 0)
   --tsc SECONDS          scrub period; omitted = no scrubbing

@@ -533,8 +533,8 @@ impl<'c> Engine<'c> {
         let stored = recorder::enabled().then(|| self.batch.words[..self.batch.len].to_vec());
         self.batch.decode(self.code, 0);
         let classify = match self.replicas.len() {
-            1 => classify_simplex,
-            _ => classify_duplex,
+            1 => classify_simplex_reads,
+            _ => classify_duplex_reads,
         };
         let counts = classify(self.code, &self.batch, &self.originals, stored.as_deref());
         self.batch.len = 0;
@@ -545,7 +545,7 @@ impl<'c> Engine<'c> {
 
 /// Classifies each decoded simplex word against its dataword, and
 /// records a silent corruption's `stored` word as an exemplar.
-fn classify_simplex(
+fn classify_simplex_reads(
     code: &dyn MemoryCode,
     batch: &Batch,
     originals: &[Symbol],
@@ -584,7 +584,7 @@ fn classify_simplex(
 /// Runs the arbiter's flag comparison on each decoded duplex pair and
 /// classifies its output against the dataword, recording a silent
 /// corruption's two `stored` masked words as an exemplar.
-fn classify_duplex(
+fn classify_duplex_reads(
     code: &dyn MemoryCode,
     batch: &Batch,
     originals: &[Symbol],
