@@ -9,8 +9,11 @@
 //! for every malformed one.
 //!
 //! The property draws uniform datawords on the five code shapes of
-//! `decode_reference.rs`. It runs 256 cases in debug builds and 20 000
-//! in release builds (`cargo test -p rsmem-code --release`).
+//! `decode_reference.rs` and on four more that reach every symbol width
+//! class an encoder may treat apart: a width below a nibble, an odd one,
+//! a width above a byte with more than four parity symbols, and the
+//! widest field. It runs 256 cases in debug builds and 20 000 in release
+//! builds (`cargo test -p rsmem-code --release`).
 
 use proptest::prelude::*;
 use rsmem_code::{CodeError, RsCode, Symbol};
@@ -41,7 +44,9 @@ fn reference_encode(code: &RsCode, data: &[Symbol]) -> Result<Vec<Symbol>, CodeE
 }
 
 /// The oracle's codes: the paper's RS(18,16) and RS(36,16), the
-/// RS(20,16) duplex alternative, a small-field code and a `b = 1` one.
+/// RS(20,16) duplex alternative, a small-field code and a `b = 1` one;
+/// then RS(7,3) over GF(2^3), RS(31,25) over GF(2^5), RS(40,30) over
+/// GF(2^10) and RS(24,16) over GF(2^16).
 fn oracle_codes() -> Vec<RsCode> {
     vec![
         RsCode::new(15, 9, 4).unwrap(),
@@ -49,6 +54,10 @@ fn oracle_codes() -> Vec<RsCode> {
         RsCode::new(20, 16, 8).unwrap(),
         RsCode::with_first_root(36, 16, 8, 112).unwrap(),
         RsCode::with_first_root(12, 4, 4, 1).unwrap(),
+        RsCode::new(7, 3, 3).unwrap(),
+        RsCode::new(31, 25, 5).unwrap(),
+        RsCode::with_first_root(40, 30, 10, 1).unwrap(),
+        RsCode::new(24, 16, 16).unwrap(),
     ]
 }
 
@@ -121,17 +130,16 @@ fn the_zero_dataword_encodes_to_the_zero_codeword() {
 #[test]
 fn malformed_datawords_match_the_reference() {
     for code in oracle_codes() {
-        let (k, size) = (code.k(), code.field().size() as Symbol);
-        let mut wide = vec![1; k];
-        wide[k / 2] = size;
-        wide[k - 1] = Symbol::MAX;
-        let cases: [Vec<Symbol>; 5] = [
-            Vec::new(),
-            vec![0; k - 1],
-            vec![0; k + 1],
-            wide,
-            vec![size; k + 1],
-        ];
+        let k = code.k();
+        let mut cases = vec![Vec::new(), vec![0; k - 1], vec![0; k + 1]];
+        // GF(2^16) takes every `Symbol` value, so none is out of its range.
+        if let Ok(size) = Symbol::try_from(code.field().size()) {
+            let mut wide = vec![1; k];
+            wide[k / 2] = size;
+            wide[k - 1] = Symbol::MAX;
+            cases.push(wide);
+            cases.push(vec![size; k + 1]);
+        }
         for data in cases {
             assert!(reference_encode(&code, &data).is_err());
             check_against_reference(&code, &data);
