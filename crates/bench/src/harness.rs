@@ -432,6 +432,36 @@ fn decode_throughput_benches(
     Ok(())
 }
 
+/// The encoder benches (`encode_rs18_16`, `encode_rs36_16`): one seeded
+/// set of 4 096 datawords per code, encoded into one reused buffer
+/// through `RsCode::encode_into`. The fingerprint hashes every codeword,
+/// so an encoder that computes one wrong parity symbol fails the gate.
+fn encode_benches(iterations: usize, benches: &mut Vec<BenchResult>) -> Result<(), String> {
+    const WORDS: usize = 4096;
+    for (tag, n, k) in [("rs18_16", 18usize, 16usize), ("rs36_16", 36, 16)] {
+        let code = RsCode::new(n, k, 8).map_err(|e| e.to_string())?;
+        let mut state = 0xE2C0_DE5E_ED00_u64 ^ ((n as u64) << 32) ^ (k as u64);
+        let data: Vec<Symbol> = (0..WORDS * k)
+            .map(|_| (splitmix(&mut state) & 0xFF) as Symbol)
+            .collect();
+        let mut codewords = vec![0; WORDS * n];
+        let mut bench = run_bench(&format!("encode_{tag}"), iterations, || {
+            for (dataword, word) in data.chunks_exact(k).zip(codewords.chunks_exact_mut(n)) {
+                code.encode_into(dataword, word)
+                    .map_err(|e| e.to_string())?;
+            }
+            let mut hash = Fnv::new();
+            for s in &codewords {
+                hash.write(&s.to_le_bytes());
+            }
+            Ok(hash.finish())
+        })?;
+        bench.symbols = (n * WORDS) as u64;
+        benches.push(bench);
+    }
+    Ok(())
+}
+
 /// One encode+decode throughput bench per code family, driven through
 /// the `MemoryCode` trait object — the cross-family analogue of the RS
 /// scalar/batch pair above. Each corpus mixes clean words with one
@@ -636,6 +666,7 @@ pub fn run_suite(quick: bool) -> Result<BenchReport, String> {
     )?);
     benches.push(run_bench("decode_lattice", iterations, decode_lattice)?);
     decode_throughput_benches(quick, iterations, &mut benches)?;
+    encode_benches(iterations, &mut benches)?;
     family_codec_benches(quick, iterations, &mut benches)?;
     benches.push(service_roundtrip(iterations)?);
     let (version, git_hash) = rsmem_obs::build_info();
@@ -1192,6 +1223,22 @@ mod tests {
         sampler.sample_now();
         sampler.set_enabled(false);
         assert_eq!(plain, sampled);
+    }
+
+    #[test]
+    fn encode_benches_are_deterministic_per_code() {
+        let mut a = Vec::new();
+        encode_benches(2, &mut a).unwrap();
+        let mut b = Vec::new();
+        encode_benches(2, &mut b).unwrap();
+        let names: Vec<&str> = a.iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(names, ["encode_rs18_16", "encode_rs36_16"]);
+        for (x, y) in a.iter().zip(&b) {
+            assert_eq!(x.fingerprint, y.fingerprint, "{}", x.name);
+        }
+        assert_eq!(a[0].symbols, 18 * 4096);
+        assert_eq!(a[1].symbols, 36 * 4096);
+        assert_ne!(a[0].fingerprint, a[1].fingerprint);
     }
 
     #[test]
