@@ -3,10 +3,11 @@
 
 use crate::batch::{BatchDecoder, BatchOutcome, DecodeOpts};
 use crate::decode::{decode_in_place, decode_word, with_workspace, DecodeOutcome, DecoderBackend};
-use crate::encode;
+use crate::encode::{self, ParityTables};
 use crate::error::CodeError;
 use rsmem_gf::bulk::MulTable;
 use rsmem_gf::{GfField, Poly, Symbol};
+use std::sync::OnceLock;
 
 /// A systematic Reed–Solomon code RS(n,k) over GF(2^m).
 ///
@@ -43,6 +44,9 @@ pub struct RsCode {
     /// One bulk multiply table per generator root `α^{b+j}`, shared by
     /// the scalar syndrome ladder and the batched syndrome plane.
     syndrome_tables: Vec<MulTable>,
+    /// The encoder's per-position parity tables, built on the first
+    /// encode; `None` inside when they would be too large.
+    parity_tables: OnceLock<Option<ParityTables>>,
 }
 
 impl RsCode {
@@ -109,6 +113,7 @@ impl RsCode {
             fcr: b,
             generator,
             syndrome_tables,
+            parity_tables: OnceLock::new(),
         })
     }
 
@@ -157,6 +162,14 @@ impl RsCode {
     /// `α^{b+j}`, `j = 0..n−k`.
     pub(crate) fn syndrome_tables(&self) -> &[MulTable] {
         &self.syndrome_tables
+    }
+
+    /// The encoder's parity tables, built on the first call; `None` for
+    /// a code whose tables would be too large.
+    pub(crate) fn parity_tables(&self) -> Option<&ParityTables> {
+        self.parity_tables
+            .get_or_init(|| ParityTables::new(self))
+            .as_ref()
     }
 
     /// True when the pattern `(erasures, random_errors)` is within the

@@ -1,19 +1,58 @@
-//! Systematic Reed–Solomon encoding.
+//! Systematic Reed–Solomon encoding from per-position parity tables.
+//!
+//! The codeword is `c(x) = d(x)·x^{n−k} + (d(x)·x^{n−k} mod g(x))`: the
+//! data verbatim in the top `k` coefficients, and below it the remainder
+//! that makes `c(x)` divisible by `g(x)`. The remainder is linear in the
+//! data, so with `R_i(x) = x^{n−k+i} mod g(x)` the parity is
+//! `Σ_i d_i·R_i(x)`, a sum that GF(2^m) adds with XOR, exact in any
+//! order.
+//!
+//! [`ParityTables`] holds that sum's terms, split by nibble: for data
+//! position `i`, nibble `j` and nibble value `v`, the `n − k` symbols of
+//! `(v·2^{4j})·R_i` packed into `u64` lanes, bytes for `m ≤ 8` and 16-bit
+//! lanes above. An encode is then `⌈m/4⌉` table lookups and XORs per data
+//! symbol, with no dependency between positions. RS(18,16) needs one
+//! `u64` per entry, 4 KiB in all; RS(36,16) three per entry. An `RsCode`
+//! builds its tables on its first encode, from the recursion
+//! `R_{i+1} = x·R_i mod g` and the XOR of the entry's bit-basis rows
+//! `2^b·R_i`. The tables cost `O(k·(n−k)·m)` bytes, so a code whose
+//! tables would pass [`TABLE_BUDGET_BYTES`] adds the same terms straight
+//! from the recursion instead, one field multiply per parity symbol.
+//!
+//! The hardware encoder the paper's complexity model costs (Section 6)
+//! is still the shift register of `n − k` stages; only this software
+//! encoder is table-driven.
 
 use crate::{CodeError, RsCode};
-use rsmem_gf::Symbol;
+use rsmem_gf::{GfField, Symbol};
 
-/// Systematic encoding into `word`: the codeword polynomial is
-/// `c(x) = d(x)·x^{n−k} + (d(x)·x^{n−k} mod g(x))`,
-/// which is divisible by `g(x)` and carries the data verbatim in its top
-/// `k` coefficients.
-///
-/// The remainder comes from the division circuit of a hardware encoder
-/// (like the Altera IP core the paper cites for its complexity model): a
-/// linear-feedback shift register of `n − k` stages, held in the parity
-/// half of `word`, whose feedback taps are the generator coefficients.
-/// The data enters high-order first, one symbol per clock, so the
-/// encoder allocates nothing.
+/// The largest parity tables a code builds. RS(255,223) takes 228 KiB
+/// and a code over GF(2^10) with a few hundred parity symbols some MiB;
+/// codes far beyond that encode from the recursion.
+const TABLE_BUDGET_BYTES: usize = 16 << 20;
+
+/// Table words an accumulator pass keeps in registers: the parity
+/// symbols of one pass over the data.
+const PASS_WORDS: usize = 4;
+
+/// The per-position, per-nibble parity terms of one code.
+#[derive(Debug, Clone)]
+pub(crate) struct ParityTables {
+    /// `u64` words per entry: `⌈(n−k) / lanes⌉`.
+    words: usize,
+    /// Parity symbols per `u64`: 8 bytes, or 4 16-bit lanes.
+    lanes: usize,
+    /// Nibbles per data symbol, `⌈m/4⌉`.
+    nibbles: usize,
+    /// One block per pass over the data, [`PASS_WORDS`] words of every
+    /// entry (fewer in the last), indexed `[position][nibble][value]
+    /// [word]`, so a pass reads its block front to back.
+    entries: Vec<u64>,
+}
+
+/// Systematically encodes `data` into `word`: parity first, then the
+/// data. The dataword is validated before the buffer, and `word` is
+/// untouched on error.
 pub(crate) fn encode_into(
     code: &RsCode,
     data: &[Symbol],
@@ -32,21 +71,175 @@ pub(crate) fn encode_into(
             expected: code.n(),
         });
     }
-    let field = code.field();
-    // g(x) is monic of degree n−k: its leading coefficient is implicit.
-    let taps = code.generator().coeffs();
-    let (stages, top) = word.split_at_mut(code.parity_symbols());
-    stages.fill(0);
-    for &symbol in data.iter().rev() {
-        // Feedback = incoming symbol + the top register stage.
-        let feedback = symbol ^ stages[stages.len() - 1];
-        for i in (1..stages.len()).rev() {
-            stages[i] = stages[i - 1] ^ field.mul(feedback, taps[i]);
-        }
-        stages[0] = field.mul(feedback, taps[0]);
+    let (parity, top) = word.split_at_mut(code.parity_symbols());
+    match code.parity_tables() {
+        Some(tables) => tables.parity_into(data, parity),
+        None => parity_from_rows(code.field(), code.generator().coeffs(), data, parity),
     }
     top.copy_from_slice(data);
     Ok(())
+}
+
+/// The layout of a code's tables: `(lanes, words, nibbles)`, or `None`
+/// when they would pass [`TABLE_BUDGET_BYTES`].
+fn table_shape(k: usize, parity: usize, m: u32) -> Option<(usize, usize, usize)> {
+    let lanes = if m <= 8 { 8 } else { 4 };
+    let words = parity.div_ceil(lanes);
+    let nibbles = (m as usize).div_ceil(4);
+    let bytes = k
+        .checked_mul(nibbles * 16)?
+        .checked_mul(words)?
+        .checked_mul(8)?;
+    (bytes <= TABLE_BUDGET_BYTES).then_some((lanes, words, nibbles))
+}
+
+/// Steps `row` from `R_i` to `R_{i+1} = x·R_i mod g`, where `taps` are
+/// the coefficients of the monic `g(x)` of degree `row.len()`.
+fn next_row(field: &GfField, taps: &[Symbol], row: &mut [Symbol]) {
+    // x^{n−k} = Σ_{j<n−k} g_j·x^j mod g(x), since g(x) is monic.
+    let top = row[row.len() - 1];
+    for j in (1..row.len()).rev() {
+        row[j] = row[j - 1] ^ field.mul(top, taps[j]);
+    }
+    row[0] = field.mul(top, taps[0]);
+}
+
+/// `R_0 = x^{n−k} mod g`: the low coefficients of the monic `g(x)`.
+fn first_row(taps: &[Symbol]) -> Vec<Symbol> {
+    taps[..taps.len() - 1].to_vec()
+}
+
+/// The parity of `data` as `Σ_i d_i·R_i`, each row stepped from the one
+/// before, for codes too large for tables. Allocates one row.
+fn parity_from_rows(field: &GfField, taps: &[Symbol], data: &[Symbol], parity: &mut [Symbol]) {
+    parity.fill(0);
+    let mut row = first_row(taps);
+    for &d in data {
+        for (p, &c) in parity.iter_mut().zip(&row) {
+            *p ^= field.mul(d, c);
+        }
+        next_row(field, taps, &mut row);
+    }
+}
+
+impl ParityTables {
+    /// Builds the tables of `code`, or `None` when they would pass
+    /// [`TABLE_BUDGET_BYTES`].
+    pub(crate) fn new(code: &RsCode) -> Option<ParityTables> {
+        let (k, parity, m) = (code.k(), code.parity_symbols(), code.symbol_bits());
+        let (lanes, words, nibbles) = table_shape(k, parity, m)?;
+        let (field, taps) = (code.field(), code.generator().coeffs());
+        let lane_bits = 64 / lanes;
+        let tables = k * nibbles;
+        // Where word `w` of entry `v` of table `t` lies.
+        let at = |t: usize, v: usize, w: usize| {
+            let pass = w / PASS_WORDS;
+            let width = PASS_WORDS.min(words - pass * PASS_WORDS);
+            pass * tables * 16 * PASS_WORDS + (t * 16 + v) * width + w % PASS_WORDS
+        };
+        let mut entries = vec![0u64; tables * 16 * words];
+        // The packed rows `2^b·R_i`, one per bit `b` of a symbol.
+        let mut basis = vec![0u64; m as usize * words];
+        let mut row = first_row(taps);
+        for i in 0..k {
+            basis.fill(0);
+            for (b, packed) in basis.chunks_exact_mut(words).enumerate() {
+                for (p, &c) in row.iter().enumerate() {
+                    let term = u64::from(field.mul(c, 1 << b));
+                    packed[p / lanes] |= term << (p % lanes * lane_bits);
+                }
+            }
+            // Entry `v` of nibble `j` is entry `v` without its lowest set
+            // bit, XOR the basis row of that bit.
+            for j in 0..nibbles {
+                let t = i * nibbles + j;
+                for v in 1..16usize {
+                    let b = 4 * j + v.trailing_zeros() as usize;
+                    let rest = v & (v - 1);
+                    for w in 0..words {
+                        let bit = basis.get(b * words + w).copied().unwrap_or(0);
+                        entries[at(t, v, w)] = entries[at(t, rest, w)] ^ bit;
+                    }
+                }
+            }
+            next_row(field, taps, &mut row);
+        }
+        Some(ParityTables {
+            words,
+            lanes,
+            nibbles,
+            entries,
+        })
+    }
+
+    /// Writes the parity of `data` (in the field, `k` symbols) into
+    /// `parity` (`n − k` symbols), one pass over the data per
+    /// [`PASS_WORDS`] table words.
+    fn parity_into(&self, data: &[Symbol], parity: &mut [Symbol]) {
+        // Offsets by multiplies only: a division by a run-time lane or
+        // pass width costs as much as a pass over RS(18,16)'s data.
+        let block = data.len() * self.nibbles * 16;
+        let (mut first, mut rest) = (0, parity);
+        while !rest.is_empty() {
+            let width = PASS_WORDS.min(self.words - first);
+            let (chunk, tail) = rest.split_at_mut((width * self.lanes).min(rest.len()));
+            let entries = &self.entries[first * block..][..width * block];
+            match (self.nibbles, width) {
+                (1, 1) => self.pass::<1, 1>(data, entries, chunk),
+                (1, 2) => self.pass::<1, 2>(data, entries, chunk),
+                (1, _) => self.pass::<1, PASS_WORDS>(data, entries, chunk),
+                (2, 1) => self.pass::<2, 1>(data, entries, chunk),
+                (2, 2) => self.pass::<2, 2>(data, entries, chunk),
+                (2, 3) => self.pass::<2, 3>(data, entries, chunk),
+                (2, _) => self.pass::<2, PASS_WORDS>(data, entries, chunk),
+                (3, 1) => self.pass::<3, 1>(data, entries, chunk),
+                (3, 2) => self.pass::<3, 2>(data, entries, chunk),
+                (3, 3) => self.pass::<3, 3>(data, entries, chunk),
+                (3, _) => self.pass::<3, PASS_WORDS>(data, entries, chunk),
+                (_, 1) => self.pass::<4, 1>(data, entries, chunk),
+                (_, 2) => self.pass::<4, 2>(data, entries, chunk),
+                (_, 3) => self.pass::<4, 3>(data, entries, chunk),
+                (_, _) => self.pass::<4, PASS_WORDS>(data, entries, chunk),
+            }
+            (first, rest) = (first + width, tail);
+        }
+    }
+
+    /// One pass: the XOR over `data` of the `WIDTH`-word entries of each
+    /// symbol's `NIBBLES` tables in `entries`, unpacked into `parity`.
+    /// The shape is a constant, so no entry offset is a multiply by a
+    /// run-time width.
+    fn pass<const NIBBLES: usize, const WIDTH: usize>(
+        &self,
+        data: &[Symbol],
+        entries: &[u64],
+        parity: &mut [Symbol],
+    ) {
+        let mut acc = [0u64; WIDTH];
+        for (&d, tables) in data.iter().zip(entries.chunks_exact(NIBBLES * 16 * WIDTH)) {
+            let mut d = usize::from(d);
+            for table in tables.chunks_exact(16 * WIDTH) {
+                let entry = &table[(d & 0xF) * WIDTH..][..WIDTH];
+                for (a, &t) in acc.iter_mut().zip(entry) {
+                    *a ^= t;
+                }
+                d >>= 4;
+            }
+        }
+        if self.lanes == 8 {
+            let lanes = acc.iter().flat_map(|w| w.to_le_bytes());
+            for (symbol, lane) in parity.iter_mut().zip(lanes) {
+                *symbol = Symbol::from(lane);
+            }
+        } else {
+            let lanes = acc
+                .iter()
+                .flat_map(|&w| [0, 16, 32, 48].map(|s| (w >> s) as Symbol));
+            for (symbol, lane) in parity.iter_mut().zip(lanes) {
+                *symbol = lane;
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -118,6 +311,66 @@ mod tests {
             code.encode(&data),
             Err(CodeError::SymbolOutOfRange { index: 4, .. })
         ));
+    }
+
+    #[test]
+    fn tables_have_the_documented_shapes() {
+        for (n, k, m, shape) in [
+            (18, 16, 8, (8, 1, 2)),
+            (36, 16, 8, (8, 3, 2)),
+            (7, 3, 3, (8, 1, 1)),
+            (40, 30, 10, (4, 3, 3)),
+            (24, 16, 16, (4, 2, 4)),
+        ] {
+            let code = RsCode::new(n, k, m).unwrap();
+            let tables = code.parity_tables().unwrap();
+            assert_eq!(
+                (tables.lanes, tables.words, tables.nibbles),
+                shape,
+                "RS({n},{k}) over GF(2^{m})"
+            );
+            assert_eq!(table_shape(k, n - k, m), Some(shape));
+            assert_eq!(tables.entries.len(), k * shape.2 * 16 * shape.1);
+        }
+        let rs18_16 = RsCode::new(18, 16, 8).unwrap();
+        assert_eq!(rs18_16.parity_tables().unwrap().entries.len() * 8, 4096);
+        // RS(65535,32767) over GF(2^16) would need about 137 GB.
+        assert_eq!(table_shape(32_767, 32_768, 16), None);
+        assert!(table_shape(223, 32, 8).is_some());
+    }
+
+    #[test]
+    fn rows_and_tables_give_the_same_parity() {
+        for (n, k, m) in [
+            (18, 16, 8),
+            (36, 16, 8),
+            (7, 3, 3),
+            (40, 30, 10),
+            (24, 16, 16),
+        ] {
+            let code = RsCode::new(n, k, m).unwrap();
+            let tables = code.parity_tables().unwrap();
+            let size = code.field().size();
+            for seed in 0..50u32 {
+                let data: Vec<Symbol> = (0..k as u32)
+                    .map(|i| {
+                        ((i.wrapping_mul(2_654_435_761) ^ seed.wrapping_mul(40_503)) % size)
+                            as Symbol
+                    })
+                    .collect();
+                let mut from_tables = vec![0; n - k];
+                tables.parity_into(&data, &mut from_tables);
+                let mut from_rows = vec![7; n - k];
+                parity_from_rows(
+                    code.field(),
+                    code.generator().coeffs(),
+                    &data,
+                    &mut from_rows,
+                );
+                assert_eq!(from_tables, from_rows, "RS({n},{k}) over GF(2^{m})");
+                assert_eq!(&code.encode(&data).unwrap()[..n - k], &from_rows[..]);
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Generator and parity-check matrices, compiled for tests only.
 //!
 //! This module derives `G` and `H` from an [`RsCode`] by linear algebra,
-//! independently of the shift-register encoder and the Horner syndromes,
+//! independently of the table-driven encoder and the Horner syndromes,
 //! so its tests are an oracle for both, and for the MDS distance by an
 //! exhaustive minimum-distance check on small codes.
 

@@ -3,7 +3,7 @@
 //! [`reference_encode`] is the textbook systematic encoder written over
 //! [`Poly`] with nothing but the public `RsCode` API: shift the data up
 //! by `n−k`, divide by the generator and put the remainder below the
-//! data. The production encoder, a shift-register division circuit, must
+//! data. The production encoder, built on per-position parity tables, must
 //! return the same codeword for every dataword through both entry points
 //! (`encode` and the in-place `encode_into`), and the same [`CodeError`]
 //! for every malformed one.

@@ -59,8 +59,8 @@ pub trait MemoryCode: std::fmt::Debug + Send + Sync {
     /// [`MemoryCode::encode`] into a caller-owned `n`-symbol buffer.
     ///
     /// The default goes through `encode` and copies the codeword; the
-    /// RS code overrides it with its in-place divider, which allocates
-    /// nothing.
+    /// RS code overrides it with its table-driven encoder, which allocates
+    /// nothing once its tables are built.
     ///
     /// # Errors
     ///
@@ -304,7 +304,7 @@ mod tests {
 
     #[test]
     fn encode_into_matches_encode_for_every_family() {
-        // RS overrides `encode_into` with its in-place divider; RM and
+        // RS overrides `encode_into` with its table-driven encoder; RM and
         // IRS take the default through `encode`.
         for params in [
             CodeParams::rs18_16(),
