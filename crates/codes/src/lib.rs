@@ -140,13 +140,14 @@ pub trait MemoryCode: std::fmt::Debug + Send + Sync {
         })
     }
 
-    /// Decodes a batch of words in place, appending one
-    /// [`BatchOutcome`] per word.
+    /// Decodes a batch of words in place and replaces the contents of
+    /// `out` with one [`BatchOutcome`] per word, in order.
     ///
     /// The default loops [`MemoryCode::decode_in_place`]; the RS code
     /// overrides it with the SWAR batch plane. Corrected words are
     /// repaired in place, exactly like
-    /// `rsmem_code::BatchDecoder::decode_batch`.
+    /// `rsmem_code::BatchDecoder::decode_batch`, which replaces its
+    /// outcomes the same way.
     ///
     /// # Errors
     ///
@@ -163,6 +164,7 @@ pub trait MemoryCode: std::fmt::Debug + Send + Sync {
                 expected: words.len(),
             });
         }
+        out.clear();
         out.reserve(words.len());
         for (word, era) in words.iter_mut().zip(erasures) {
             out.push(self.decode_in_place(word, era)?);
@@ -330,6 +332,29 @@ mod tests {
             let mut word = vec![1; code.n()];
             assert!(code.encode_into(&data[1..], &mut word).is_err(), "{params}");
             assert_eq!(word, vec![1; code.n()], "{params}");
+        }
+    }
+
+    #[test]
+    fn decode_batch_replaces_the_outcomes_in_every_family() {
+        for params in [
+            CodeParams::rs18_16(),
+            CodeParams::rm1(4).unwrap(),
+            CodeParams::interleaved(18, 16, 8, 2).unwrap(),
+        ] {
+            let code = build(params).unwrap();
+            let data: Vec<Symbol> = (0..code.k()).map(|i| (i % 2) as Symbol).collect();
+            let mut words = vec![code.encode(&data).unwrap(); 8];
+            let erasures = vec![Vec::new(); words.len()];
+            let mut out = vec![
+                BatchOutcome::Corrected {
+                    errors: 1,
+                    erasures: 0
+                };
+                3
+            ];
+            code.decode_batch(&mut words, &erasures, &mut out).unwrap();
+            assert_eq!(out, vec![BatchOutcome::Clean; words.len()], "{params}");
         }
     }
 

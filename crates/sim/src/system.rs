@@ -205,8 +205,8 @@ impl Batch {
     fn decode(&mut self, code: &dyn MemoryCode, from: usize) {
         let words = &mut self.words[from..self.len];
         let erasures = &self.erasures[from..self.len];
-        self.outcomes.clear();
         if words.len() < BATCH_CROSSOVER {
+            self.outcomes.clear();
             for (word, erasures) in words.iter_mut().zip(erasures) {
                 let outcome = code
                     .decode_in_place(word, erasures)
