@@ -996,6 +996,54 @@ pub(crate) mod tests {
         }
     }
 
+    /// A freshly stored trial is a scrub fixed point in every family,
+    /// simplex and duplex, for one word and for sixteen: forcing every
+    /// module dirty and scrubbing moves no symbol and leaves no module
+    /// dirty.
+    #[test]
+    fn a_fresh_store_is_a_scrub_fixed_point() {
+        let mut rng = StdRng::seed_from_u64(0x5702E);
+        let sixteen = Layout::Array {
+            words: 16,
+            mbu_width_bits: 2,
+            interleaver: Interleaver::new(4).unwrap(),
+        };
+        for config in oracle_configs() {
+            let code = code_of(&config);
+            let code = code.as_ref();
+            for (layout, replicas) in [
+                (Layout::Word, 1),
+                (Layout::Word, 2),
+                (sixteen, 1),
+                (sixteen, 2),
+            ] {
+                let mut engine = Engine::new(code, &config, replicas, layout);
+                let mut batch = Batch::default();
+                for _ in 0..8 {
+                    engine.store(&mut rng);
+                    let stored: Vec<_> =
+                        engine.replicas.iter().map(|s| s.modules.clone()).collect();
+                    for store in &mut engine.replicas {
+                        store.modules.iter_mut().for_each(MemoryModule::force_dirty);
+                        store.mark_all_dirty();
+                    }
+                    match engine.replicas.as_mut_slice() {
+                        [store] => scrub_simplex(code, store, &mut batch),
+                        stores => assert!(scrub_duplex(code, stores, &mut batch)),
+                    }
+                    for (store, stored) in engine.replicas.iter().zip(&stored) {
+                        assert!(store.dirty.is_empty(), "{config:?}: a module was relisted");
+                        for (module, before) in store.modules.iter().zip(stored) {
+                            assert!(!module.is_dirty(), "{config:?}: a module stayed dirty");
+                            assert_eq!(module.read(), before.read(), "{config:?}: a symbol moved");
+                            assert!(module.erased().is_empty());
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn trials_are_seed_deterministic() {
         let mut config = SimConfig::rs18_16_baseline();
