@@ -199,18 +199,20 @@ mod tests {
     }
 
     /// A store of `codewords` under `config`'s code, each word with up
-    /// to two permanent faults and up to three upsets.
+    /// to two permanent faults and up to three upsets. Without
+    /// interleaving, word `w`'s symbol `p` is physical symbol `w·n + p`.
     fn faulty_array(rng: &mut StdRng, config: &SimConfig, codewords: &[Vec<Symbol>]) -> Store {
         let (n, m) = (config.n, config.m);
         let interleaver = Interleaver::new(1).unwrap();
         let mut store = Store::new(codewords.len(), n, m, interleaver);
-        for (module, codeword) in store.modules.iter_mut().zip(codewords) {
-            module.reset(codeword);
+        for (w, codeword) in codewords.iter().enumerate() {
+            store.modules[w].reset(codeword);
             for _ in 0..rng.gen_range(0..=2) {
-                module.stick(rng.gen_range(0..n), rng.gen_range(0..1 << m));
+                store.stick(w * n + rng.gen_range(0..n), rng.gen_range(0..1 << m));
             }
             for _ in 0..rng.gen_range(0..=3) {
-                module.flip_bit(rng.gen_range(0..n), rng.gen_range(0..m));
+                let symbol = (w * n + rng.gen_range(0..n)) as u64;
+                store.flip_physical_bit(symbol * u64::from(m) + u64::from(rng.gen_range(0..m)));
             }
         }
         store
@@ -361,7 +363,9 @@ mod tests {
                             .iter_mut()
                             .for_each(|a| a.modules[w].reset(&codeword));
                     }
-                    stores.iter_mut().for_each(Store::mark_all_dirty);
+                    // A stored codeword is a scrub fixed point: nothing is
+                    // dirty and nothing is listed.
+                    assert!(stores.iter().all(|a| a.dirty.is_empty()));
                     assert_worklists_match(&stores, "store");
                     // Stuck physical symbols, by replica.
                     let mut stuck: Vec<(usize, usize)> = Vec::new();

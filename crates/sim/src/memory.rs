@@ -11,10 +11,11 @@ use rsmem_gf::Symbol;
 /// decoder receives them as erasures.
 ///
 /// The module also tracks whether it is *dirty*: whether anything may
-/// have changed since a scrub last left it a fixed point. A scrub is a
+/// have changed since it last held a scrub fixed point. A scrub is a
 /// pure function of the module states it reads, so a scrub of modules
 /// that are all clean would reproduce their states exactly, and the
-/// simulators skip it.
+/// simulators skip it. A freshly stored codeword is such a fixed point
+/// in every code family, so a module starts clean.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct MemoryModule {
     stored: Vec<Symbol>,
@@ -27,7 +28,7 @@ pub(crate) struct MemoryModule {
 }
 
 impl MemoryModule {
-    /// Creates a module holding `codeword`, fault-free.
+    /// Creates a module holding `codeword`, fault-free and clean.
     pub(crate) fn new(codeword: Vec<Symbol>, symbol_bits: u32) -> Self {
         let n = codeword.len();
         MemoryModule {
@@ -35,13 +36,13 @@ impl MemoryModule {
             stuck: vec![None; n],
             erased: Vec::new(),
             symbol_bits,
-            dirty: true,
+            dirty: false,
         }
     }
 
     /// Stores `codeword` in place of the module's contents and clears
     /// every permanent fault: the module is as [`MemoryModule::new`]
-    /// would build it, without allocating.
+    /// would build it, clean, without allocating.
     ///
     /// # Panics
     ///
@@ -50,7 +51,7 @@ impl MemoryModule {
         self.stored.copy_from_slice(codeword);
         self.stuck.fill(None);
         self.erased.clear();
-        self.dirty = true;
+        self.dirty = false;
     }
 
     /// The currently stored word (faulty symbols read their stuck value).
@@ -116,8 +117,8 @@ impl MemoryModule {
         changed
     }
 
-    /// True if a fault or a rewrite may have changed the module since a
-    /// scrub last left it a fixed point.
+    /// True if a fault or a rewrite may have changed the module since it
+    /// was stored or a scrub last left it a fixed point.
     pub(crate) fn is_dirty(&self) -> bool {
         self.dirty
     }
@@ -205,8 +206,7 @@ mod tests {
     #[test]
     fn stick_marks_the_module_dirty() {
         let mut m = module();
-        assert!(m.is_dirty(), "a new module has never been scrubbed");
-        m.mark_clean();
+        assert!(!m.is_dirty(), "a stored codeword is a scrub fixed point");
         m.stick(2, 0x30);
         assert!(m.is_dirty(), "a new erasure changes what a scrub sees");
     }
@@ -228,8 +228,9 @@ mod tests {
         let mut m = module();
         m.stick(1, 0xff);
         m.flip_bit(3, 2);
-        m.mark_clean();
+        assert!(m.is_dirty());
         m.reset(&[5, 6, 7, 8]);
+        assert!(!m.is_dirty(), "a reset stores a scrub fixed point");
         assert_eq!(m, MemoryModule::new(vec![5, 6, 7, 8], 8));
         m.flip_bit(1, 0);
         assert_eq!(m.read()[1], 7, "the reset cleared the stuck symbol");

@@ -34,10 +34,11 @@ const BATCH_CROSSOVER: usize = 6;
 /// sequence behind an interleaver.
 ///
 /// The store keeps a worklist of its dirty modules, so a scrub visits
-/// only the words a fault or a rewrite touched. Every change to a module
-/// goes through a method that pushes the module when it turns from clean
-/// to dirty, which keeps the worklist, taken as a set, equal to the set
-/// of dirty modules, with no index listed twice.
+/// only the words a fault or a rewrite touched. A store starts clean with
+/// an empty worklist, and every change to a module goes through a method
+/// that pushes the module when it turns from clean to dirty, which keeps
+/// the worklist, taken as a set, equal to the set of dirty modules, with
+/// no index listed twice.
 #[derive(Clone)]
 pub(crate) struct Store {
     pub(crate) modules: Vec<MemoryModule>,
@@ -49,22 +50,23 @@ pub(crate) struct Store {
 }
 
 impl Store {
-    /// A store of `words` all-zero modules, each to be filled by
-    /// [`MemoryModule::reset`].
+    /// A store of `words` clean all-zero modules, each to be filled by
+    /// [`MemoryModule::reset`], with an empty worklist.
     pub(crate) fn new(words: usize, n: usize, m_bits: u32, interleaver: Interleaver) -> Store {
         Store {
             modules: (0..words)
                 .map(|_| MemoryModule::new(vec![0; n], m_bits))
                 .collect(),
-            dirty: (0..words).collect(),
+            dirty: Vec::new(),
             interleaver,
             n,
             m_bits,
         }
     }
 
-    /// Lists every module, once each: after a reset of them all, every
-    /// module is dirty.
+    /// Lists every module, once each, so that after every module is
+    /// forced dirty the next scrub runs in full.
+    #[cfg(test)]
     pub(crate) fn mark_all_dirty(&mut self) {
         self.dirty.clear();
         self.dirty.extend(0..self.modules.len());
@@ -414,6 +416,11 @@ impl<'c> Engine<'c> {
     }
 
     /// Appends the trial's datawords to `originals` and stores them.
+    ///
+    /// The stores are left clean, with empty worklists: a stored codeword
+    /// is a scrub fixed point in every family (it decodes `Clean` and is
+    /// written back unchanged), so until a fault lists its module through
+    /// [`Store::change`], every scrub would leave the trial as it is.
     fn store<R: Rng + ?Sized>(&mut self, rng: &mut R) {
         // `1 << m` is the symbol-value count of every family (GF(2^m)
         // size for RS, binary for RM).
@@ -435,8 +442,9 @@ impl<'c> Engine<'c> {
                 store.modules[w].reset(&self.codeword);
             }
         }
+        // Every module is now clean, so the last trial's entries go.
         for store in &mut self.replicas {
-            store.mark_all_dirty();
+            store.dirty.clear();
         }
     }
 
@@ -775,15 +783,14 @@ pub(crate) mod tests {
         (0..2)
             .map(|_| {
                 let mut store = Store::new(1, config.n, config.m, Interleaver::new(1).unwrap());
-                let m = &mut store.modules[0];
-                m.reset(codeword);
+                store.modules[0].reset(codeword);
                 for _ in 0..rng.gen_range(0..=2) {
                     let pos = rng.gen_range(0..config.n);
-                    m.stick(pos, rng.gen_range(0..symbol_values) as Symbol);
+                    store.stick(pos, rng.gen_range(0..symbol_values) as Symbol);
                 }
                 for _ in 0..rng.gen_range(0..=3) {
                     let pos = rng.gen_range(0..config.n);
-                    m.flip_bit(pos, rng.gen_range(0..config.m));
+                    store.flip_bit(pos, rng.gen_range(0..config.m));
                 }
                 store
             })
@@ -999,7 +1006,8 @@ pub(crate) mod tests {
     /// A freshly stored trial is a scrub fixed point in every family,
     /// simplex and duplex, for one word and for sixteen: forcing every
     /// module dirty and scrubbing moves no symbol and leaves no module
-    /// dirty.
+    /// dirty. So a store leaves every module clean and every worklist
+    /// empty, whatever the trial before it left.
     #[test]
     fn a_fresh_store_is_a_scrub_fixed_point() {
         let mut rng = StdRng::seed_from_u64(0x5702E);
@@ -1021,6 +1029,10 @@ pub(crate) mod tests {
                 let mut batch = Batch::default();
                 for _ in 0..8 {
                     engine.store(&mut rng);
+                    for store in &engine.replicas {
+                        assert!(store.dirty.is_empty());
+                        assert!(store.modules.iter().all(|m| !m.is_dirty()));
+                    }
                     let stored: Vec<_> =
                         engine.replicas.iter().map(|s| s.modules.clone()).collect();
                     for store in &mut engine.replicas {
@@ -1039,6 +1051,9 @@ pub(crate) mod tests {
                             assert!(module.erased().is_empty());
                         }
                     }
+                    // Leave a listed module behind: the next store must
+                    // still start clean, with empty worklists.
+                    engine.replicas[0].flip_physical_bit(0);
                 }
             }
         }
