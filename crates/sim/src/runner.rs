@@ -339,7 +339,9 @@ fn run_words(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::events::sample_exponential;
     use crate::system::run_trial;
+    use rand::Rng;
 
     type Campaign = fn(&SimConfig, usize, u64) -> Result<MonteCarloReport, SimError>;
 
@@ -463,6 +465,47 @@ mod tests {
                 "{replicas}-replica batch/scalar divergence"
             );
         }
+    }
+
+    /// The trials of `crates/sim/tests/scrub_work.rs`'s campaign whose
+    /// first scrub tick comes before their first fault. A trial is stored
+    /// clean, so such a tick decodes nothing; a store that listed every
+    /// word would decode the pair there, two `Clean` outcomes per trial.
+    /// Counted from each trial's own draws: its dataword, then the SEU
+    /// and permanent-fault clocks of both replicas.
+    #[test]
+    fn scrub_work_trials_with_a_tick_before_any_fault() {
+        let period = 900.0 / 86_400.0;
+        let config = SimConfig {
+            seu_per_bit_day: 1e-2,
+            erasure_per_symbol_day: 1e-2,
+            scrub: Some((period, crate::ScrubTiming::Periodic)),
+            ..SimConfig::rs18_16_baseline()
+        };
+        let (trials, seed) = (512, 11);
+        let seu_rate = config.seu_per_bit_day * config.m as f64 * config.n as f64;
+        let perm_rate = config.erasure_per_symbol_day * config.n as f64;
+        let code = build(config.code_params().unwrap()).unwrap();
+        let mut before_any_fault = 0;
+        for shard in 0..trials / SHARD_TRIALS {
+            let mut rng = StdRng::seed_from_u64(shard_seed(seed, shard as u64));
+            let mut engine = Engine::new(code.as_ref(), &config, 2, Layout::Word);
+            for _ in 0..SHARD_TRIALS {
+                let mut probe = rng.clone();
+                for _ in 0..config.k {
+                    probe.gen_range(0..1usize << config.m);
+                }
+                let seu = [0; 2].map(|_| sample_exponential(&mut probe, seu_rate));
+                let perm = [0; 2].map(|_| sample_exponential(&mut probe, perm_rate));
+                let first_fault = seu.into_iter().chain(perm).fold(f64::INFINITY, f64::min);
+                before_any_fault += usize::from(period < first_fault.min(config.store_days));
+                engine.play(&mut rng);
+            }
+            engine.classify();
+        }
+        // A store that listed every word would decode 2 × 493 = 986 more
+        // `Clean` outcomes than the 4 501 that `scrub_work.rs` pins.
+        assert_eq!(before_any_fault, 493);
     }
 
     #[test]
