@@ -214,8 +214,11 @@ impl RsCode {
         Ok(word)
     }
 
-    /// [`RsCode::encode`] into a caller-owned `n`-symbol buffer, without
-    /// allocating. On error `word` is left unchanged.
+    /// [`RsCode::encode`] into a caller-owned `n`-symbol buffer. The
+    /// code's first encode builds its parity tables; after that an
+    /// encode allocates nothing, unless the code is too large for tables
+    /// (their bytes grow as `k·(n−k)·m`), when each encode allocates one
+    /// row of `n − k` symbols. On error `word` is left unchanged.
     ///
     /// # Errors
     ///

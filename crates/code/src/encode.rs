@@ -187,6 +187,7 @@ impl ParityTables {
             match (self.nibbles, width) {
                 (1, 1) => self.pass::<1, 1>(data, entries, chunk),
                 (1, 2) => self.pass::<1, 2>(data, entries, chunk),
+                (1, 3) => self.pass::<1, 3>(data, entries, chunk),
                 (1, _) => self.pass::<1, PASS_WORDS>(data, entries, chunk),
                 (2, 1) => self.pass::<2, 1>(data, entries, chunk),
                 (2, 2) => self.pass::<2, 2>(data, entries, chunk),
