@@ -534,6 +534,62 @@ fn family_codec_benches(
     Ok(())
 }
 
+/// The seed of [`array_duplex_1024`]: its two trials lose one word, so
+/// the row also sees the read-back's arbiter at work.
+const ARRAY_SEED: u64 = 14;
+
+/// `rsmem_solver_decode_outcomes_total` for `clean`, `corrected` and
+/// `failure`, in that order.
+fn decode_outcomes() -> [u64; 3] {
+    ["clean", "corrected", "failure"].map(|outcome| {
+        rsmem_obs::global()
+            .counter(
+                "rsmem_solver_decode_outcomes_total",
+                &[("outcome", outcome)],
+            )
+            .get()
+    })
+}
+
+/// The `array_duplex_1024` row: one two-trial campaign of the
+/// `mc_array` workload's shape (a 1 024-word duplex RS(18,16) array,
+/// 2-bit upsets, interleave depth 4, a scrub every 0.01 day, two days)
+/// at a fixed seed. The fingerprint hashes the failed and silent words
+/// and the campaign's clean, corrected and failed decodes, so it moves
+/// with any change to the faults, the scrubs or the read-backs.
+///
+/// The decode counts are process-wide deltas: nothing else may decode
+/// while the row runs.
+///
+/// # Errors
+///
+/// A campaign error, as text.
+pub fn array_duplex_1024() -> Result<u64, String> {
+    use rsmem::array::{run_duplex_array, ArrayConfig};
+    let config = ArrayConfig {
+        base: rsmem::SimConfig {
+            seu_per_bit_day: 1e-3,
+            erasure_per_symbol_day: 1e-4,
+            scrub: Some((0.01, rsmem::ScrubTiming::Periodic)),
+            ..rsmem::SimConfig::rs18_16_baseline()
+        },
+        words: 1024,
+        mbu_width_bits: 2,
+        interleave_depth: 4,
+    };
+    let before = decode_outcomes();
+    let report = run_duplex_array(&config, 2, ARRAY_SEED).map_err(|e| e.to_string())?;
+    let after = decode_outcomes();
+    let mut hash = Fnv::new();
+    for count in [report.failed_words, report.silent_words] {
+        hash.write(&(count as u64).to_le_bytes());
+    }
+    for (a, b) in after.iter().zip(&before) {
+        hash.write(&(a - b).to_le_bytes());
+    }
+    Ok(hash.finish())
+}
+
 /// One HTTP round trip against `addr`; returns the response body.
 fn http_post(addr: std::net::SocketAddr, path: &str, body: &str) -> Result<String, String> {
     let mut stream = TcpStream::connect(addr).map_err(|e| e.to_string())?;
@@ -668,6 +724,11 @@ pub fn run_suite(quick: bool) -> Result<BenchReport, String> {
     decode_throughput_benches(quick, iterations, &mut benches)?;
     encode_benches(iterations, &mut benches)?;
     family_codec_benches(quick, iterations, &mut benches)?;
+    benches.push(run_bench(
+        "array_duplex_1024",
+        iterations,
+        array_duplex_1024,
+    )?);
     benches.push(service_roundtrip(iterations)?);
     let (version, git_hash) = rsmem_obs::build_info();
     Ok(BenchReport {
