@@ -398,12 +398,11 @@ fn decode_throughput_benches(
         // only the refill copy (decode_batch corrects in place) is part
         // of the measured cost.
         let mut decoder = BatchDecoder::new();
-        let mut batch_words = corpus.clone();
+        let flat_corpus = corpus.concat();
+        let mut batch_words = flat_corpus.clone();
         let mut outcomes = Vec::new();
         let mut batch = run_bench(&format!("decode_throughput_{tag}"), iterations, || {
-            for (dst, src) in batch_words.iter_mut().zip(&corpus) {
-                dst.copy_from_slice(src);
-            }
+            batch_words.copy_from_slice(&flat_corpus);
             decoder
                 .decode_batch(
                     &code,
@@ -414,7 +413,7 @@ fn decode_throughput_benches(
                 )
                 .map_err(|e| e.to_string())?;
             let mut hash = Fnv::new();
-            for (word, outcome) in batch_words.iter().zip(&outcomes) {
+            for (word, outcome) in batch_words.chunks_exact(n).zip(&outcomes) {
                 fingerprint_batch_outcome(&mut hash, &code, word, outcome)?;
             }
             Ok(hash.finish())

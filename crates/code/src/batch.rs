@@ -133,7 +133,7 @@ impl SyndromeBatch {
             check_word(code, word.as_ref())?;
         }
         let mut ws = SoaBuffers::default();
-        syndromes_soa(code, words, &mut ws);
+        syndromes_soa(code, words.iter().map(AsRef::as_ref), &mut ws);
         Ok(SyndromeBatch {
             words: words.len(),
             stride: code.parity_symbols(),
@@ -221,7 +221,11 @@ struct SoaBuffers {
 /// ladders apply `acc ← root·acc ⊕ coeff` from the highest codeword
 /// position down — the exact evaluation order of the scalar ladder, so
 /// every syndrome is bit-identical.
-fn syndromes_soa<W: AsRef<[Symbol]>>(code: &RsCode, words: &[W], ws: &mut SoaBuffers) {
+fn syndromes_soa<'w>(
+    code: &RsCode,
+    words: impl ExactSizeIterator<Item = &'w [Symbol]>,
+    ws: &mut SoaBuffers,
+) {
     let mut span = rsmem_obs::span("code.bulk", "syndromes");
     let lanes = words.len();
     let n = code.n();
@@ -242,15 +246,11 @@ fn syndromes_soa<W: AsRef<[Symbol]>>(code: &RsCode, words: &[W], ws: &mut SoaBuf
         let tables = code.syndrome_tables();
         ws.cols_p.clear();
         ws.cols_p.resize(wu * n, 0);
-        for g in 0..wu {
-            let base = g * PACK;
-            let in_group = PACK.min(lanes - base);
-            let packed = &mut ws.cols_p[g * n..(g + 1) * n];
-            for (lane, word) in words[base..base + in_group].iter().enumerate() {
-                let shift = 8 * lane;
-                for (p, &c) in packed.iter_mut().zip(word.as_ref()) {
-                    *p |= u64::from(c) << shift;
-                }
+        for (w, word) in words.enumerate() {
+            let g = w / PACK;
+            let shift = 8 * (w % PACK);
+            for (p, &c) in ws.cols_p[g * n..(g + 1) * n].iter_mut().zip(word) {
+                *p |= u64::from(c) << shift;
             }
         }
         // Ladder four groups at a time: the Horner recurrence serializes
@@ -303,8 +303,8 @@ fn syndromes_soa<W: AsRef<[Symbol]>>(code: &RsCode, words: &[W], ws: &mut SoaBuf
     } else {
         ws.cols.clear();
         ws.cols.resize(n * lanes, 0);
-        for (w, word) in words.iter().enumerate() {
-            for (i, &c) in word.as_ref().iter().enumerate() {
+        for (w, word) in words.enumerate() {
+            for (i, &c) in word.iter().enumerate() {
                 ws.cols[i * lanes + w] = c;
             }
         }
@@ -333,14 +333,15 @@ fn syndromes_soa<W: AsRef<[Symbol]>>(code: &RsCode, words: &[W], ws: &mut SoaBuf
 ///
 /// # fn main() -> Result<(), rsmem_code::CodeError> {
 /// let code = RsCode::new(18, 16, 8)?;
-/// let mut words = vec![code.encode(&(0..16).collect::<Vec<_>>())?; 8];
-/// words[5][2] ^= 0x11; // one SEU in word 5
+/// // Eight codewords back to back, 18 symbols each.
+/// let mut words = code.encode(&(0..16).collect::<Vec<_>>())?.repeat(8);
+/// words[5 * 18 + 2] ^= 0x11; // one SEU in word 5
 /// let mut decoder = BatchDecoder::new();
 /// let mut outcomes = Vec::new();
 /// decoder.decode_batch(&code, &mut words, &[], &DecodeOpts::default(), &mut outcomes)?;
 /// assert_eq!(outcomes[0], BatchOutcome::Clean);
 /// assert_eq!(outcomes[5], BatchOutcome::Corrected { errors: 1, erasures: 0 });
-/// assert!(code.is_codeword(&words[5])?); // corrected in place
+/// assert!(code.is_codeword(&words[5 * 18..6 * 18])?); // corrected in place
 /// # Ok(())
 /// # }
 /// ```
@@ -359,7 +360,8 @@ impl BatchDecoder {
 
     /// Decodes `words` in place, appending one compact [`BatchOutcome`]
     /// per word to `out` (which is cleared first and reuses its
-    /// capacity).
+    /// capacity). `words` holds the batch's words back to back, `n`
+    /// symbols each, in one buffer.
     ///
     /// Classification is identical to per-word [`RsCode::decode_with`]:
     /// over-budget erasure sets and non-zero-syndrome words escalate to
@@ -370,31 +372,33 @@ impl BatchDecoder {
     /// # Errors
     ///
     /// [`CodeError`] on the first malformed word or erasure set, in
-    /// which case no word has been modified.
+    /// which case no word has been modified. A buffer whose length is
+    /// not a multiple of `n` ends in a short, malformed word.
     ///
     /// # Panics
     ///
     /// Panics when `erasures` is non-empty but its length differs from
-    /// `words.len()`.
+    /// the number of words.
     pub fn decode_batch(
         &mut self,
         code: &RsCode,
-        words: &mut [Vec<Symbol>],
+        words: &mut [Symbol],
         erasures: &[Vec<usize>],
         opts: &DecodeOpts,
         out: &mut Vec<BatchOutcome>,
     ) -> Result<(), CodeError> {
+        let n = code.n();
+        let lanes = words.len().div_ceil(n);
         let mut span = rsmem_obs::span("code.bulk", "decode_batch");
-        span.record("words", words.len() as u64);
-        self.validate(code, words, erasures)?;
-        syndromes_soa(code, &*words, &mut self.ws);
-        let lanes = words.len();
+        span.record("words", lanes as u64);
+        self.validate(code, words.chunks(n), erasures)?;
+        syndromes_soa(code, words.chunks(n), &mut self.ws);
         let stride = code.parity_symbols();
         out.clear();
         out.reserve(lanes);
         let mut clean = 0u64;
         let mut escalated = 0u64;
-        for (w, word) in words.iter_mut().enumerate() {
+        for (w, word) in words.chunks_mut(n).enumerate() {
             let era = erasures_of(erasures, w);
             if era.len() <= stride && word_is_clean(&self.ws.soa, lanes, stride, w) {
                 clean += 1;
@@ -438,8 +442,8 @@ impl BatchDecoder {
     ) -> Result<Vec<DecodeOutcome>, CodeError> {
         let mut span = rsmem_obs::span("code.bulk", "decode_many");
         span.record("words", words.len() as u64);
-        self.validate(code, words, erasures)?;
-        syndromes_soa(code, &*words, &mut self.ws);
+        self.validate(code, words.iter().map(Vec::as_slice), erasures)?;
+        syndromes_soa(code, words.iter().map(Vec::as_slice), &mut self.ws);
         let lanes = words.len();
         let stride = code.parity_symbols();
         let mut out = Vec::with_capacity(lanes);
@@ -472,10 +476,10 @@ impl BatchDecoder {
     /// Upfront validation of the whole batch, per word in the scalar
     /// order (length → symbols → erasures), so an error leaves every
     /// word untouched.
-    fn validate(
+    fn validate<'w>(
         &self,
         code: &RsCode,
-        words: &[Vec<Symbol>],
+        words: impl ExactSizeIterator<Item = &'w [Symbol]>,
         erasures: &[Vec<usize>],
     ) -> Result<(), CodeError> {
         assert!(
@@ -484,7 +488,7 @@ impl BatchDecoder {
             erasures.len(),
             words.len()
         );
-        for (w, word) in words.iter().enumerate() {
+        for (w, word) in words.enumerate() {
             check_word(code, word)?;
             let era = erasures_of(erasures, w);
             if !era.is_empty() {
@@ -597,8 +601,8 @@ mod tests {
     #[test]
     fn decode_batch_compact_outcomes_match_full_outcomes() {
         let code = rs18_16();
-        let (mut words, erasures) = words_with_patterns(&code);
-        let mut full_words = words.clone();
+        let (mut full_words, erasures) = words_with_patterns(&code);
+        let mut words = full_words.concat();
         let opts = DecodeOpts::default();
         let full = code.decode_many(&mut full_words, &erasures, &opts).unwrap();
         let mut decoder = BatchDecoder::new();
@@ -606,6 +610,7 @@ mod tests {
         decoder
             .decode_batch(&code, &mut words, &erasures, &opts, &mut compact)
             .unwrap();
+        let words: Vec<&[Symbol]> = words.chunks(code.n()).collect();
         assert_eq!(compact.len(), full.len());
         for (w, (c, f)) in compact.iter().zip(full.iter()).enumerate() {
             match f {
@@ -633,7 +638,7 @@ mod tests {
     fn too_many_erasures_escalates_even_when_syndromes_are_zero() {
         let code = rs18_16();
         let data: Vec<Symbol> = (0..16).collect();
-        let mut words = vec![code.encode(&data).unwrap()];
+        let mut words = code.encode(&data).unwrap();
         let erasures = vec![vec![0usize, 1, 2]]; // 3 > n−k = 2
         let mut decoder = BatchDecoder::new();
         let mut out = Vec::new();
@@ -658,14 +663,15 @@ mod tests {
         let data: Vec<Symbol> = (0..16).collect();
         let mut good = code.encode(&data).unwrap();
         good[0] ^= 1; // would be corrected if the batch ran
-        let mut words = vec![good.clone(), vec![0; 17]]; // second word malformed
+        let short = vec![0; 17]; // the second word is one symbol short
+        let mut words = [good.clone(), short].concat();
         let mut decoder = BatchDecoder::new();
         let mut out = Vec::new();
         let err = decoder.decode_batch(&code, &mut words, &[], &DecodeOpts::default(), &mut out);
         assert!(err.is_err());
-        assert_eq!(words[0], good, "no word may be modified on batch error");
+        assert_eq!(words[..18], good, "no word may be modified on batch error");
         // Bad erasure sets are also pre-flight errors.
-        let mut words = vec![good.clone()];
+        let mut words = good.clone();
         let err = decoder.decode_batch(
             &code,
             &mut words,
@@ -674,7 +680,7 @@ mod tests {
             &mut out,
         );
         assert!(err.is_err());
-        assert_eq!(words[0], good);
+        assert_eq!(words, good);
     }
 
     #[test]
@@ -685,7 +691,7 @@ mod tests {
         let mut word = clean.clone();
         word[2] ^= 0x3; // erased position, wrong value
         word[8] ^= 0x9; // random error
-        let mut words = vec![word];
+        let mut words = word;
         let erasures = vec![vec![2usize, 4]]; // one real, one intact erasure
         let mut decoder = BatchDecoder::new();
         let mut out = Vec::new();
@@ -705,7 +711,7 @@ mod tests {
                 erasures: 1
             }
         );
-        assert_eq!(words[0], clean);
+        assert_eq!(words, clean);
         // Cross-check the split against the scalar correction list.
         let mut scalar_word = clean.clone();
         scalar_word[2] ^= 0x3;
@@ -731,15 +737,15 @@ mod tests {
             let data: Vec<Symbol> = (0..k as u32)
                 .map(|i| (i % code.field().size()) as Symbol)
                 .collect();
-            let mut words = vec![code.encode(&data).unwrap(); 5];
-            words[3][0] ^= 1;
+            let mut words = code.encode(&data).unwrap().repeat(5);
+            words[3 * n] ^= 1;
             decoder
                 .decode_batch(&code, &mut words, &[], &DecodeOpts::default(), &mut out)
                 .unwrap();
             assert_eq!(out.len(), 5);
             assert!(out[3].is_flagged());
             assert_eq!(out[0], BatchOutcome::Clean);
-            assert!(code.is_codeword(&words[3]).unwrap());
+            assert!(code.is_codeword(&words[3 * n..4 * n]).unwrap());
         }
     }
 }

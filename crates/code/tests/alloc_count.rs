@@ -19,8 +19,8 @@ fn warm_clean_batches_allocate_nothing() {
     // the decode spans reduce to their disabled fast gates (which the
     // obs crate separately proves allocation-free).
     let code = RsCode::new(18, 16, 8).unwrap();
-    let mut words: Vec<Vec<Symbol>> = (0..96u32)
-        .map(|i| {
+    let mut words: Vec<Symbol> = (0..96u32)
+        .flat_map(|i| {
             let data: Vec<Symbol> = (0..16u32)
                 .map(|j| ((i * 31 + j * 7) % 256) as Symbol)
                 .collect();
@@ -70,15 +70,15 @@ fn warm_batches_with_empty_erasure_sets_allocate_nothing() {
     // word) is what the simulator passes; empty sets must stay on the
     // allocation-free path too.
     let code = RsCode::new(36, 16, 8).unwrap();
-    let mut words: Vec<Vec<Symbol>> = (0..32u32)
-        .map(|i| {
+    let mut words: Vec<Symbol> = (0..32u32)
+        .flat_map(|i| {
             let data: Vec<Symbol> = (0..16u32)
                 .map(|j| ((i * 13 + j * 5 + 1) % 256) as Symbol)
                 .collect();
             code.encode(&data).unwrap()
         })
         .collect();
-    let erasures: Vec<Vec<usize>> = vec![Vec::new(); words.len()];
+    let erasures: Vec<Vec<usize>> = vec![Vec::new(); 32];
     let mut decoder = BatchDecoder::new();
     let mut outcomes = Vec::new();
 
@@ -128,13 +128,14 @@ fn warm_batches_of_dirty_words_allocate_nothing() {
         }
         word
     };
-    let stored = vec![
+    let stored = [
         dirty(&[(5, 0x40)]),
         dirty(&[(2, 0x11)]),
         dirty(&[(2, 0x11), (9, 0x80)]),
         dirty(&[(1, 0x10), (9, 0x33)]),
         clean.clone(),
-    ];
+    ]
+    .concat();
     let erasures = vec![vec![], vec![2], vec![2, 9], vec![], vec![]];
     for backend in [DecoderBackend::Sugiyama, DecoderBackend::BerlekampMassey] {
         let opts = DecodeOpts::with_backend(backend);
@@ -153,7 +154,7 @@ fn warm_batches_of_dirty_words_allocate_nothing() {
 
         let before = allocations();
         for _ in 0..100 {
-            words.clone_from_slice(&stored);
+            words.copy_from_slice(&stored);
             decoder
                 .decode_batch(&code, &mut words, &erasures, &opts, &mut outcomes)
                 .unwrap();

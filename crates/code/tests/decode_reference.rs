@@ -279,7 +279,7 @@ fn check_against_reference(code: &RsCode, word: &[Symbol], erasures: &[usize]) {
         let class = code.decode_in_place_with(&mut in_place, erasures, backend);
         assert_eq!(class, Ok(class_of(&expected)), "{backend} in place");
         assert_eq!(in_place, after, "{backend} in-place word");
-        let mut batch = vec![word.to_vec()];
+        let mut batch = word.to_vec();
         let mut out = Vec::new();
         BatchDecoder::new()
             .decode_batch(
@@ -291,7 +291,7 @@ fn check_against_reference(code: &RsCode, word: &[Symbol], erasures: &[usize]) {
             )
             .unwrap();
         assert_eq!(out, [class_of(&expected)], "{backend} batch");
-        assert_eq!(batch[0], after, "{backend} batch word");
+        assert_eq!(batch, after, "{backend} batch word");
     }
 }
 

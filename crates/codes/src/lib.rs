@@ -141,32 +141,36 @@ pub trait MemoryCode: std::fmt::Debug + Send + Sync {
     }
 
     /// Decodes a batch of words in place and replaces the contents of
-    /// `out` with one [`BatchOutcome`] per word, in order.
+    /// `out` with one [`BatchOutcome`] per word, in order. `words` holds
+    /// the words back to back, `n` symbols each, in one buffer, and
+    /// `erasures` holds one set per word.
     ///
-    /// The default loops [`MemoryCode::decode_in_place`]; the RS code
-    /// overrides it with the SWAR batch plane. Corrected words are
-    /// repaired in place, exactly like
+    /// The default loops [`MemoryCode::decode_in_place`] over `n`-symbol
+    /// chunks; the RS code overrides it with the SWAR batch plane.
+    /// Corrected words are repaired in place, exactly like
     /// `rsmem_code::BatchDecoder::decode_batch`, which replaces its
     /// outcomes the same way.
     ///
     /// # Errors
     ///
-    /// [`CodeError`] for malformed input or a batch-shape mismatch.
+    /// [`CodeError`] for malformed input, or a buffer that does not hold
+    /// `n` symbols per erasure set.
     fn decode_batch(
         &self,
-        words: &mut [Vec<Symbol>],
+        words: &mut [Symbol],
         erasures: &[Vec<usize>],
         out: &mut Vec<BatchOutcome>,
     ) -> Result<(), CodeError> {
-        if words.len() != erasures.len() {
+        let n = self.n();
+        if words.len() != erasures.len() * n {
             return Err(CodeError::CodewordLength {
-                got: erasures.len(),
-                expected: words.len(),
+                got: words.len(),
+                expected: erasures.len() * n,
             });
         }
         out.clear();
-        out.reserve(words.len());
-        for (word, era) in words.iter_mut().zip(erasures) {
+        out.reserve(erasures.len());
+        for (word, era) in words.chunks_exact_mut(n).zip(erasures) {
             out.push(self.decode_in_place(word, era)?);
         }
         Ok(())
@@ -344,8 +348,8 @@ mod tests {
         ] {
             let code = build(params).unwrap();
             let data: Vec<Symbol> = (0..code.k()).map(|i| (i % 2) as Symbol).collect();
-            let mut words = vec![code.encode(&data).unwrap(); 8];
-            let erasures = vec![Vec::new(); words.len()];
+            let mut words = code.encode(&data).unwrap().repeat(8);
+            let erasures = vec![Vec::new(); 8];
             let mut out = vec![
                 BatchOutcome::Corrected {
                     errors: 1,
@@ -354,7 +358,7 @@ mod tests {
                 3
             ];
             code.decode_batch(&mut words, &erasures, &mut out).unwrap();
-            assert_eq!(out, vec![BatchOutcome::Clean; words.len()], "{params}");
+            assert_eq!(out, vec![BatchOutcome::Clean; 8], "{params}");
         }
     }
 
@@ -365,7 +369,7 @@ mod tests {
         let clean = code.encode(&data).unwrap();
         let mut corrupted = clean.clone();
         corrupted[2] ^= 1;
-        let mut words = vec![clean.clone(), corrupted];
+        let mut words = [clean.clone(), corrupted].concat();
         let erasures = vec![vec![], vec![]];
         let mut out = Vec::new();
         code.decode_batch(&mut words, &erasures, &mut out).unwrap();
@@ -377,6 +381,9 @@ mod tests {
                 erasures: 0
             }
         );
-        assert_eq!(words[1], clean, "corrected in place");
+        assert_eq!(words[code.n()..], clean, "corrected in place");
+        // A buffer that is not `n` symbols per erasure set is rejected.
+        words.pop();
+        assert!(code.decode_batch(&mut words, &erasures, &mut out).is_err());
     }
 }

@@ -59,7 +59,7 @@ impl MemoryCode for RsCode {
 
     fn decode_batch(
         &self,
-        words: &mut [Vec<Symbol>],
+        words: &mut [Symbol],
         erasures: &[Vec<usize>],
         out: &mut Vec<BatchOutcome>,
     ) -> Result<(), CodeError> {

@@ -182,7 +182,7 @@ fn rs_trait_object_bit_identical_on_pinned_seeds() {
                     concrete.decode(&word, &erasures).unwrap(),
                     "seed {seed:#x} RS({n},{k})"
                 );
-                words.push(word);
+                words.extend_from_slice(&word);
                 erasure_sets.push(erasures);
             }
             // Batch path: identical outcomes AND identical in-place
@@ -263,7 +263,7 @@ fn batch_outcomes_match_scalar_for_every_family() {
                 word[rng.gen_range(0..params.n())] ^= 1 + rng.gen_range(0..size - 1) as Symbol;
             }
             scalar.push(code.decode(&word, &[]).unwrap());
-            words.push(word);
+            words.extend_from_slice(&word);
             erasure_sets.push(Vec::new());
         }
         let mut out = Vec::new();
@@ -281,7 +281,12 @@ fn batch_outcomes_match_scalar_for_every_family() {
             );
             assert!(matches, "{params}: word {i}: {batch:?} vs {scalar:?}");
             if let DecodeOutcome::Corrected { codeword, .. } = scalar {
-                assert_eq!(&words[i], codeword, "{params}: word {i} in-place repair");
+                let n = params.n();
+                assert_eq!(
+                    &words[i * n..(i + 1) * n],
+                    codeword,
+                    "{params}: word {i} in-place repair"
+                );
             }
         }
     }

@@ -63,7 +63,7 @@ fn family_series_appear_only_at_the_trait_layer() {
         .contains("rsmem_decode_outcomes_total{family=\"rs\",outcome=\"clean\"} 1"));
 
     // Batch decodes settle the same series in one pass.
-    let mut words = vec![word.clone(), corrupted.clone(), word.clone()];
+    let mut words = [word.clone(), corrupted.clone(), word.clone()].concat();
     let erasures = vec![Vec::new(); 3];
     let mut out = Vec::new();
     built.decode_batch(&mut words, &erasures, &mut out).unwrap();

@@ -125,61 +125,60 @@ fn validate_module_inner<C: MemoryCode + ?Sized>(
     Ok(())
 }
 
-/// The output buffers of arbiter step 1, reused from one masking to the
-/// next: both masked module words, the positions erased in *both*
-/// modules (the paper's common-erasure set X), and the validation
-/// scratch.
+/// The reusable scratch of arbiter step 1: the positions erased in
+/// *both* modules (the paper's common-erasure set X), and the
+/// validation flags.
 #[derive(Debug, Default)]
-pub(crate) struct MaskedPair {
-    /// Module 1's masked word.
-    pub(crate) w1: Vec<Symbol>,
-    /// Module 2's masked word.
-    pub(crate) w2: Vec<Symbol>,
+pub(crate) struct MaskScratch {
     /// Positions erased in both modules (kept as erasures for both).
     pub(crate) common: Vec<usize>,
     seen: Vec<bool>,
 }
 
 /// Step 1 of the arbiter, factored out so the simulators can mask
-/// word-pairs into reused buffers and decode them in place or in one
-/// batch: validates both modules, substitutes every single-sided erasure
-/// from the sibling module, and leaves in `out` the two masked words
-/// plus the positions erased in *both* modules (which stay erasures for
-/// both decoders).
+/// word-pairs straight into the slots of a decode batch: validates both
+/// modules, writes module 1's masked word into the first `n` symbols of
+/// `masked` and module 2's into the next `n`, substituting every
+/// single-sided erasure from the sibling module, and leaves in
+/// `scratch.common` the positions erased in *both* modules (which stay
+/// erasures for both decoders).
 ///
 /// # Errors
 ///
-/// [`CodeError`] for malformed inputs, exactly like [`arbitrate`].
+/// [`CodeError`] for malformed inputs, exactly like [`arbitrate`];
+/// `masked` is then untouched.
+///
+/// # Panics
+///
+/// Panics if `masked` is not `2n` symbols long.
 pub(crate) fn mask<C: MemoryCode + ?Sized>(
     code: &C,
-    word1: &[Symbol],
-    erasures1: &[usize],
-    word2: &[Symbol],
-    erasures2: &[usize],
-    out: &mut MaskedPair,
+    (word1, erasures1): (&[Symbol], &[usize]),
+    (word2, erasures2): (&[Symbol], &[usize]),
+    masked: &mut [Symbol],
+    scratch: &mut MaskScratch,
 ) -> Result<(), CodeError> {
     // Malformed inputs must surface as typed errors before the masking
     // step indexes into the words (found by rsmem-stress: out-of-range
     // erasure positions and short words used to panic here).
-    validate_module(code, word1, erasures1, &mut out.seen)?;
-    validate_module(code, word2, erasures2, &mut out.seen)?;
+    validate_module(code, word1, erasures1, &mut scratch.seen)?;
+    validate_module(code, word2, erasures2, &mut scratch.seen)?;
 
-    out.w1.clear();
-    out.w1.extend_from_slice(word1);
-    out.w2.clear();
-    out.w2.extend_from_slice(word2);
-    out.common.clear();
+    let (w1, w2) = masked.split_at_mut(code.n());
+    w1.copy_from_slice(word1);
+    w2.copy_from_slice(word2);
+    scratch.common.clear();
     for &p in erasures1 {
         if erasures2.contains(&p) {
-            out.common.push(p);
+            scratch.common.push(p);
         } else {
             // Module 2's symbol is trusted hardware-wise; substitute it.
-            out.w1[p] = word2[p];
+            w1[p] = word2[p];
         }
     }
     for &p in erasures2 {
         if !erasures1.contains(&p) {
-            out.w2[p] = word1[p];
+            w2[p] = word1[p];
         }
     }
     Ok(())
@@ -319,18 +318,23 @@ pub fn arbitrate<C: MemoryCode + ?Sized>(
     erasures2: &[usize],
 ) -> Result<ArbiterOutput, CodeError> {
     // Step 1: validation + erasure recovery (masking).
-    let mut pair = MaskedPair::default();
-    mask(code, word1, erasures1, word2, erasures2, &mut pair)?;
+    let mut masked = vec![0; 2 * code.n()];
+    let mut scratch = MaskScratch::default();
+    mask(
+        code,
+        (word1, erasures1),
+        (word2, erasures2),
+        &mut masked,
+        &mut scratch,
+    )?;
 
     // Step 2: independent decoding with the common (unmaskable) erasures.
-    let out1 = code.decode_in_place(&mut pair.w1, &pair.common)?;
-    let out2 = code.decode_in_place(&mut pair.w2, &pair.common)?;
+    let (w1, w2) = masked.split_at_mut(code.n());
+    let out1 = code.decode_in_place(w1, &scratch.common)?;
+    let out2 = code.decode_in_place(w2, &scratch.common)?;
 
     // Step 3: flag-based comparison.
-    let verdict = combine(
-        verdict_of(code, &pair.w1, &out1),
-        verdict_of(code, &pair.w2, &out2),
-    );
+    let verdict = combine(verdict_of(code, w1, &out1), verdict_of(code, w2, &out2));
     Ok(match verdict {
         None => ArbiterOutput::NoOutput,
         Some((data, branch)) => ArbiterOutput::Data {

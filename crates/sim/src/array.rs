@@ -22,7 +22,7 @@
 //! (`system.rs`), with any code family; only their upset draw differs:
 //! one physical bit, then the burst through the interleaver.
 
-use crate::runner::{wilson_interval, OutcomeCounts};
+use crate::runner::{summarize, OutcomeCounts};
 use crate::system::{Engine, Layout};
 use crate::{SimConfig, SimError};
 use rand::rngs::StdRng;
@@ -155,32 +155,27 @@ fn run_campaign(
         counts = counts.merge(engine.classify());
     }
 
-    let failed_words = counts.silent + counts.detected;
-    let total_words = trials * config.words;
-    let word_failure_fraction = failed_words as f64 / total_words as f64;
-    let prefactor =
-        config.base.m as f64 * (config.base.n - config.base.k) as f64 / config.base.k as f64;
+    // Every word of every trial is one classified read.
+    let words = summarize(counts, config.base.n, config.base.k, config.base.m);
     Ok(ArrayReport {
         trials,
         words: config.words,
-        failed_words,
-        silent_words: counts.silent,
-        word_failure_fraction,
-        wilson_95: wilson_interval(failed_words, total_words),
-        ber_estimate: prefactor * word_failure_fraction,
+        failed_words: words.silent + words.detected,
+        silent_words: words.silent,
+        word_failure_fraction: words.failure_fraction,
+        wilson_95: words.wilson_95,
+        ber_estimate: words.ber_estimate,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arbiter::{mask, MaskedPair};
-    use crate::memory::MemoryModule;
-    use crate::system::{scrub_duplex, scrub_simplex, Batch, Store};
+    use crate::memory::Store;
+    use crate::system::{scrub_duplex, scrub_simplex, Batch};
     use crate::ScrubTiming;
     use rand::Rng;
-    use rsmem_code::{BatchOutcome, RsCode, Symbol};
-    use rsmem_codes::MemoryCode;
+    use rsmem_code::{RsCode, Symbol};
 
     fn base(seu: f64) -> SimConfig {
         SimConfig {
@@ -198,136 +193,11 @@ mod tests {
         }
     }
 
-    /// A store of `codewords` under `config`'s code, each word with up
-    /// to two permanent faults and up to three upsets. Without
-    /// interleaving, word `w`'s symbol `p` is physical symbol `w·n + p`.
-    fn faulty_array(rng: &mut StdRng, config: &SimConfig, codewords: &[Vec<Symbol>]) -> Store {
-        let (n, m) = (config.n, config.m);
-        let interleaver = Interleaver::new(1).unwrap();
-        let mut store = Store::new(codewords.len(), n, m, interleaver);
-        for (w, codeword) in codewords.iter().enumerate() {
-            store.modules[w].reset(codeword);
-            for _ in 0..rng.gen_range(0..=2) {
-                store.stick(w * n + rng.gen_range(0..n), rng.gen_range(0..1 << m));
-            }
-            for _ in 0..rng.gen_range(0..=3) {
-                let symbol = (w * n + rng.gen_range(0..n)) as u64;
-                store.flip_physical_bit(symbol * u64::from(m) + u64::from(rng.gen_range(0..m)));
-            }
-        }
-        store
-    }
-
-    /// The word `word` decodes to, or `None` if decoding fails.
-    fn decoded(code: &dyn MemoryCode, word: &[Symbol], erasures: &[usize]) -> Option<Vec<Symbol>> {
-        let mut out = word.to_vec();
-        match code.decode_in_place(&mut out, erasures).unwrap() {
-            BatchOutcome::Failure(_) => None,
-            BatchOutcome::Clean | BatchOutcome::Corrected { .. } => Some(out),
-        }
-    }
-
-    /// Word `w`'s modules across `stores`: stored symbols and erasures.
-    fn word_state(stores: &[Store], w: usize) -> Vec<(Vec<Symbol>, Vec<usize>)> {
-        stores
-            .iter()
-            .map(|a| (a.modules[w].read().to_vec(), a.modules[w].erased().to_vec()))
-            .collect()
-    }
-
-    /// Scrubs `stores`, forces every module dirty and scrubs again: no
-    /// word in `converged` may move on the repeat. Returns how many of
-    /// them the first scrub changed.
-    fn check_converged(
-        stores: &mut [Store],
-        converged: &[bool],
-        mut scrub: impl FnMut(&mut [Store]),
-    ) -> usize {
-        let words = converged.len();
-        let before: Vec<_> = (0..words).map(|w| word_state(stores, w)).collect();
-        scrub(stores);
-        let settled: Vec<_> = (0..words).map(|w| word_state(stores, w)).collect();
-        for store in stores.iter_mut() {
-            store.modules.iter_mut().for_each(MemoryModule::force_dirty);
-            store.mark_all_dirty();
-        }
-        scrub(stores);
-        let mut changed = 0;
-        for w in (0..words).filter(|&w| converged[w]) {
-            assert_eq!(
-                word_state(stores, w),
-                settled[w],
-                "a repeated scrub moved converged word {w}"
-            );
-            changed += usize::from(settled[w] != before[w]);
-        }
-        changed
-    }
-
     #[test]
     fn a_converged_array_scrub_is_a_fixed_point() {
-        let mut rng = StdRng::seed_from_u64(0xA22A);
-        let mut batch = Batch::default();
-        let cases = if cfg!(debug_assertions) {
-            1_500
-        } else {
-            20_000
-        };
-        // RS(20,16) also corrects an error next to an erasure; RM(1,5)
-        // and IRS(36,32) run their own decoders.
-        for config in crate::system::tests::oracle_configs() {
-            let code = build(config.code_params().unwrap()).unwrap();
-            let code = code.as_ref();
-            let (mut duplex_changed, mut simplex_changed) = (0, 0);
-            for _ in 0..cases {
-                let codewords: Vec<Vec<Symbol>> = (0..16)
-                    .map(|_| {
-                        let data: Vec<Symbol> = (0..config.k)
-                            .map(|_| rng.gen_range(0..1 << config.m))
-                            .collect();
-                        code.encode(&data).unwrap()
-                    })
-                    .collect();
-                let mut replicas = [0, 1].map(|_| faulty_array(&mut rng, &config, &codewords));
-                let mut simplex = [faulty_array(&mut rng, &config, &codewords)];
-
-                // Word-pairs whose masked words both decode to the same word.
-                let mut pair = MaskedPair::default();
-                let converged: Vec<bool> = (0..16)
-                    .map(|w| {
-                        let [m1, m2] = [0, 1].map(|r| &replicas[r].modules[w]);
-                        mask(
-                            code,
-                            m1.read(),
-                            m1.erased(),
-                            m2.read(),
-                            m2.erased(),
-                            &mut pair,
-                        )
-                        .unwrap();
-                        let [d1, d2] = [&pair.w1, &pair.w2].map(|w| decoded(code, w, &pair.common));
-                        d1.is_some() && d1 == d2
-                    })
-                    .collect();
-                duplex_changed += check_converged(&mut replicas, &converged, |r| {
-                    scrub_duplex(code, r, &mut batch);
-                });
-
-                // Simplex words that decode.
-                let converged: Vec<bool> = simplex[0]
-                    .modules
-                    .iter()
-                    .map(|m| decoded(code, m.read(), m.erased()).is_some())
-                    .collect();
-                simplex_changed += check_converged(&mut simplex, &converged, |a| {
-                    scrub_simplex(code, &mut a[0], &mut batch);
-                });
-            }
-            assert!(
-                duplex_changed > 100 && simplex_changed > 100,
-                "{config:?}: converged and changed: {duplex_changed} duplex, {simplex_changed} simplex"
-            );
-        }
+        // Sixteen words per store: the scrubs decode their dirty words
+        // or pairs in one batch.
+        crate::system::tests::converged_scrubs_are_fixed_points(16, 0xA22A);
     }
 
     /// Asserts that each store's worklist lists exactly its dirty
@@ -336,9 +206,7 @@ mod tests {
         for (r, store) in stores.iter().enumerate() {
             let mut listed = store.dirty.clone();
             listed.sort_unstable();
-            let dirty: Vec<usize> = (0..store.modules.len())
-                .filter(|&i| store.modules[i].is_dirty())
-                .collect();
+            let dirty: Vec<usize> = (0..store.words()).filter(|&w| store.is_dirty(w)).collect();
             assert_eq!(listed, dirty, "replica {r}'s worklist after a {step}");
         }
     }
@@ -356,13 +224,16 @@ mod tests {
                     let mut stores: Vec<Store> = (0..replicas)
                         .map(|_| Store::new(16, n, 8, interleaver))
                         .collect();
-                    for w in 0..16 {
-                        let data: Vec<Symbol> = (0..16).map(|_| rng.gen_range(0..=255)).collect();
-                        let codeword = code.encode(&data).unwrap();
-                        stores
-                            .iter_mut()
-                            .for_each(|a| a.modules[w].reset(&codeword));
-                    }
+                    let codewords: Vec<Symbol> = (0..16)
+                        .flat_map(|_| {
+                            let data: Vec<Symbol> =
+                                (0..16).map(|_| rng.gen_range(0..=255)).collect();
+                            code.encode(&data).unwrap()
+                        })
+                        .collect();
+                    stores
+                        .iter_mut()
+                        .for_each(|a| a.reset().copy_from_slice(&codewords));
                     // A stored codeword is a scrub fixed point: nothing is
                     // dirty and nothing is listed.
                     assert!(stores.iter().all(|a| a.dirty.is_empty()));
@@ -395,10 +266,10 @@ mod tests {
                             3 if !stuck.is_empty() => {
                                 let (r, symbol) = stuck[rng.gen_range(0..stuck.len())];
                                 let (module, _) = stores[r].locate(symbol);
-                                let before = stores[r].modules[module].clone();
+                                let before = stores[r].word(module).to_vec();
                                 stores[r]
                                     .flip_physical_bit(symbol as u64 * 8 + rng.gen_range(0..8));
-                                assert_eq!(stores[r].modules[module], before, "stuck flip moved");
+                                assert_eq!(stores[r].word(module), before, "stuck flip moved");
                                 "flip on a stuck symbol"
                             }
                             _ if replicas == 2 => {

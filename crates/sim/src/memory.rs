@@ -1,141 +1,236 @@
-//! A simulated memory module holding one RS codeword.
+//! The memory of one replica: `words` memory modules, each holding an
+//! `n`-symbol codeword, in one physical symbol sequence behind an
+//! interleaver, with bit-level SEU injection and symbol-level stuck-at
+//! (permanent) faults.
+//!
+//! Permanent faults are *located*: the paper assumes self-checking
+//! hardware (e.g. Iddq monitoring \[9\]) identifies the faulty symbol,
+//! so [`Store::erased`] reports every stuck position of a word and the
+//! decoder receives them as erasures.
 
-use rsmem_gf::Symbol;
+use rsmem_code::{Interleaver, Symbol};
 
-/// One memory module storing an `n`-symbol codeword, with bit-level SEU
-/// injection and symbol-level stuck-at (permanent) faults.
+/// The memory of one replica, stored flat, so that a store of any size
+/// is a handful of buffers: every word's symbols in one `words × n`
+/// buffer (word `w` at `w·n..(w+1)·n`), a stuck mask indexed like them,
+/// one erasure list per word, which stays empty, and so unallocated,
+/// until a permanent fault lands in that word, one dirty flag per word,
+/// and the worklist of the dirty words.
 ///
-/// Permanent faults are *located* — the paper assumes self-checking
-/// hardware (e.g. Iddq monitoring \[9\]) identifies the faulty symbol, so
-/// [`MemoryModule::erased`] reports every stuck position and the
-/// decoder receives them as erasures.
-///
-/// The module also tracks whether it is *dirty*: whether anything may
+/// Each word tracks whether it is *dirty*: whether anything may
 /// have changed since it last held a scrub fixed point. A scrub is a
-/// pure function of the module states it reads, so a scrub of modules
-/// that are all clean would reproduce their states exactly, and the
-/// simulators skip it. A freshly stored codeword is such a fixed point
-/// in every code family, so a module starts clean.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct MemoryModule {
+/// pure function of the words it reads, so a scrub of words that are
+/// all clean would reproduce them exactly, and the engine skips it. A
+/// freshly stored codeword is such a fixed point in every code family,
+/// so a word starts clean.
+///
+/// The store keeps a worklist of its dirty words, so a scrub visits only
+/// the words a fault or a rewrite touched. A store starts clean with an
+/// empty worklist. A fault lists its word when it turns the word from
+/// clean to dirty; a scrub drains the worklist, clears the flags of the
+/// words it leaves fixed points and relists the others. So the
+/// worklist, taken as a set, equals the set of dirty words, with no word
+/// listed twice.
+#[derive(Debug, Clone)]
+pub(crate) struct Store {
+    /// Every word's symbols, back to back. A stuck symbol holds its
+    /// stuck value.
     stored: Vec<Symbol>,
-    stuck: Vec<Option<Symbol>>,
-    /// The stuck positions, ascending: the erasure list, kept up to date
-    /// by [`MemoryModule::stick`] so scrubs can borrow it.
-    erased: Vec<usize>,
-    symbol_bits: u32,
-    dirty: bool,
+    /// Whether each symbol is stuck, indexed like `stored`.
+    stuck: Vec<bool>,
+    /// Each word's stuck positions, ascending: its erasure list.
+    erased: Vec<Vec<usize>>,
+    /// Each word's dirty flag.
+    flags: Vec<bool>,
+    /// The dirty words, in the order they turned dirty.
+    pub(crate) dirty: Vec<usize>,
+    interleaver: Interleaver,
+    n: usize,
+    m_bits: u32,
 }
 
-impl MemoryModule {
-    /// Creates a module holding `codeword`, fault-free and clean.
-    pub(crate) fn new(codeword: Vec<Symbol>, symbol_bits: u32) -> Self {
-        let n = codeword.len();
-        MemoryModule {
-            stored: codeword,
-            stuck: vec![None; n],
-            erased: Vec::new(),
-            symbol_bits,
-            dirty: false,
+impl Store {
+    /// A store of `words` clean all-zero words of `n` symbols of
+    /// `m_bits` bits, to be filled through [`Store::reset`], with an
+    /// empty worklist.
+    pub(crate) fn new(words: usize, n: usize, m_bits: u32, interleaver: Interleaver) -> Store {
+        Store {
+            stored: vec![0; words * n],
+            stuck: vec![false; words * n],
+            erased: vec![Vec::new(); words],
+            flags: vec![false; words],
+            dirty: Vec::new(),
+            interleaver,
+            n,
+            m_bits,
         }
     }
 
-    /// Stores `codeword` in place of the module's contents and clears
-    /// every permanent fault: the module is as [`MemoryModule::new`]
-    /// would build it, clean, without allocating.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `codeword` is not as long as the stored word.
-    pub(crate) fn reset(&mut self, codeword: &[Symbol]) {
-        self.stored.copy_from_slice(codeword);
-        self.stuck.fill(None);
-        self.erased.clear();
-        self.dirty = false;
+    /// Clears every permanent fault, flag and worklist entry, and hands
+    /// back the symbol buffer for the caller to fill with codewords. The
+    /// store is then as [`Store::new`] would build it, clean, without
+    /// allocating: stored codewords are scrub fixed points.
+    pub(crate) fn reset(&mut self) -> &mut [Symbol] {
+        self.stuck.fill(false);
+        self.erased.iter_mut().for_each(Vec::clear);
+        self.flags.fill(false);
+        self.dirty.clear();
+        &mut self.stored
     }
 
-    /// The currently stored word (faulty symbols read their stuck value).
-    pub(crate) fn read(&self) -> &[Symbol] {
+    /// Number of words.
+    pub(crate) fn words(&self) -> usize {
+        self.flags.len()
+    }
+
+    /// Every word's symbols, back to back.
+    pub(crate) fn stored(&self) -> &[Symbol] {
         &self.stored
     }
 
-    /// Positions currently known-faulty (the erasure set for decoding),
-    /// ascending.
-    pub(crate) fn erased(&self) -> &[usize] {
-        &self.erased
+    /// Word `w` as stored (stuck symbols read their stuck value).
+    pub(crate) fn word(&self, w: usize) -> &[Symbol] {
+        &self.stored[w * self.n..(w + 1) * self.n]
     }
 
-    /// Injects an SEU: flips bit `bit` of symbol `pos`. A stuck symbol
-    /// holds its value — the upset has no effect there.
+    /// The positions of word `w` that are known faulty (its erasure
+    /// set), ascending.
+    pub(crate) fn erased(&self, w: usize) -> &[usize] {
+        &self.erased[w]
+    }
+
+    /// True if a fault or a rewrite may have changed word `w` since it
+    /// was stored or a scrub last left it a fixed point.
+    #[cfg(test)]
+    pub(crate) fn is_dirty(&self, w: usize) -> bool {
+        self.flags[w]
+    }
+
+    /// Total physical symbols.
+    pub(crate) fn symbols(&self) -> usize {
+        self.stored.len()
+    }
+
+    /// Total physical bits.
+    pub(crate) fn bits(&self) -> u64 {
+        self.symbols() as u64 * u64::from(self.m_bits)
+    }
+
+    /// Maps a physical symbol index to `(word, symbol)`.
+    pub(crate) fn locate(&self, physical_symbol: usize) -> (usize, usize) {
+        // A one-word store (every word trial) has interleave depth 1, so
+        // the map is the identity; skip its divisions.
+        if self.words() == 1 {
+            return (0, physical_symbol);
+        }
+        let depth = self.interleaver.depth();
+        let group_len = self.n * depth;
+        let group = physical_symbol / group_len;
+        let within = physical_symbol % group_len;
+        let (word_in_group, sym) = self.interleaver.locate(within);
+        (group * depth + word_in_group, sym)
+    }
+
+    /// Flags word `w` dirty, listing it if it was clean.
+    fn mark_dirty(&mut self, w: usize) {
+        if !self.flags[w] {
+            self.flags[w] = true;
+            self.dirty.push(w);
+        }
+    }
+
+    /// Injects an SEU: flips bit `bit` of one physical symbol. A stuck
+    /// symbol holds its value: the upset changes nothing there, and
+    /// leaves a clean word clean.
     ///
     /// # Panics
     ///
-    /// Panics if `pos` or `bit` is out of range.
-    pub(crate) fn flip_bit(&mut self, pos: usize, bit: u32) {
-        assert!(bit < self.symbol_bits, "bit index out of symbol width");
-        if self.stuck[pos].is_some() {
+    /// Panics if the symbol or `bit` is out of range.
+    pub(crate) fn flip_bit(&mut self, physical_symbol: usize, bit: u32) {
+        assert!(bit < self.m_bits, "bit index out of symbol width");
+        let (w, p) = self.locate(physical_symbol);
+        let i = w * self.n + p;
+        if self.stuck[i] {
             return;
         }
-        self.stored[pos] ^= 1 << bit;
-        self.dirty = true;
+        self.stored[i] ^= 1 << bit;
+        self.mark_dirty(w);
     }
 
-    /// Injects a permanent fault: symbol `pos` becomes stuck at `value`
-    /// and is reported as an erasure from now on. A second fault on the
-    /// same symbol re-sticks it at the new value.
+    /// Flips one physical bit.
+    pub(crate) fn flip_physical_bit(&mut self, physical_bit: u64) {
+        let m = u64::from(self.m_bits);
+        self.flip_bit((physical_bit / m) as usize, (physical_bit % m) as u32);
+    }
+
+    /// Injects a permanent fault: one physical symbol becomes stuck at
+    /// `value` and is reported as an erasure of its word from now on. A
+    /// second fault on the same symbol re-sticks it at the new value.
     ///
     /// # Panics
     ///
-    /// Panics if `pos` is out of range.
-    pub(crate) fn stick(&mut self, pos: usize, value: Symbol) {
-        if self.stuck[pos].is_none() {
-            let at = self.erased.partition_point(|&p| p < pos);
-            self.erased.insert(at, pos);
+    /// Panics if the symbol is out of range.
+    pub(crate) fn stick(&mut self, physical_symbol: usize, value: Symbol) {
+        let (w, p) = self.locate(physical_symbol);
+        let i = w * self.n + p;
+        if !self.stuck[i] {
+            self.stuck[i] = true;
+            let erased = &mut self.erased[w];
+            erased.insert(erased.partition_point(|&q| q < p), p);
         }
-        self.stuck[pos] = Some(value);
-        self.stored[pos] = value;
-        self.dirty = true;
+        self.stored[i] = value;
+        self.mark_dirty(w);
     }
 
-    /// Writes a full word back (a scrub rewrite). Stuck symbols keep
-    /// their stuck values; healthy symbols take the new data. Returns
-    /// whether any symbol changed (and so marked the module dirty).
+    /// Writes a full word back to word `w` (a scrub rewrite). Stuck
+    /// symbols keep their stuck values; healthy symbols take the new
+    /// data. Returns whether any symbol changed, and if one did, flags
+    /// the word dirty without listing it: the scrub that writes decides
+    /// whether to relist it.
     ///
     /// # Panics
     ///
-    /// Panics if `word` is not as long as the stored word.
-    pub(crate) fn write(&mut self, word: &[Symbol]) -> bool {
-        assert_eq!(word.len(), self.stored.len());
+    /// Panics if `word` is not `n` symbols long.
+    pub(crate) fn write(&mut self, w: usize, word: &[Symbol]) -> bool {
+        assert_eq!(word.len(), self.n);
+        let range = w * self.n..(w + 1) * self.n;
         let mut changed = false;
-        for (i, &w) in word.iter().enumerate() {
-            if self.stuck[i].is_none() && self.stored[i] != w {
-                self.stored[i] = w;
+        for ((s, &stuck), &new) in self.stored[range.clone()]
+            .iter_mut()
+            .zip(&self.stuck[range])
+            .zip(word)
+        {
+            if !stuck && *s != new {
+                *s = new;
                 changed = true;
             }
         }
-        self.dirty |= changed;
+        self.flags[w] |= changed;
         changed
     }
 
-    /// True if a fault or a rewrite may have changed the module since it
-    /// was stored or a scrub last left it a fixed point.
-    pub(crate) fn is_dirty(&self) -> bool {
-        self.dirty
+    /// Records that a scrub left word `w` a fixed point: until the next
+    /// fault, a repeat of that scrub would change nothing. The scrub may
+    /// have just rewritten the word; it is the state it leaves that a
+    /// repeat must not move.
+    pub(crate) fn mark_clean(&mut self, w: usize) {
+        self.flags[w] = false;
     }
 
-    /// Records that a scrub left this module a fixed point: until the
-    /// next fault, a repeat of that scrub would change nothing. The scrub
-    /// may have just rewritten the module; it is the state it leaves
-    /// that a repeat must not move.
-    pub(crate) fn mark_clean(&mut self) {
-        self.dirty = false;
+    /// Relists word `w` if a scrub left it dirty.
+    pub(crate) fn relist_if_dirty(&mut self, w: usize) {
+        if self.flags[w] {
+            self.dirty.push(w);
+        }
     }
 
-    /// Marks the module dirty without changing it, so the next scrub
-    /// runs in full.
+    /// Flags and lists every word, once each, so the next scrub runs in
+    /// full.
     #[cfg(test)]
-    pub(crate) fn force_dirty(&mut self) {
-        self.dirty = true;
+    pub(crate) fn mark_all_dirty(&mut self) {
+        self.flags.fill(true);
+        self.dirty.clear();
+        self.dirty.extend(0..self.words());
     }
 }
 
@@ -143,36 +238,38 @@ impl MemoryModule {
 mod tests {
     use super::*;
 
-    fn module() -> MemoryModule {
-        MemoryModule::new(vec![0x10, 0x20, 0x30, 0x40], 8)
+    /// A one-word store holding `[0x10, 0x20, 0x30, 0x40]`.
+    fn module() -> Store {
+        let mut store = Store::new(1, 4, 8, Interleaver::new(1).unwrap());
+        store.reset().copy_from_slice(&[0x10, 0x20, 0x30, 0x40]);
+        store
     }
 
     #[test]
     fn fresh_module_reads_back_clean() {
         let m = module();
-        assert_eq!(m.read(), &[0x10, 0x20, 0x30, 0x40]);
-        assert!(m.erased().is_empty());
-        assert_eq!(m.read().len(), 4);
+        assert_eq!(m.word(0), &[0x10, 0x20, 0x30, 0x40]);
+        assert!(m.erased(0).is_empty());
+        assert_eq!((m.words(), m.symbols(), m.bits()), (1, 4, 32));
     }
 
     #[test]
     fn seu_flips_exactly_one_bit() {
         let mut m = module();
         m.flip_bit(2, 3);
-        assert_eq!(m.read()[2], 0x30 ^ 0x08);
-        m.flip_bit(2, 3); // flip back
-        assert_eq!(m.read()[2], 0x30);
+        assert_eq!(m.word(0)[2], 0x30 ^ 0x08);
+        m.flip_physical_bit(2 * 8 + 3); // flip back
+        assert_eq!(m.word(0)[2], 0x30);
     }
 
     #[test]
     fn stuck_symbol_ignores_seu_and_writes() {
         let mut m = module();
         m.stick(1, 0xff);
-        assert_eq!(m.read()[1], 0xff);
         m.flip_bit(1, 0);
-        assert_eq!(m.read()[1], 0xff, "SEU must not move a stuck symbol");
-        m.write(&[0, 0, 0, 0]);
-        assert_eq!(m.read(), &[0, 0xff, 0, 0]);
+        assert_eq!(m.word(0)[1], 0xff, "SEU must not move a stuck symbol");
+        m.write(0, &[0, 0, 0, 0]);
+        assert_eq!(m.word(0), &[0, 0xff, 0, 0]);
     }
 
     #[test]
@@ -181,59 +278,76 @@ mod tests {
         m.stick(3, 0x02);
         m.stick(0, 0x01);
         m.stick(3, 0x04); // re-stuck: still one erasure
-        assert_eq!(m.erased(), &[0, 3]);
+        assert_eq!(m.erased(0), &[0, 3]);
+        assert_eq!(m.word(0)[3], 0x04);
     }
 
     #[test]
     fn write_refreshes_healthy_symbols_only() {
         let mut m = module();
         m.stick(2, 0x77);
-        m.write(&[1, 2, 3, 4]);
-        assert_eq!(m.read(), &[1, 2, 0x77, 4]);
+        m.write(0, &[1, 2, 3, 4]);
+        assert_eq!(m.word(0), &[1, 2, 0x77, 4]);
     }
 
     #[test]
     fn upset_on_a_stuck_symbol_leaves_the_module_clean() {
         let mut m = module();
         m.stick(1, 0xff);
-        m.mark_clean();
+        m.mark_clean(0);
+        m.dirty.clear();
         m.flip_bit(1, 0);
-        assert!(!m.is_dirty());
+        assert!(
+            !m.is_dirty(0) && m.dirty.is_empty(),
+            "a no-op upset lists nothing"
+        );
         m.flip_bit(0, 0);
-        assert!(m.is_dirty(), "a real flip marks the module");
+        assert!(m.is_dirty(0), "a real flip marks the word");
+        assert_eq!(m.dirty, [0]);
     }
 
     #[test]
     fn stick_marks_the_module_dirty() {
         let mut m = module();
-        assert!(!m.is_dirty(), "a stored codeword is a scrub fixed point");
+        assert!(!m.is_dirty(0), "a stored codeword is a scrub fixed point");
         m.stick(2, 0x30);
-        assert!(m.is_dirty(), "a new erasure changes what a scrub sees");
+        assert!(m.is_dirty(0), "a new erasure changes what a scrub sees");
+        m.stick(3, 0x40);
+        assert_eq!(m.dirty, [0], "a dirty word is listed once");
     }
 
     #[test]
     fn write_marks_dirty_only_when_a_symbol_changes() {
         let mut m = module();
         m.stick(1, 0xff);
-        m.mark_clean();
+        m.mark_clean(0);
+        m.dirty.clear();
         // Identical healthy symbols; the stuck one ignores the write.
-        assert!(!m.write(&[0x10, 0x00, 0x30, 0x40]));
-        assert!(!m.is_dirty());
-        assert!(m.write(&[0x10, 0x00, 0x31, 0x40]));
-        assert!(m.is_dirty());
+        assert!(!m.write(0, &[0x10, 0x00, 0x30, 0x40]));
+        assert!(!m.is_dirty(0));
+        assert!(m.write(0, &[0x10, 0x00, 0x31, 0x40]));
+        assert!(m.is_dirty(0) && m.dirty.is_empty(), "the scrub relists");
     }
 
     #[test]
     fn reset_matches_a_fresh_module() {
-        let mut m = module();
-        m.stick(1, 0xff);
-        m.flip_bit(3, 2);
-        assert!(m.is_dirty());
-        m.reset(&[5, 6, 7, 8]);
-        assert!(!m.is_dirty(), "a reset stores a scrub fixed point");
-        assert_eq!(m, MemoryModule::new(vec![5, 6, 7, 8], 8));
-        m.flip_bit(1, 0);
-        assert_eq!(m.read()[1], 7, "the reset cleared the stuck symbol");
+        let mut store = Store::new(4, 4, 8, Interleaver::new(2).unwrap());
+        let codewords: Vec<Symbol> = (0..16).collect();
+        store.reset().copy_from_slice(&codewords);
+        store.stick(5, 0xff);
+        store.flip_bit(14, 7);
+        store.reset().copy_from_slice(&codewords);
+        assert!(store.dirty.is_empty(), "a reset stores a scrub fixed point");
+        for w in 0..4 {
+            assert!(!store.is_dirty(w) && store.erased(w).is_empty());
+        }
+        assert_eq!(store.stored(), codewords);
+        store.flip_bit(5, 0);
+        assert_ne!(
+            store.stored(),
+            codewords,
+            "the reset cleared the stuck symbol"
+        );
     }
 
     #[test]

@@ -137,7 +137,8 @@ impl OutcomeCounts {
     }
 }
 
-fn summarize(counts: OutcomeCounts, n: usize, k: usize, m: u32) -> MonteCarloReport {
+/// The report of a campaign's outcome counts, under an `(n, k, m)` code.
+pub(crate) fn summarize(counts: OutcomeCounts, n: usize, k: usize, m: u32) -> MonteCarloReport {
     let trials = counts.correct + counts.silent + counts.detected;
     let failures = counts.silent + counts.detected;
     let failure_fraction = failures as f64 / trials as f64;

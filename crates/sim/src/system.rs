@@ -1,6 +1,6 @@
 //! The Monte-Carlo engine that both the word campaigns
 //! ([`crate::runner`]) and the array campaigns ([`crate::array`]) run
-//! on: one module [`Store`] per replica, one fault-and-scrub event loop
+//! on: one flat [`Store`] per replica, one fault-and-scrub event loop
 //! for one or two replicas, the simplex and the duplex scrub, and the
 //! simplex and the duplex read-back classifier.
 //!
@@ -10,11 +10,17 @@
 //! campaigns are sharded, each shard classifying the read-backs of all
 //! its trials in one batch, while an array campaign runs on one RNG and
 //! classifies each trial's read-back on its own.
+//!
+//! The memory is flat: a store keeps all its words' symbols in one
+//! `words × n` buffer (see [`Store`]), a [`Batch`] keeps the words it
+//! decodes back to back in one buffer, and arbiter step 1 masks a word
+//! pair straight into its two batch slots. So an engine is a handful of
+//! buffers whatever the number of words, and its trials reuse them.
 
-use crate::arbiter::{combine, mask, verdict_of, MaskedPair};
+use crate::arbiter::{combine, mask, verdict_of, MaskScratch};
 use crate::config::SimConfig;
 use crate::events::{sample_exponential, schedule_scrub, skip_idle_ticks};
-use crate::memory::MemoryModule;
+use crate::memory::Store;
 use crate::runner::{OutcomeCounts, TrialOutcome};
 use rand::Rng;
 use rsmem_code::{BatchOutcome, Interleaver, Symbol};
@@ -30,130 +36,28 @@ use rsmem_obs::recorder;
 /// decode 1 or 2 words, array scrubs a few pairs, read-backs hundreds.
 const BATCH_CROSSOVER: usize = 6;
 
-/// The memory of one replica: `words` modules in one physical symbol
-/// sequence behind an interleaver.
+/// A batch of words to decode, in buffers reused from one batch to the
+/// next, so a word costs no allocation once they are warm.
 ///
-/// The store keeps a worklist of its dirty modules, so a scrub visits
-/// only the words a fault or a rewrite touched. A store starts clean with
-/// an empty worklist, and every change to a module goes through a method
-/// that pushes the module when it turns from clean to dirty, which keeps
-/// the worklist, taken as a set, equal to the set of dirty modules, with
-/// no index listed twice.
-#[derive(Clone)]
-pub(crate) struct Store {
-    pub(crate) modules: Vec<MemoryModule>,
-    /// The dirty modules, in the order they turned dirty.
-    pub(crate) dirty: Vec<usize>,
-    interleaver: Interleaver,
-    n: usize,
-    m_bits: u32,
-}
-
-impl Store {
-    /// A store of `words` clean all-zero modules, each to be filled by
-    /// [`MemoryModule::reset`], with an empty worklist.
-    pub(crate) fn new(words: usize, n: usize, m_bits: u32, interleaver: Interleaver) -> Store {
-        Store {
-            modules: (0..words)
-                .map(|_| MemoryModule::new(vec![0; n], m_bits))
-                .collect(),
-            dirty: Vec::new(),
-            interleaver,
-            n,
-            m_bits,
-        }
-    }
-
-    /// Lists every module, once each, so that after every module is
-    /// forced dirty the next scrub runs in full.
-    #[cfg(test)]
-    pub(crate) fn mark_all_dirty(&mut self) {
-        self.dirty.clear();
-        self.dirty.extend(0..self.modules.len());
-    }
-
-    /// Total physical symbols.
-    pub(crate) fn symbols(&self) -> usize {
-        self.modules.len() * self.n
-    }
-
-    /// Total physical bits.
-    pub(crate) fn bits(&self) -> u64 {
-        self.symbols() as u64 * self.m_bits as u64
-    }
-
-    /// Maps a physical symbol index to `(module, symbol)`.
-    pub(crate) fn locate(&self, physical_symbol: usize) -> (usize, usize) {
-        // A one-word store (every word trial) has interleave depth 1, so
-        // the map is the identity; skip its divisions.
-        if self.modules.len() == 1 {
-            return (0, physical_symbol);
-        }
-        let depth = self.interleaver.depth();
-        let group_len = self.n * depth;
-        let group = physical_symbol / group_len;
-        let within = physical_symbol % group_len;
-        let (word_in_group, sym) = self.interleaver.locate(within);
-        (group * depth + word_in_group, sym)
-    }
-
-    /// Applies `change` to module `module`, listing the module if the
-    /// change turned it dirty.
-    fn change(&mut self, module: usize, change: impl FnOnce(&mut MemoryModule)) {
-        let target = &mut self.modules[module];
-        let was_dirty = target.is_dirty();
-        change(target);
-        if !was_dirty && target.is_dirty() {
-            self.dirty.push(module);
-        }
-    }
-
-    /// Flips bit `bit` of one physical symbol. An upset on a stuck
-    /// symbol changes nothing, so it leaves a clean module clean.
-    fn flip_bit(&mut self, physical_symbol: usize, bit: u32) {
-        let (module, sym) = self.locate(physical_symbol);
-        self.change(module, |m| m.flip_bit(sym, bit));
-    }
-
-    /// Flips one physical bit.
-    pub(crate) fn flip_physical_bit(&mut self, physical_bit: u64) {
-        let m = u64::from(self.m_bits);
-        self.flip_bit((physical_bit / m) as usize, (physical_bit % m) as u32);
-    }
-
-    /// Sticks one physical symbol at `value` (a permanent fault).
-    pub(crate) fn stick(&mut self, physical_symbol: usize, value: Symbol) {
-        let (module, sym) = self.locate(physical_symbol);
-        self.change(module, |m| m.stick(sym, value));
-    }
-
-    /// Relists `module` if a scrub left it dirty.
-    fn relist_if_dirty(&mut self, module: usize) {
-        if self.modules[module].is_dirty() {
-            self.dirty.push(module);
-        }
-    }
-}
-
-/// The buffers of a batch of words to decode, reused from one batch to
-/// the next, so a word costs no allocation once they are warm.
-///
-/// A scrub decodes in the slots above the first `len`, which may hold
-/// queued read-backs, and leaves `len` as it found it.
+/// The words lie back to back in one buffer, `n` symbols each, and each
+/// has its own erasure list. A scrub decodes in the slots above the
+/// first `len`, which may hold queued read-backs, and leaves `len` as it
+/// found it.
 #[derive(Debug, Default)]
 pub(crate) struct Batch {
     /// The words a scrub decodes (dirty words, or dirty word-pairs),
     /// ascending.
     dirty: Vec<usize>,
-    /// The batch's words; the first `len` are in use.
-    words: Vec<Vec<Symbol>>,
-    /// The erasure list of each word in use.
+    /// The batch's words, `len × n` symbols.
+    words: Vec<Symbol>,
+    /// The erasure list of each word; the first `len` are in use, and
+    /// the lists past them keep their buffers for later words.
     erasures: Vec<Vec<usize>>,
     len: usize,
     /// The outcomes of the last decode, from its first word on.
     outcomes: Vec<BatchOutcome>,
-    /// Arbiter step 1's buffers for the duplex batches.
-    pair: MaskedPair,
+    /// Arbiter step 1's scratch for the duplex batches.
+    scratch: MaskScratch,
 }
 
 impl Batch {
@@ -170,46 +74,59 @@ impl Batch {
         self.dirty.dedup();
     }
 
-    /// Appends one word and its erasure list.
-    fn push(&mut self, word: &[Symbol], erasures: &[usize]) {
-        if self.len == self.words.len() {
-            self.words.push(Vec::new());
+    /// Appends one erasure list, for a word already in `words`.
+    fn push_erasures(&mut self, erasures: &[usize]) {
+        if self.len == self.erasures.len() {
             self.erasures.push(Vec::new());
         }
-        self.words[self.len].clear();
-        self.words[self.len].extend_from_slice(word);
-        self.erasures[self.len].clear();
-        self.erasures[self.len].extend_from_slice(erasures);
+        let list = &mut self.erasures[self.len];
+        list.clear();
+        list.extend_from_slice(erasures);
         self.len += 1;
     }
 
-    /// Appends the two masked words of a module pair (arbiter step 1),
-    /// each with the pair's common erasures.
-    fn push_masked(&mut self, code: &dyn MemoryCode, m1: &MemoryModule, m2: &MemoryModule) {
-        let mut pair = std::mem::take(&mut self.pair);
+    /// Appends word `w` of `store` and its erasure list.
+    fn push(&mut self, store: &Store, w: usize) {
+        self.words.extend_from_slice(store.word(w));
+        self.push_erasures(store.erased(w));
+    }
+
+    /// Appends the two masked words of word pair `w` (arbiter step 1),
+    /// masked straight into their slots, each with the pair's common
+    /// erasures.
+    fn push_masked(&mut self, code: &dyn MemoryCode, s1: &Store, s2: &Store, w: usize) {
+        let at = self.words.len();
+        self.words.resize(at + 2 * code.n(), 0);
         mask(
             code,
-            m1.read(),
-            m1.erased(),
-            m2.read(),
-            m2.erased(),
-            &mut pair,
+            (s1.word(w), s1.erased(w)),
+            (s2.word(w), s2.erased(w)),
+            &mut self.words[at..],
+            &mut self.scratch,
         )
         .expect("well-formed stored words");
-        self.push(&pair.w1, &pair.common);
-        self.push(&pair.w2, &pair.common);
-        self.pair = pair;
+        let common = std::mem::take(&mut self.scratch.common);
+        self.push_erasures(&common);
+        self.push_erasures(&common);
+        self.scratch.common = common;
+    }
+
+    /// Drops every word from the `len`-th on.
+    fn truncate(&mut self, len: usize, n: usize) {
+        self.words.truncate(len * n);
+        self.len = len;
     }
 
     /// Decodes the words from `from` on in place into `self.outcomes`,
     /// word by word below [`BATCH_CROSSOVER`] words and in one batch from
     /// there on.
     fn decode(&mut self, code: &dyn MemoryCode, from: usize) {
-        let words = &mut self.words[from..self.len];
+        let n = code.n();
+        let words = &mut self.words[from * n..];
         let erasures = &self.erasures[from..self.len];
-        if words.len() < BATCH_CROSSOVER {
+        if erasures.len() < BATCH_CROSSOVER {
             self.outcomes.clear();
-            for (word, erasures) in words.iter_mut().zip(erasures) {
+            for (word, erasures) in words.chunks_exact_mut(n).zip(erasures) {
                 let outcome = code
                     .decode_in_place(word, erasures)
                     .expect("well-formed stored word");
@@ -238,21 +155,19 @@ pub(crate) fn scrub_simplex(code: &dyn MemoryCode, store: &mut Store, batch: &mu
     if batch.dirty.is_empty() {
         return;
     }
-    let base = batch.len;
+    let (base, n) = (batch.len, code.n());
     for j in 0..batch.dirty.len() {
-        let module = &store.modules[batch.dirty[j]];
-        batch.push(module.read(), module.erased());
+        batch.push(store, batch.dirty[j]);
     }
     batch.decode(code, base);
-    let words = &batch.words[base..];
-    for ((&i, outcome), word) in batch.dirty.iter().zip(&batch.outcomes).zip(words) {
-        let module = &mut store.modules[i];
+    let words = batch.words[base * n..].chunks_exact(n);
+    for ((&w, outcome), word) in batch.dirty.iter().zip(&batch.outcomes).zip(words) {
         if let BatchOutcome::Corrected { .. } = outcome {
-            module.write(word);
+            store.write(w, word);
         }
-        module.mark_clean();
+        store.mark_clean(w);
     }
-    batch.len = base;
+    batch.truncate(base, n);
 }
 
 /// Joint scrub of two replica stores, word-pair by word-pair: erasure-
@@ -278,28 +193,32 @@ pub(crate) fn scrub_duplex(
     if batch.dirty.is_empty() {
         return true;
     }
-    let base = batch.len;
+    let (base, n) = (batch.len, code.n());
     for j in 0..batch.dirty.len() {
-        let w = batch.dirty[j];
-        batch.push_masked(code, &replicas[0].modules[w], &replicas[1].modules[w]);
+        batch.push_masked(code, &replicas[0], &replicas[1], batch.dirty[j]);
     }
     batch.decode(code, base);
-    let words = &batch.words[base..];
+    let pairs = batch.words[base * n..].chunks_exact(2 * n);
     let mut all_clean = true;
-    for (j, &w) in batch.dirty.iter().enumerate() {
+    for ((&w, outcomes), pair) in batch
+        .dirty
+        .iter()
+        .zip(batch.outcomes.chunks_exact(2))
+        .zip(pairs)
+    {
         let (mut changed, mut decoded) = (false, true);
-        for (r, replica) in replicas.iter_mut().enumerate() {
+        for ((replica, outcome), word) in replicas.iter_mut().zip(outcomes).zip(pair.chunks(n)) {
             // A decodable word (Clean after masking, or Corrected in
             // place) is rewritten; an undecodable one is left alone.
-            if matches!(batch.outcomes[2 * j + r], BatchOutcome::Failure(_)) {
+            if matches!(outcome, BatchOutcome::Failure(_)) {
                 decoded = false;
             } else {
-                changed |= replica.modules[w].write(&words[2 * j + r]);
+                changed |= replica.write(w, word);
             }
         }
-        if !changed || (decoded && words[2 * j] == words[2 * j + 1]) {
+        if !changed || (decoded && pair[..n] == pair[n..]) {
             for replica in replicas.iter_mut() {
-                replica.modules[w].mark_clean();
+                replica.mark_clean(w);
             }
         } else {
             all_clean = false;
@@ -308,7 +227,7 @@ pub(crate) fn scrub_duplex(
             }
         }
     }
-    batch.len = base;
+    batch.truncate(base, n);
     all_clean
 }
 
@@ -330,10 +249,11 @@ pub(crate) enum Layout {
 }
 
 /// One simplex (one replica) or duplex (two replicas) memory and
-/// everything its trials reuse: the stores, one codeword buffer, and the
-/// batch that holds the queued read-backs and the scrubs' words. A trial
+/// everything its trials reuse: the stores, the datawords, and the batch
+/// that holds the queued read-backs and the scrubs' words. A trial
 /// rewrites them in place, so after the first trial a campaign allocates
-/// only what its faults cost.
+/// only what its faults cost, and building one costs a handful of
+/// buffers whatever the number of words.
 pub(crate) struct Engine<'c> {
     code: &'c dyn MemoryCode,
     config: SimConfig,
@@ -346,7 +266,6 @@ pub(crate) struct Engine<'c> {
     /// The datawords of the queued read-backs, `k` symbols per word
     /// (simplex) or pair (duplex).
     originals: Vec<Symbol>,
-    codeword: Vec<Symbol>,
     /// The queued read-backs, one word (simplex) or two masked words
     /// (duplex) per entry of `originals`.
     batch: Batch,
@@ -388,7 +307,6 @@ impl<'c> Engine<'c> {
             perm_rate: config.erasure_per_symbol_day * replicas[0].symbols() as f64,
             replicas,
             originals: Vec::with_capacity(words * k),
-            codeword: vec![0; n],
             batch: Batch::default(),
         }
     }
@@ -402,49 +320,46 @@ impl<'c> Engine<'c> {
         self.run(rng);
         match self.replicas.as_slice() {
             [store] => {
-                for module in &store.modules {
-                    self.batch.push(module.read(), module.erased());
+                for w in 0..store.words() {
+                    self.batch.push(store, w);
                 }
             }
             [s1, s2] => {
-                for (m1, m2) in s1.modules.iter().zip(&s2.modules) {
-                    self.batch.push_masked(self.code, m1, m2);
+                for w in 0..s1.words() {
+                    self.batch.push_masked(self.code, s1, s2, w);
                 }
             }
             _ => unreachable!("1 or 2 replicas"),
         }
     }
 
-    /// Appends the trial's datawords to `originals` and stores them.
+    /// Appends the trial's datawords to `originals` and stores them: each
+    /// codeword is encoded straight into the first replica's store, which
+    /// the second then copies.
     ///
     /// The stores are left clean, with empty worklists: a stored codeword
     /// is a scrub fixed point in every family (it decodes `Clean` and is
-    /// written back unchanged), so until a fault lists its module through
-    /// [`Store::change`], every scrub would leave the trial as it is.
+    /// written back unchanged), so until a fault lists its word, every
+    /// scrub would leave the trial as it is.
     fn store<R: Rng + ?Sized>(&mut self, rng: &mut R) {
         // `1 << m` is the symbol-value count of every family (GF(2^m)
         // size for RS, binary for RM).
         let values = 1usize << self.code.symbol_bits();
+        let (n, k) = (self.code.n(), self.code.k());
         let start = self.originals.len();
-        let words = self.replicas[0].modules.len();
-        self.originals.resize(start + words * self.code.k(), 0);
-        for (w, data) in self.originals[start..]
-            .chunks_exact_mut(self.code.k())
-            .enumerate()
-        {
+        let (first, rest) = self.replicas.split_first_mut().expect("1 or 2 replicas");
+        self.originals.resize(start + first.words() * k, 0);
+        let codewords = first.reset().chunks_exact_mut(n);
+        for (data, codeword) in self.originals[start..].chunks_exact_mut(k).zip(codewords) {
             for symbol in data.iter_mut() {
                 *symbol = rng.gen_range(0..values) as Symbol;
             }
             self.code
-                .encode_into(data, &mut self.codeword)
+                .encode_into(data, codeword)
                 .expect("valid dataword");
-            for store in &mut self.replicas {
-                store.modules[w].reset(&self.codeword);
-            }
         }
-        // Every module is now clean, so the last trial's entries go.
-        for store in &mut self.replicas {
-            store.dirty.clear();
+        for store in rest {
+            store.reset().copy_from_slice(first.stored());
         }
     }
 
@@ -506,7 +421,7 @@ impl<'c> Engine<'c> {
                 Some((r, true)) => {
                     let store = &mut self.replicas[r];
                     let symbol = rng.gen_range(0..store.symbols());
-                    let value = rng.gen_range(0..1usize << store.m_bits) as Symbol;
+                    let value = rng.gen_range(0..1usize << self.code.symbol_bits()) as Symbol;
                     store.stick(symbol, value);
                     next_perm[r] = time + sample_exponential(rng, self.perm_rate);
                 }
@@ -519,8 +434,8 @@ impl<'c> Engine<'c> {
         let store = &mut self.replicas[r];
         match self.layout {
             Layout::Word => {
-                let symbol = rng.gen_range(0..store.n);
-                let bit = rng.gen_range(0..store.m_bits);
+                let symbol = rng.gen_range(0..store.symbols());
+                let bit = rng.gen_range(0..self.code.symbol_bits());
                 store.flip_bit(symbol, bit);
             }
             Layout::Array { mbu_width_bits, .. } => {
@@ -538,14 +453,14 @@ impl<'c> Engine<'c> {
     pub(crate) fn classify(&mut self) -> OutcomeCounts {
         // The decode repairs words in place, so keep the stored words
         // only while the flight recorder wants exemplars.
-        let stored = recorder::enabled().then(|| self.batch.words[..self.batch.len].to_vec());
+        let stored = recorder::enabled().then(|| self.batch.words.clone());
         self.batch.decode(self.code, 0);
         let classify = match self.replicas.len() {
             1 => classify_simplex_reads,
             _ => classify_duplex_reads,
         };
         let counts = classify(self.code, &self.batch, &self.originals, stored.as_deref());
-        self.batch.len = 0;
+        self.batch.truncate(0, self.code.n());
         self.originals.clear();
         counts
     }
@@ -557,14 +472,15 @@ fn classify_simplex_reads(
     code: &dyn MemoryCode,
     batch: &Batch,
     originals: &[Symbol],
-    stored: Option<&[Vec<Symbol>]>,
+    stored: Option<&[Symbol]>,
 ) -> OutcomeCounts {
+    let n = code.n();
     let originals = originals.chunks_exact(code.k());
     let mut counts = OutcomeCounts::default();
     for (i, ((outcome, word), original)) in batch
         .outcomes
         .iter()
-        .zip(&batch.words)
+        .zip(batch.words.chunks_exact(n))
         .zip(originals)
         .enumerate()
     {
@@ -579,7 +495,7 @@ fn classify_simplex_reads(
         if let (TrialOutcome::SilentCorruption, Some(stored)) = (class, stored) {
             record_silent_exemplar(
                 code,
-                &stored[i],
+                &stored[i * n..(i + 1) * n],
                 &batch.erasures[i],
                 vec![format!("simplex: {outcome:?}")],
             );
@@ -596,30 +512,28 @@ fn classify_duplex_reads(
     code: &dyn MemoryCode,
     batch: &Batch,
     originals: &[Symbol],
-    stored: Option<&[Vec<Symbol>]>,
+    stored: Option<&[Symbol]>,
 ) -> OutcomeCounts {
-    let (words, outcomes) = (&batch.words, &batch.outcomes);
+    let n = code.n();
+    let outcomes = &batch.outcomes;
     let mut counts = OutcomeCounts::default();
     for (i, original) in originals.chunks_exact(code.k()).enumerate() {
-        let v1 = verdict_of(code, &words[2 * i], &outcomes[2 * i]);
-        let v2 = verdict_of(code, &words[2 * i + 1], &outcomes[2 * i + 1]);
+        let (w1, w2) = batch.words[2 * i * n..(2 * i + 2) * n].split_at(n);
+        let v1 = verdict_of(code, w1, &outcomes[2 * i]);
+        let v2 = verdict_of(code, w2, &outcomes[2 * i + 1]);
         let class = match combine(v1, v2) {
             None => TrialOutcome::Detected,
             Some((data, _)) if *data == *original => TrialOutcome::Correct,
             Some(_) => TrialOutcome::SilentCorruption,
         };
         if let (TrialOutcome::SilentCorruption, Some(stored)) = (class, stored) {
-            // Both masked module words, module 2 appended after module 1
-            // (each n symbols), plus both decode verdicts: everything the
-            // arbiter saw when it let this through.
-            let pair: Vec<Symbol> = stored[2 * i]
-                .iter()
-                .chain(&stored[2 * i + 1])
-                .copied()
-                .collect();
+            // Both masked module words, module 2 after module 1 (each n
+            // symbols, as the batch holds them), plus both decode
+            // verdicts: everything the arbiter saw when it let this
+            // through.
             record_silent_exemplar(
                 code,
-                &pair,
+                &stored[2 * i * n..(2 * i + 2) * n],
                 &batch.erasures[2 * i],
                 vec![
                     format!("module1: {:?}", outcomes[2 * i]),
@@ -668,16 +582,14 @@ pub(crate) fn run_trial<R: Rng + ?Sized>(engine: &mut Engine, rng: &mut R) -> Tr
     let code = engine.code;
     let data = match engine.replicas.as_slice() {
         [store] => {
-            let module = &store.modules[0];
-            let mut word = module.read().to_vec();
-            match code.decode_in_place(&mut word, module.erased()).unwrap() {
+            let mut word = store.word(0).to_vec();
+            match code.decode_in_place(&mut word, store.erased(0)).unwrap() {
                 BatchOutcome::Failure(_) => None,
                 _ => Some(code.data_of(&word).unwrap().into_owned()),
             }
         }
         [s1, s2] => {
-            let (m1, m2) = (&s1.modules[0], &s2.modules[0]);
-            crate::arbiter::arbitrate(code, m1.read(), m1.erased(), m2.read(), m2.erased())
+            crate::arbiter::arbitrate(code, s1.word(0), s1.erased(0), s2.word(0), s2.erased(0))
                 .unwrap()
                 .data()
                 .map(<[Symbol]>::to_vec)
@@ -776,25 +688,26 @@ pub(crate) mod tests {
             .collect()
     }
 
-    /// Two one-word stores holding `codeword`, each with up to two
-    /// permanent faults and up to three upsets.
-    fn faulty_pair(rng: &mut StdRng, config: &SimConfig, codeword: &[Symbol]) -> Vec<Store> {
-        let symbol_values = 1 << config.m;
-        (0..2)
-            .map(|_| {
-                let mut store = Store::new(1, config.n, config.m, Interleaver::new(1).unwrap());
-                store.modules[0].reset(codeword);
-                for _ in 0..rng.gen_range(0..=2) {
-                    let pos = rng.gen_range(0..config.n);
-                    store.stick(pos, rng.gen_range(0..symbol_values) as Symbol);
-                }
-                for _ in 0..rng.gen_range(0..=3) {
-                    let pos = rng.gen_range(0..config.n);
-                    store.flip_bit(pos, rng.gen_range(0..config.m));
-                }
-                store
-            })
-            .collect()
+    /// A store of `codewords` (`n` symbols each, back to back) under
+    /// `config`'s code, each word with up to two permanent faults and up
+    /// to three upsets. Without interleaving, word `w`'s symbol `p` is
+    /// physical symbol `w·n + p`.
+    fn faulty_store(rng: &mut StdRng, config: &SimConfig, codewords: &[Symbol]) -> Store {
+        let (n, m) = (config.n, config.m);
+        let mut store = Store::new(codewords.len() / n, n, m, Interleaver::new(1).unwrap());
+        store.reset().copy_from_slice(codewords);
+        for w in 0..store.words() {
+            for _ in 0..rng.gen_range(0..=2) {
+                store.stick(
+                    w * n + rng.gen_range(0..n),
+                    rng.gen_range(0..1 << m) as Symbol,
+                );
+            }
+            for _ in 0..rng.gen_range(0..=3) {
+                store.flip_bit(w * n + rng.gen_range(0..n), rng.gen_range(0..m));
+            }
+        }
+        store
     }
 
     /// The word `word` decodes to, or `None` if decoding fails.
@@ -806,71 +719,55 @@ pub(crate) mod tests {
         }
     }
 
-    fn modules(stores: &[Store]) -> Vec<MemoryModule> {
-        stores.iter().map(|s| s.modules[0].clone()).collect()
-    }
-
-    fn content(stores: &[Store]) -> Vec<(Vec<Symbol>, Vec<usize>)> {
+    /// Word `w` of each store: its symbols and erasures.
+    fn content(stores: &[Store], w: usize) -> Vec<(Vec<Symbol>, Vec<usize>)> {
         stores
             .iter()
-            .map(|s| (s.modules[0].read().to_vec(), s.modules[0].erased().to_vec()))
+            .map(|s| (s.word(w).to_vec(), s.erased(w).to_vec()))
             .collect()
     }
 
-    fn force_dirty(stores: &mut [Store]) {
-        for store in stores {
-            store.modules[0].force_dirty();
-            store.mark_all_dirty();
-        }
-    }
-
-    /// Scrubs `stores` once and checks the elision rule: a scrub that
-    /// leaves every module clean leaves a state that a forced repeat
-    /// does not move; a scrub that leaves a module dirty really changed
-    /// the state. Returns whether the flags were cleared.
-    fn check_fixed_point(stores: &mut [Store], scrub: impl Fn(&mut [Store])) -> bool {
-        let before = content(stores);
+    /// Scrubs one-word `stores` once and checks the elision rule: a
+    /// scrub that leaves every module clean leaves a state that a forced
+    /// repeat does not move; a scrub that leaves a module dirty really
+    /// changed the state. Returns whether the flags were cleared.
+    fn check_fixed_point(stores: &mut [Store], mut scrub: impl FnMut(&mut [Store])) -> bool {
+        let before = content(stores, 0);
         scrub(stores);
-        if stores.iter().any(|s| s.modules[0].is_dirty()) {
-            assert_ne!(content(stores), before, "an idle scrub kept a flag set");
+        if stores.iter().any(|s| s.is_dirty(0)) {
+            assert_ne!(content(stores, 0), before, "an idle scrub kept a flag set");
             return false;
         }
-        let settled = modules(stores);
-        force_dirty(stores);
+        let settled = content(stores, 0);
+        stores.iter_mut().for_each(Store::mark_all_dirty);
         scrub(stores);
         assert_eq!(
-            modules(stores),
+            content(stores, 0),
             settled,
             "a repeated scrub moved a fixed point"
+        );
+        assert!(
+            stores.iter().all(|s| !s.is_dirty(0)),
+            "a fixed point was flagged"
         );
         true
     }
 
-    fn duplex_scrub(code: &dyn MemoryCode) -> impl Fn(&mut [Store]) + '_ {
-        move |s| {
-            scrub_duplex(code, s, &mut Batch::default());
-        }
-    }
-
-    fn simplex_scrub(code: &dyn MemoryCode) -> impl Fn(&mut [Store]) + '_ {
-        move |s| scrub_simplex(code, &mut s[0], &mut Batch::default())
-    }
-
-    /// What the duplex scrub's two decodes see: both masked words and
-    /// their common erasures.
-    fn masked(code: &dyn MemoryCode, stores: &[Store]) -> MaskedPair {
-        let (m1, m2) = (&stores[0].modules[0], &stores[1].modules[0]);
-        let mut pair = MaskedPair::default();
+    /// What the duplex scrub's two decodes of word `w` see: both masked
+    /// words, back to back, and their common erasures.
+    fn masked(code: &dyn MemoryCode, stores: &[Store], w: usize) -> (Vec<Symbol>, Vec<usize>) {
+        let (s1, s2) = (&stores[0], &stores[1]);
+        let mut words = vec![0; 2 * code.n()];
+        let mut scratch = MaskScratch::default();
         mask(
             code,
-            m1.read(),
-            m1.erased(),
-            m2.read(),
-            m2.erased(),
-            &mut pair,
+            (s1.word(w), s1.erased(w)),
+            (s2.word(w), s2.erased(w)),
+            &mut words,
+            &mut scratch,
         )
         .unwrap();
-        pair
+        (words, scratch.common)
     }
 
     #[test]
@@ -879,13 +776,17 @@ pub(crate) mod tests {
         let code = code_of(&config);
         let code = code.as_ref();
         let mut rng = StdRng::seed_from_u64(0xF1ED);
+        let mut batch = Batch::default();
         let (mut cleared, mut kept, mut one_sided_failures, mut miscorrections) = (0, 0, 0, 0);
         for _ in 0..1500 {
             let codeword = code.encode(&random_data(&mut rng, config.k, 256)).unwrap();
-            let mut stores = faulty_pair(&mut rng, &config, &codeword);
+            let mut stores = [0, 1].map(|_| faulty_store(&mut rng, &config, &codeword));
 
-            let pair = masked(code, &stores);
-            let outcomes = [&pair.w1, &pair.w2].map(|w| code.decode(w, &pair.common).unwrap());
+            let (pair, common) = masked(code, &stores, 0);
+            let outcomes: Vec<_> = pair
+                .chunks(config.n)
+                .map(|w| code.decode(w, &common).unwrap())
+                .collect();
             let failures = outcomes
                 .iter()
                 .filter(|o| matches!(o, DecodeOutcome::Failure(_)))
@@ -898,10 +799,12 @@ pub(crate) mod tests {
                 )
                 .count();
 
-            let mut simplex_store = vec![stores[0].clone()];
+            let mut simplex = [stores[0].clone()];
             for settled in [
-                check_fixed_point(&mut stores, duplex_scrub(code)),
-                check_fixed_point(&mut simplex_store, simplex_scrub(code)),
+                check_fixed_point(&mut stores, |s| {
+                    scrub_duplex(code, s, &mut batch);
+                }),
+                check_fixed_point(&mut simplex, |s| scrub_simplex(code, &mut s[0], &mut batch)),
             ] {
                 if settled {
                     cleared += 1;
@@ -920,21 +823,31 @@ pub(crate) mod tests {
         );
         assert!(miscorrections > 50, "{miscorrections} miscorrections");
     }
-    /// Scrubs `stores` whose decodes converged, forces them dirty and
-    /// scrubs again: the repeat must move nothing. Returns whether the
-    /// first scrub changed the state.
-    fn check_converged(stores: &mut [Store], scrub: impl Fn(&mut [Store])) -> bool {
-        let before = content(stores);
+
+    /// Scrubs `stores`, forces every module dirty and scrubs again: no
+    /// word in `converged` may move on the repeat. Returns how many of
+    /// them the first scrub changed.
+    fn check_converged(
+        stores: &mut [Store],
+        converged: &[bool],
+        mut scrub: impl FnMut(&mut [Store]),
+    ) -> usize {
+        let words = converged.len();
+        let before: Vec<_> = (0..words).map(|w| content(stores, w)).collect();
         scrub(stores);
-        let settled = content(stores);
-        force_dirty(stores);
+        let settled: Vec<_> = (0..words).map(|w| content(stores, w)).collect();
+        stores.iter_mut().for_each(Store::mark_all_dirty);
         scrub(stores);
-        assert_eq!(
-            content(stores),
-            settled,
-            "a repeated scrub moved a converged state"
-        );
-        settled != before
+        let mut changed = 0;
+        for w in (0..words).filter(|&w| converged[w]) {
+            assert_eq!(
+                content(stores, w),
+                settled[w],
+                "a repeated scrub moved converged word {w}"
+            );
+            changed += usize::from(settled[w] != before[w]);
+        }
+        changed
     }
 
     /// The RS(18,16), RS(20,16), RM(1,5) and IRS(36,32) configurations
@@ -942,7 +855,7 @@ pub(crate) mod tests {
     /// next to an erasure, so its confirmation decodes are clean; the
     /// wider codes also exercise erasures-only corrections, and every
     /// family's decoder.
-    pub(crate) fn oracle_configs() -> [SimConfig; 4] {
+    fn oracle_configs() -> [SimConfig; 4] {
         let rs18_16 = SimConfig::rs18_16_baseline();
         [
             rs18_16,
@@ -964,43 +877,63 @@ pub(crate) mod tests {
         ]
     }
 
-    #[test]
-    fn a_converged_scrub_is_a_fixed_point() {
+    /// The fixed-point oracle of both scrubs on stores of `words` words,
+    /// 1 500 cases in debug and 20 000 in release per configuration:
+    /// every word pair whose masked words both decode to the same word,
+    /// and every simplex word that decodes, is left by one scrub in a
+    /// state that a forced repeat does not move.
+    pub(crate) fn converged_scrubs_are_fixed_points(words: usize, seed: u64) {
         let cases = if cfg!(debug_assertions) {
             1_500
         } else {
             20_000
         };
-        let mut rng = StdRng::seed_from_u64(0xC0DE);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut batch = Batch::default();
         for config in oracle_configs() {
             let code = code_of(&config);
             let code = code.as_ref();
             let (mut duplex_changed, mut simplex_changed) = (0, 0);
             for _ in 0..cases {
-                let data = random_data(&mut rng, config.k, 1 << config.m);
-                let codeword = code.encode(&data).unwrap();
-                let mut stores = faulty_pair(&mut rng, &config, &codeword);
-                let mut simplex_store = vec![stores[0].clone()];
+                let codewords: Vec<Symbol> = (0..words)
+                    .flat_map(|_| {
+                        let data = random_data(&mut rng, config.k, 1 << config.m);
+                        code.encode(&data).unwrap()
+                    })
+                    .collect();
+                let mut replicas = [0, 1].map(|_| faulty_store(&mut rng, &config, &codewords));
+                let mut simplex = [replicas[0].clone()];
 
-                // Both masked words decode to the same word.
-                let pair = masked(code, &stores);
-                let [d1, d2] = [&pair.w1, &pair.w2].map(|w| decoded(code, w, &pair.common));
-                if d1.is_some() && d1 == d2 {
-                    duplex_changed += usize::from(check_converged(&mut stores, duplex_scrub(code)));
-                }
+                let converged: Vec<bool> = (0..words)
+                    .map(|w| {
+                        let (pair, common) = masked(code, &replicas, w);
+                        let (w1, w2) = pair.split_at(config.n);
+                        let [d1, d2] = [w1, w2].map(|w| decoded(code, w, &common));
+                        d1.is_some() && d1 == d2
+                    })
+                    .collect();
+                duplex_changed += check_converged(&mut replicas, &converged, |r| {
+                    scrub_duplex(code, r, &mut batch);
+                });
 
-                // The simplex word decodes.
-                let m = &simplex_store[0].modules[0];
-                if decoded(code, m.read(), m.erased()).is_some() {
-                    simplex_changed +=
-                        usize::from(check_converged(&mut simplex_store, simplex_scrub(code)));
-                }
+                let s = &simplex[0];
+                let converged: Vec<bool> = (0..words)
+                    .map(|w| decoded(code, s.word(w), s.erased(w)).is_some())
+                    .collect();
+                simplex_changed += check_converged(&mut simplex, &converged, |s| {
+                    scrub_simplex(code, &mut s[0], &mut batch);
+                });
             }
             assert!(
                 duplex_changed > 100 && simplex_changed > 100,
                 "{config:?}: converged and changed: {duplex_changed} duplex, {simplex_changed} simplex"
             );
         }
+    }
+
+    #[test]
+    fn a_converged_scrub_is_a_fixed_point() {
+        converged_scrubs_are_fixed_points(1, 0xC0DE);
     }
 
     /// A freshly stored trial is a scrub fixed point in every family,
@@ -1031,24 +964,24 @@ pub(crate) mod tests {
                     engine.store(&mut rng);
                     for store in &engine.replicas {
                         assert!(store.dirty.is_empty());
-                        assert!(store.modules.iter().all(|m| !m.is_dirty()));
+                        assert!((0..store.words()).all(|w| !store.is_dirty(w)));
                     }
-                    let stored: Vec<_> =
-                        engine.replicas.iter().map(|s| s.modules.clone()).collect();
-                    for store in &mut engine.replicas {
-                        store.modules.iter_mut().for_each(MemoryModule::force_dirty);
-                        store.mark_all_dirty();
-                    }
+                    let stored: Vec<Vec<Symbol>> = engine
+                        .replicas
+                        .iter()
+                        .map(|s| s.stored().to_vec())
+                        .collect();
+                    engine.replicas.iter_mut().for_each(Store::mark_all_dirty);
                     match engine.replicas.as_mut_slice() {
                         [store] => scrub_simplex(code, store, &mut batch),
                         stores => assert!(scrub_duplex(code, stores, &mut batch)),
                     }
                     for (store, stored) in engine.replicas.iter().zip(&stored) {
                         assert!(store.dirty.is_empty(), "{config:?}: a module was relisted");
-                        for (module, before) in store.modules.iter().zip(stored) {
-                            assert!(!module.is_dirty(), "{config:?}: a module stayed dirty");
-                            assert_eq!(module.read(), before.read(), "{config:?}: a symbol moved");
-                            assert!(module.erased().is_empty());
+                        assert_eq!(store.stored(), stored, "{config:?}: a symbol moved");
+                        for w in 0..store.words() {
+                            assert!(!store.is_dirty(w), "{config:?}: a module stayed dirty");
+                            assert!(store.erased(w).is_empty());
                         }
                     }
                     // Leave a listed module behind: the next store must

@@ -1,7 +1,8 @@
 //! Pins that Monte-Carlo scrubs allocate nothing: a warm serial duplex
 //! campaign allocates no more with a scrub every 90 s than with one
 //! every 900 s. A second gate pins the same for whole-array campaigns,
-//! and that their trials reuse the arrays instead of rebuilding them.
+//! and that their trials reuse the arrays instead of rebuilding them. A
+//! third pins that building an array campaign costs nothing per word.
 //!
 //! Periodic scrubs draw no randomness, so both campaigns inject the same
 //! faults at the same instants and end on the same erasure sets; they
@@ -55,23 +56,29 @@ fn scrubs_allocate_nothing() {
 /// Words in each array campaign.
 const WORDS: usize = 64;
 
-/// A duplex RS(18,16) array campaign of `trials` trials with a scrub
+/// A duplex RS(18,16) array campaign of `trials` trials over `words`
+/// words, with `erasure_per_symbol_day` permanent faults and a scrub
 /// every `period_days`. Array campaigns always run on the calling thread.
 ///
 /// A permanent fault can allocate: the first erasure of a module grows
 /// its erasure list, which later trials then reuse. That is a cost per
-/// fault, which warms up; at this rate (about five per replica and
-/// trial) it stays well below the one-per-word bound on what six more
+/// fault, which warms up; at 1e-3 (about five per replica and trial on
+/// 64 words) it stays well below the one-per-word bound on what six more
 /// trials may allocate.
-fn array_campaign(period_days: f64, trials: usize) -> (usize, ArrayReport) {
+fn array_campaign(
+    words: usize,
+    erasure_per_symbol_day: f64,
+    period_days: f64,
+    trials: usize,
+) -> (usize, ArrayReport) {
     let config = ArrayConfig {
         base: SimConfig {
             seu_per_bit_day: 1e-2,
-            erasure_per_symbol_day: 1e-3,
+            erasure_per_symbol_day,
             scrub: Some((period_days, ScrubTiming::Periodic)),
             ..SimConfig::rs18_16_baseline()
         },
-        words: WORDS,
+        words,
         mbu_width_bits: 2,
         interleave_depth: 4,
     };
@@ -83,11 +90,11 @@ fn array_campaign(period_days: f64, trials: usize) -> (usize, ArrayReport) {
 #[test]
 fn array_campaigns_allocate_per_fault_not_per_word() {
     // Warm-up, as above.
-    array_campaign(0.05, 2);
+    array_campaign(WORDS, 1e-3, 0.05, 2);
     // Scrubs: ten times as many scrub ticks, each decoding only the
     // word-pairs a fault touched, allocate nothing more.
-    let (often, report_often) = array_campaign(0.005, 2);
-    let (rarely, report_rarely) = array_campaign(0.05, 2);
+    let (often, report_often) = array_campaign(WORDS, 1e-3, 0.005, 2);
+    let (rarely, report_rarely) = array_campaign(WORDS, 1e-3, 0.05, 2);
     assert!(
         report_often.failed_words < report_rarely.failed_words,
         "the 0.005-day scrubs must do work: {report_often:?} vs {report_rarely:?}"
@@ -98,10 +105,26 @@ fn array_campaigns_allocate_per_fault_not_per_word() {
     );
     // Trials: six more trials cost fewer allocations than one per word,
     // so no trial rebuilds its arrays, modules or datawords.
-    let (eight, _) = array_campaign(0.05, 8);
-    let (two, _) = array_campaign(0.05, 2);
+    let (eight, _) = array_campaign(WORDS, 1e-3, 0.05, 8);
+    let (two, _) = array_campaign(WORDS, 1e-3, 0.05, 2);
     assert!(
         eight < two + WORDS,
         "8 trials allocated {eight} times, 2 trials {two}"
+    );
+}
+
+#[test]
+fn building_a_campaign_costs_nothing_per_word() {
+    // Warm-up, as above.
+    array_campaign(WORDS, 0.0, 0.05, 2);
+    // Each call builds its stores and batch afresh. Flat buffers cost a
+    // few allocations each, and a growing buffer a few more per doubling
+    // of its size, so sixteen times the words may add only a constant.
+    // No permanent faults: their erasure lists cost per fault (above).
+    let (small, _) = array_campaign(WORDS, 0.0, 0.05, 2);
+    let (large, _) = array_campaign(16 * WORDS, 0.0, 0.05, 2);
+    assert!(
+        large <= small + 32,
+        "a 1 024-word campaign allocated {large} times, a 64-word one {small}"
     );
 }

@@ -185,7 +185,7 @@ fn check_batch(
             });
         }
     };
-    let mut words: Vec<Vec<Symbol>> = cases.iter().map(|c| c.word.clone()).collect();
+    let mut words: Vec<Symbol> = cases.iter().flat_map(|c| c.word.iter().copied()).collect();
     let erasures: Vec<Vec<usize>> = cases.iter().map(|c| c.erasures.clone()).collect();
     let mut outcomes = Vec::with_capacity(cases.len());
     if let Err(e) = code.decode_batch(&mut words, &erasures, &mut outcomes) {
@@ -195,7 +195,9 @@ fn check_batch(
         );
         return;
     }
+    let n = code.n();
     for (i, case) in cases.iter().enumerate() {
+        let word = &words[i * n..(i + 1) * n];
         let scalar = code
             .decode(&case.word, &case.erasures)
             .expect("well-formed case");
@@ -223,7 +225,7 @@ fn check_batch(
         }
         match &scalar {
             DecodeOutcome::Corrected { codeword, .. } => {
-                if &words[i] != codeword {
+                if word != codeword {
                     push(
                         case,
                         "in-place corrected word differs from scalar codeword".to_string(),
@@ -232,7 +234,7 @@ fn check_batch(
             }
             // Clean and Failure must leave the word untouched.
             _ => {
-                if words[i] != case.word {
+                if word != case.word {
                     push(case, "batch mutated a word it did not correct".to_string());
                 }
             }
