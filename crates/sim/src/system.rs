@@ -1,8 +1,8 @@
 //! The Monte-Carlo engine that both the word campaigns
 //! ([`crate::runner`]) and the array campaigns ([`crate::array`]) run
 //! on: one flat [`Store`] per replica, one fault-and-scrub event loop
-//! for one or two replicas, the simplex and the duplex scrub, and the
-//! simplex and the duplex read-back classifier.
+//! for one or two replicas, the simplex and the duplex scrub, and one
+//! read-back classifier for both.
 //!
 //! A word trial is a one-word store per replica. The two kinds of
 //! campaign differ only in their [`Layout`], which fixes how an upset
@@ -17,7 +17,7 @@
 //! pair straight into its two batch slots. So an engine is a handful of
 //! buffers whatever the number of words, and its trials reuse them.
 
-use crate::arbiter::{combine, mask, verdict_of, MaskScratch};
+use crate::arbiter::{combine, mask, verdict_of, MaskScratch, WordVerdict};
 use crate::config::SimConfig;
 use crate::events::{sample_exponential, schedule_scrub, skip_idle_ticks};
 use crate::memory::Store;
@@ -30,10 +30,11 @@ use rsmem_obs::recorder;
 /// Batches shorter than this decode word by word through
 /// [`MemoryCode::decode_in_place`]; longer ones go through one
 /// [`MemoryCode::decode_batch`]. On RS(18,16) with 80 % clean words, the
-/// mix the scrubs see, the batch plane took about 2 times the scalar
-/// time per word at 1 word, 1.3–1.5 times at 2, 1.0–1.2 times at 4,
-/// 0.91–0.94 times at 6 and 0.6–0.9 times from 8 words up. Word scrubs
-/// decode 1 or 2 words, array scrubs a few pairs, read-backs hundreds.
+/// mix the scrubs see, and the flat batch layout, the batch plane took
+/// about 2.1–2.2 times the scalar time per word at 1 word, 1.5 times at
+/// 2, 1.0–1.1 times at 4, 0.9–1.0 times at 5, 0.87–0.93 times at 6 and
+/// 0.82–0.99 times from 7 words up. Word scrubs decode 1 or 2 words,
+/// array scrubs a few pairs, read-backs hundreds.
 const BATCH_CROSSOVER: usize = 6;
 
 /// A batch of words to decode, in buffers reused from one batch to the
@@ -448,97 +449,75 @@ impl<'c> Engine<'c> {
         }
     }
 
-    /// Decodes every queued read-back in one batch, classifies it with
-    /// the simplex or the duplex classifier, and empties the queue.
+    /// Decodes every queued read-back in one batch, classifies it, and
+    /// empties the queue.
     pub(crate) fn classify(&mut self) -> OutcomeCounts {
         // The decode repairs words in place, so keep the stored words
         // only while the flight recorder wants exemplars.
         let stored = recorder::enabled().then(|| self.batch.words.clone());
         self.batch.decode(self.code, 0);
-        let classify = match self.replicas.len() {
-            1 => classify_simplex_reads,
-            _ => classify_duplex_reads,
-        };
-        let counts = classify(self.code, &self.batch, &self.originals, stored.as_deref());
+        let counts = classify_reads(
+            self.code,
+            self.replicas.len(),
+            &self.batch,
+            &self.originals,
+            stored.as_deref(),
+        );
         self.batch.truncate(0, self.code.n());
         self.originals.clear();
         counts
     }
 }
 
-/// Classifies each decoded simplex word against its dataword, and
-/// records a silent corruption's `stored` word as an exemplar.
-fn classify_simplex_reads(
+/// Classifies each decoded read-back, one word (simplex) or one masked
+/// pair (duplex, run through the arbiter's flag comparison) per
+/// dataword in `originals`, against its dataword, and records a silent
+/// corruption's `stored` words as an exemplar.
+fn classify_reads(
     code: &dyn MemoryCode,
+    replicas: usize,
     batch: &Batch,
     originals: &[Symbol],
     stored: Option<&[Symbol]>,
 ) -> OutcomeCounts {
     let n = code.n();
-    let originals = originals.chunks_exact(code.k());
     let mut counts = OutcomeCounts::default();
-    for (i, ((outcome, word), original)) in batch
-        .outcomes
-        .iter()
-        .zip(batch.words.chunks_exact(n))
-        .zip(originals)
-        .enumerate()
-    {
-        let class = match outcome {
-            BatchOutcome::Failure(_) => TrialOutcome::Detected,
-            // Clean or Corrected: the word now holds the decoder's output.
-            _ if *code.data_of(word).expect("word has length n") == *original => {
-                TrialOutcome::Correct
-            }
-            _ => TrialOutcome::SilentCorruption,
+    let reads = batch
+        .words
+        .chunks_exact(replicas * n)
+        .zip(batch.outcomes.chunks_exact(replicas))
+        .zip(originals.chunks_exact(code.k()));
+    for (i, ((words, outcomes), original)) in reads.enumerate() {
+        let mut verdicts = words
+            .chunks_exact(n)
+            .zip(outcomes)
+            .map(|(word, outcome)| verdict_of(code, word, outcome));
+        let data = match (verdicts.next(), verdicts.next()) {
+            (Some(WordVerdict::Decoded { data, .. }), None) => Some(data),
+            (Some(v1), Some(v2)) => combine(v1, v2).map(|(data, _)| data),
+            _ => None,
         };
-        if let (TrialOutcome::SilentCorruption, Some(stored)) = (class, stored) {
-            record_silent_exemplar(
-                code,
-                &stored[i * n..(i + 1) * n],
-                &batch.erasures[i],
-                vec![format!("simplex: {outcome:?}")],
-            );
-        }
-        counts.record(class);
-    }
-    counts
-}
-
-/// Runs the arbiter's flag comparison on each decoded duplex pair and
-/// classifies its output against the dataword, recording a silent
-/// corruption's two `stored` masked words as an exemplar.
-fn classify_duplex_reads(
-    code: &dyn MemoryCode,
-    batch: &Batch,
-    originals: &[Symbol],
-    stored: Option<&[Symbol]>,
-) -> OutcomeCounts {
-    let n = code.n();
-    let outcomes = &batch.outcomes;
-    let mut counts = OutcomeCounts::default();
-    for (i, original) in originals.chunks_exact(code.k()).enumerate() {
-        let (w1, w2) = batch.words[2 * i * n..(2 * i + 2) * n].split_at(n);
-        let v1 = verdict_of(code, w1, &outcomes[2 * i]);
-        let v2 = verdict_of(code, w2, &outcomes[2 * i + 1]);
-        let class = match combine(v1, v2) {
+        let class = match data {
             None => TrialOutcome::Detected,
-            Some((data, _)) if *data == *original => TrialOutcome::Correct,
+            Some(data) if *data == *original => TrialOutcome::Correct,
             Some(_) => TrialOutcome::SilentCorruption,
         };
         if let (TrialOutcome::SilentCorruption, Some(stored)) = (class, stored) {
-            // Both masked module words, module 2 after module 1 (each n
-            // symbols, as the batch holds them), plus both decode
-            // verdicts: everything the arbiter saw when it let this
-            // through.
+            // The stored word, or both masked module words, module 2
+            // after module 1, plus each decode verdict: everything the
+            // read saw when it let this through.
+            let verdicts = match outcomes {
+                [outcome] => vec![format!("simplex: {outcome:?}")],
+                _ => (1..)
+                    .zip(outcomes)
+                    .map(|(m, outcome)| format!("module{m}: {outcome:?}"))
+                    .collect(),
+            };
             record_silent_exemplar(
                 code,
-                &stored[2 * i * n..(2 * i + 2) * n],
-                &batch.erasures[2 * i],
-                vec![
-                    format!("module1: {:?}", outcomes[2 * i]),
-                    format!("module2: {:?}", outcomes[2 * i + 1]),
-                ],
+                &stored[i * replicas * n..(i + 1) * replicas * n],
+                &batch.erasures[i * replicas],
+                verdicts,
             );
         }
         counts.record(class);
