@@ -1220,6 +1220,18 @@ mod tests {
     }
 
     #[test]
+    fn throughput_benches_agree_with_scalar() {
+        // The deterministic half of the test below, without its timing
+        // floor, so that CI can run it on every change.
+        let mut benches = Vec::new();
+        decode_throughput_benches(true, 1, &mut benches).unwrap();
+        assert_eq!(benches.len(), 4);
+        for pair in benches.chunks(2) {
+            assert_eq!(pair[0].fingerprint, pair[1].fingerprint, "{}", pair[1].name);
+        }
+    }
+
+    #[test]
     fn throughput_benches_agree_and_beat_scalar() {
         // The scalar baseline and the batched plane must fingerprint
         // identically (run_bench enforces intra-bench determinism; the
