@@ -1237,8 +1237,8 @@ mod tests {
         // identically (run_bench enforces intra-bench determinism; the
         // helper enforces cross-bench equality) — that half is strict
         // everywhere. The issue's ≥3× symbols/s floor is a *release*
-        // performance contract: in debug builds the batch plane's SWAR
-        // inner loops are unoptimized, and on noisy shared containers
+        // performance contract: in debug builds the batch plane's table
+        // check is unoptimized, and on noisy shared containers
         // (timing MAD above 25% of the minimum) the min-of-N estimator
         // itself is unreliable — in either case the floor is skipped
         // with the reason on stderr instead of failing the suite, and
@@ -1259,7 +1259,7 @@ mod tests {
             }
             let noisy = scalar.mad_us > 0.25 * scalar.min_us || batch.mad_us > 0.25 * batch.min_us;
             let skip_reason = if cfg!(debug_assertions) {
-                Some("debug build (unoptimized SWAR inner loops)")
+                Some("debug build (unoptimized table check)")
             } else if noisy {
                 Some("noisy timing (MAD > 25% of min — contended host)")
             } else {

@@ -1,37 +1,37 @@
-//! Batched decoding: structure-of-arrays syndrome evaluation over many
-//! codewords with the bulk GF primitives, escalating only dirty words to
-//! the scalar key-equation back-ends.
+//! Batched decoding: a per-position table check finds the clean words
+//! of a batch, and only the dirty ones escalate to the scalar decode
+//! core.
 //!
 //! The memory-array workloads of this workspace (Monte-Carlo trials, the
 //! stress lattice, whole-array scrub reads) decode thousands of words per
 //! step, the overwhelming majority of which are still codewords. The
-//! scalar [`crate::RsCode::decode`] pays per-word allocation and per-symbol
-//! log/exp lookups just to discover that nothing happened. This module
-//! inverts the loop:
+//! scalar [`crate::RsCode::decode`] runs a Horner ladder per syndrome
+//! just to discover that nothing happened. This module checks each word
+//! against the code's syndrome tables instead:
 //!
-//! 1. **Transpose** the batch into column-major (structure-of-arrays)
-//!    layout: one contiguous lane of `batch_len` symbols per codeword
-//!    position.
-//! 2. **Syndromes in bulk**: for each generator root `α^{b+j}` run the
-//!    Horner ladder across the whole lane with a precomputed
-//!    [`rsmem_gf::bulk::MulTable`] (SWAR on byte-wide fields) — the same
-//!    products, so the results are bit-identical to the scalar ladder.
-//! 3. **Early-out** every word whose `n−k` syndromes are all zero
-//!    (clean), and **escalate** the rest one at a time to the decode
-//!    core that every RS decode runs, which corrects them in place.
+//! 1. **Clean check**: the syndromes are linear in the word, `S_j =
+//!    Σ_i r_i·α^{(b+j)·i}`, and GF(2^m) adds with XOR, which is exact in
+//!    any order. So one nibble-split table per position holds every
+//!    syndrome contribution of each symbol value, and a word's syndromes
+//!    are the XOR of `n·⌈m/4⌉` table entries, with no dependency chain
+//!    between positions. The word is clean iff that XOR is zero. Codes
+//!    whose tables would be too large run the scalar ladder instead.
+//! 2. **Early-out** every clean word, and **escalate** the rest one at a
+//!    time to the decode core that every RS decode runs, which corrects
+//!    them in place.
 //!
-//! [`BatchDecoder`] owns the kernel's buffers and escalates on the
-//! thread's decode-core workspace, the one the scalar entry points use,
-//! and reuses both across calls: after warm-up a batch performs **zero
-//! heap allocations**, whether its words are clean, corrected or beyond
+//! [`BatchDecoder`] owns the clean flags and escalates on the thread's
+//! decode-core workspace, the one the scalar entry points use, and
+//! reuses both across calls: after warm-up a batch performs **zero heap
+//! allocations**, whether its words are clean, corrected or beyond
 //! repair (pinned by allocation-counting tests).
 
 use crate::decode::{
     decode_in_place, record_clean_many, rich_outcome, validate_erasures_into, with_workspace,
     DecodeFailure, DecodeOutcome, DecoderBackend,
 };
+use crate::syndrome::syndromes_into;
 use crate::{CodeError, RsCode};
-use rsmem_gf::bulk::BulkKind;
 use rsmem_gf::Symbol;
 use rsmem_obs::metrics::{global, Counter};
 use std::sync::OnceLock;
@@ -104,70 +104,6 @@ impl BatchOutcome {
     }
 }
 
-/// All `n−k` syndromes of many received words, evaluated in one
-/// structure-of-arrays pass: the tests' view of [`syndromes_soa`],
-/// checked against the scalar syndromes.
-///
-/// Layout is lane-major: syndrome `j` of word `w` lives at
-/// `soa[j·words + w]`, so each syndrome index is contiguous across the
-/// batch (the shape the bulk Horner ladder produces without a final
-/// transpose).
-#[cfg(test)]
-#[derive(Debug, Clone)]
-struct SyndromeBatch {
-    words: usize,
-    stride: usize,
-    soa: Vec<Symbol>,
-}
-
-#[cfg(test)]
-impl SyndromeBatch {
-    /// Evaluates all `n−k` syndromes of every word in `words`.
-    ///
-    /// # Errors
-    ///
-    /// [`CodeError::CodewordLength`] / [`CodeError::SymbolOutOfRange`]
-    /// on the first malformed word.
-    fn compute<W: AsRef<[Symbol]>>(code: &RsCode, words: &[W]) -> Result<SyndromeBatch, CodeError> {
-        for word in words {
-            check_word(code, word.as_ref())?;
-        }
-        let mut ws = SoaBuffers::default();
-        syndromes_soa(code, words.iter().map(AsRef::as_ref), &mut ws);
-        Ok(SyndromeBatch {
-            words: words.len(),
-            stride: code.parity_symbols(),
-            soa: ws.soa,
-        })
-    }
-
-    /// Syndrome `j` of word `w`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `w` or `j` is out of range.
-    fn get(&self, w: usize, j: usize) -> Symbol {
-        assert!(w < self.words && j < self.stride, "index out of range");
-        self.soa[j * self.words + w]
-    }
-
-    /// True when every syndrome of word `w` is zero (the word is a
-    /// codeword).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `w` is out of range.
-    fn is_clean(&self, w: usize) -> bool {
-        assert!(w < self.words, "index out of range");
-        word_is_clean(&self.soa, self.words, self.stride, w)
-    }
-
-    /// True when the whole batch is clean.
-    fn all_clean(&self) -> bool {
-        self.soa.iter().all(|&s| s == 0)
-    }
-}
-
 /// Validates one word's length and symbol range (the same checks, in
 /// the same order, as the scalar decode entry point).
 fn check_word(code: &RsCode, word: &[Symbol]) -> Result<(), CodeError> {
@@ -190,137 +126,11 @@ fn erasures_of(erasures: &[Vec<usize>], w: usize) -> &[usize] {
     }
 }
 
-fn word_is_clean(soa: &[Symbol], words: usize, stride: usize, w: usize) -> bool {
-    (0..stride).all(|j| soa[j * words + w] == 0)
-}
-
-/// Symbols per packed `u64` on byte-wide fields.
-const PACK: usize = 8;
-
-/// Reusable buffers of the structure-of-arrays syndrome kernel. All four
-/// vectors are resized in place, so a warm owner allocates nothing.
-#[derive(Debug, Default)]
-struct SoaBuffers {
-    /// Column-major transpose (`n` lanes of `batch_len`), `m > 8` path.
-    cols: Vec<Symbol>,
-    /// Byte-lane packed transpose (`⌈batch_len/8⌉` word groups of `n`
-    /// consecutive `u64`s), `m ≤ 8` path.
-    cols_p: Vec<u64>,
-    /// Structure-of-arrays syndromes (`n−k` lanes of `batch_len`).
-    soa: Vec<Symbol>,
-}
-
-/// The structure-of-arrays syndrome kernel of [`BatchDecoder`] and of
-/// the tests' `SyndromeBatch`: transposes the batch into position lanes
-/// and runs the bulk Horner ladder per generator root into `ws.soa`.
-///
-/// On byte-wide fields the transpose packs eight words per `u64` and the
-/// whole ladder runs on [`rsmem_gf::bulk::MulTable::horner_fold_packed`]
-/// — symbols are packed once and unpacked once per root, not once per
-/// Horner step. Wider fields fall back to the symbol-slice ladder. Both
-/// ladders apply `acc ← root·acc ⊕ coeff` from the highest codeword
-/// position down — the exact evaluation order of the scalar ladder, so
-/// every syndrome is bit-identical.
-fn syndromes_soa<'w>(
-    code: &RsCode,
-    words: impl ExactSizeIterator<Item = &'w [Symbol]>,
-    ws: &mut SoaBuffers,
-) {
-    let mut span = rsmem_obs::span("code.bulk", "syndromes");
-    let lanes = words.len();
-    let n = code.n();
-    let stride = code.parity_symbols();
-    span.record("words", lanes as u64);
-    ws.soa.clear();
-    ws.soa.resize(stride * lanes, 0);
-    if lanes == 0 {
-        return;
-    }
-    if code.field().bulk_kind() == BulkKind::Swar64 {
-        // Blocked layout: each group of eight words packs into `n`
-        // consecutive `u64`s, so the pack writes, the ladder reads and
-        // the syndrome unpack all stay inside one ~n·8-byte hot window
-        // per group, and every root's accumulator lives in a register
-        // for the whole ladder.
-        let wu = lanes.div_ceil(PACK);
-        let tables = code.syndrome_tables();
-        ws.cols_p.clear();
-        ws.cols_p.resize(wu * n, 0);
-        for (w, word) in words.enumerate() {
-            let g = w / PACK;
-            let shift = 8 * (w % PACK);
-            for (p, &c) in ws.cols_p[g * n..(g + 1) * n].iter_mut().zip(word) {
-                *p |= u64::from(c) << shift;
-            }
-        }
-        // Ladder four groups at a time: the Horner recurrence serializes
-        // on its accumulator, so independent sibling chains hide the
-        // multiply latency. Short batches fall back to narrower tiles.
-        let mut g = 0;
-        // The wide tile requires four *full* groups (the zero-padded
-        // partial tail would unpack past the row).
-        while (g + 4) * PACK <= lanes {
-            let quad = &ws.cols_p[g * n..(g + 4) * n];
-            let (p0, rest) = quad.split_at(n);
-            let (p1, rest) = rest.split_at(n);
-            let (p2, p3) = rest.split_at(n);
-            for (j, table) in tables.iter().enumerate() {
-                // Horner from the highest codeword position down — the
-                // exact evaluation order of the scalar ladder, so every
-                // syndrome is bit-identical.
-                let mut acc = [0u64; 4];
-                for i in (0..n).rev() {
-                    acc[0] = table.horner_fold_packed(acc[0], p0[i]);
-                    acc[1] = table.horner_fold_packed(acc[1], p1[i]);
-                    acc[2] = table.horner_fold_packed(acc[2], p2[i]);
-                    acc[3] = table.horner_fold_packed(acc[3], p3[i]);
-                }
-                for (q, &a) in acc.iter().enumerate() {
-                    let row = j * lanes + (g + q) * PACK;
-                    for (w, s) in ws.soa[row..row + PACK].iter_mut().enumerate() {
-                        *s = ((a >> (8 * w)) & 0xff) as Symbol;
-                    }
-                }
-            }
-            g += 4;
-        }
-        while g < wu {
-            // Remainder groups (including a zero-padded partial tail).
-            let packed = &ws.cols_p[g * n..(g + 1) * n];
-            let in_group = PACK.min(lanes - g * PACK);
-            for (j, table) in tables.iter().enumerate() {
-                let mut acc = 0u64;
-                for &coeff in packed.iter().rev() {
-                    acc = table.horner_fold_packed(acc, coeff);
-                }
-                let row = j * lanes + g * PACK;
-                for (w, s) in ws.soa[row..row + in_group].iter_mut().enumerate() {
-                    *s = ((acc >> (8 * w)) & 0xff) as Symbol;
-                }
-            }
-            g += 1;
-        }
-    } else {
-        ws.cols.clear();
-        ws.cols.resize(n * lanes, 0);
-        for (w, word) in words.enumerate() {
-            for (i, &c) in word.iter().enumerate() {
-                ws.cols[i * lanes + w] = c;
-            }
-        }
-        for (j, table) in code.syndrome_tables().iter().enumerate() {
-            let acc = &mut ws.soa[j * lanes..(j + 1) * lanes];
-            for i in (0..n).rev() {
-                table.horner_step(acc, &ws.cols[i * lanes..(i + 1) * lanes]);
-            }
-        }
-    }
-}
-
 /// A reusable batched-decode workspace.
 ///
-/// Holds the transpose and syndrome buffers; escalated words run on the
-/// thread's decode-core workspace, which the scalar entry points share,
+/// Holds the clean flags of a batch (and the syndromes of codes too
+/// large for tables); escalated words run on the thread's decode-core
+/// workspace, which the scalar entry points share,
 /// so that steady-state batches perform **zero** heap allocations after
 /// the first call, dirty words included — the property the MC shard
 /// loop relies on and the `alloc_count` tests pin. The decoder is cheap to construct but not `Sync`; give each
@@ -347,8 +157,10 @@ fn syndromes_soa<'w>(
 /// ```
 #[derive(Debug, Default)]
 pub struct BatchDecoder {
-    /// Transpose/syndrome buffers of the SoA kernel.
-    ws: SoaBuffers,
+    /// Per word of the current batch: true when it skips the core.
+    clean: Vec<bool>,
+    /// Scalar syndromes of one word, for codes without tables.
+    syn: Vec<Symbol>,
 }
 
 impl BatchDecoder {
@@ -392,20 +204,19 @@ impl BatchDecoder {
         let mut span = rsmem_obs::span("code.bulk", "decode_batch");
         span.record("words", lanes as u64);
         self.validate(code, words.chunks(n), erasures)?;
-        syndromes_soa(code, words.chunks(n), &mut self.ws);
-        let stride = code.parity_symbols();
+        self.check_clean(code, words.chunks(n), erasures);
         out.clear();
         out.reserve(lanes);
         let mut clean = 0u64;
         let mut escalated = 0u64;
-        for (w, word) in words.chunks_mut(n).enumerate() {
-            let era = erasures_of(erasures, w);
-            if era.len() <= stride && word_is_clean(&self.ws.soa, lanes, stride, w) {
+        for ((w, word), &is_clean) in words.chunks_mut(n).enumerate().zip(&self.clean) {
+            if is_clean {
                 clean += 1;
                 out.push(BatchOutcome::Clean);
                 continue;
             }
             escalated += 1;
+            let era = erasures_of(erasures, w);
             out.push(with_workspace(|core| {
                 decode_in_place(code, word, era, opts.backend, core)
             })?);
@@ -443,15 +254,12 @@ impl BatchDecoder {
         let mut span = rsmem_obs::span("code.bulk", "decode_many");
         span.record("words", words.len() as u64);
         self.validate(code, words.iter().map(Vec::as_slice), erasures)?;
-        syndromes_soa(code, words.iter().map(Vec::as_slice), &mut self.ws);
-        let lanes = words.len();
-        let stride = code.parity_symbols();
-        let mut out = Vec::with_capacity(lanes);
+        self.check_clean(code, words.iter().map(Vec::as_slice), erasures);
+        let mut out = Vec::with_capacity(words.len());
         let mut clean = 0u64;
         let mut escalated = 0u64;
-        for (w, word) in words.iter_mut().enumerate() {
-            let era = erasures_of(erasures, w);
-            if era.len() <= stride && word_is_clean(&self.ws.soa, lanes, stride, w) {
+        for ((w, word), &is_clean) in words.iter_mut().enumerate().zip(&self.clean) {
+            if is_clean {
                 clean += 1;
                 out.push(DecodeOutcome::Clean {
                     data: code.data_of(word)?.to_vec(),
@@ -459,6 +267,7 @@ impl BatchDecoder {
                 continue;
             }
             escalated += 1;
+            let era = erasures_of(erasures, w);
             out.push(with_workspace(|core| {
                 let outcome = decode_in_place(code, word, era, opts.backend, core)?;
                 Ok::<_, CodeError>(rich_outcome(code, word.clone(), outcome, core))
@@ -471,6 +280,34 @@ impl BatchDecoder {
         span.record("clean", clean);
         span.record("escalated", escalated);
         Ok(out)
+    }
+
+    /// Marks in `self.clean` which of `words` skip the decode core:
+    /// those whose erasures fit the budget and whose syndromes are all
+    /// zero, from the code's syndrome tables, or from the scalar ladder
+    /// when the code has none.
+    fn check_clean<'w>(
+        &mut self,
+        code: &RsCode,
+        words: impl ExactSizeIterator<Item = &'w [Symbol]>,
+        erasures: &[Vec<usize>],
+    ) {
+        let mut span = rsmem_obs::span("code.bulk", "syndromes");
+        span.record("words", words.len() as u64);
+        let tables = code.syndrome_check();
+        let stride = code.parity_symbols();
+        let syn = &mut self.syn;
+        self.clean.clear();
+        self.clean.extend(words.enumerate().map(|(w, word)| {
+            erasures_of(erasures, w).len() <= stride
+                && match tables {
+                    Some(tables) => tables.maps_to_zero(word),
+                    None => {
+                        syndromes_into(code, word, syn);
+                        syn.iter().all(|&s| s == 0)
+                    }
+                }
+        }));
     }
 
     /// Upfront validation of the whole batch, per word in the scalar
@@ -545,30 +382,87 @@ mod tests {
         (words, erasures)
     }
 
+    /// Codewords of `code` with 0, 1 or 2 adjacent symbols changed, in
+    /// turn: never a codeword but for the unchanged ones (`d ≥ 3`).
+    fn mixed_words(code: &RsCode, count: u64) -> Vec<Vec<Symbol>> {
+        let size = u64::from(code.field().size());
+        let mut state = 0x5EED_u64 ^ code.n() as u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            state >> 33
+        };
+        (0..count)
+            .map(|seed| {
+                let data: Vec<Symbol> = (0..code.k()).map(|_| (next() % size) as Symbol).collect();
+                let mut word = code.encode(&data).unwrap();
+                let first = next() as usize;
+                for e in 0..(seed % 3) as usize {
+                    word[(first + e) % code.n()] ^= (1 + next() % (size - 1)) as Symbol;
+                }
+                word
+            })
+            .collect()
+    }
+
     #[test]
     fn syndrome_batch_matches_scalar_syndromes() {
-        let code = rs18_16();
-        let (words, _) = words_with_patterns(&code);
-        let batch = SyndromeBatch::compute(&code, &words).unwrap();
-        for (w, word) in words.iter().enumerate() {
-            let scalar = crate::syndrome::syndromes(&code, word);
-            for (j, &s) in scalar.iter().enumerate() {
-                assert_eq!(batch.get(w, j), s, "word {w} syndrome {j}");
+        // The syndrome tables give the scalar ladder's syndromes bit for
+        // bit, and the clean check flags exactly the words whose scalar
+        // syndromes are all zero, over byte, narrow and wide fields, any
+        // first root, and a code too large for tables.
+        for (n, k, m, b) in [
+            (18usize, 16usize, 8u32, 0u32),
+            (36, 16, 8, 112),
+            (15, 9, 4, 1),
+            (7, 3, 3, 0),
+            (40, 30, 10, 3),
+            (24, 16, 16, 0),
+            (1000, 800, 16, 0),
+        ] {
+            let code = RsCode::with_first_root(n, k, m, b).unwrap();
+            let words = mixed_words(&code, 30);
+            let mut decoder = BatchDecoder::new();
+            decoder.check_clean(&code, words.iter().map(Vec::as_slice), &[]);
+            let clean = &decoder.clean;
+            let tables = code.syndrome_check();
+            assert_eq!(tables.is_none(), n == 1000, "RS({n},{k})");
+            for (w, word) in words.iter().enumerate() {
+                let scalar = crate::syndrome::syndromes(&code, word);
+                if let Some(tables) = tables {
+                    let mut image = vec![0; n - k];
+                    tables.apply(word, &mut image);
+                    assert_eq!(image, scalar, "RS({n},{k}) b={b} word {w}");
+                }
+                assert_eq!(clean[w], scalar.iter().all(|&s| s == 0), "word {w}");
             }
-            assert_eq!(batch.is_clean(w), scalar.iter().all(|&s| s == 0));
+            assert_eq!(clean.iter().filter(|&&c| c).count(), 10, "RS({n},{k})");
         }
     }
 
     #[test]
     fn syndrome_batch_rejects_malformed_words() {
+        // Malformed words fail validation before the clean check reads
+        // them; an empty batch has no outcomes.
         let code = rs18_16();
-        let short = vec![vec![0 as Symbol; 17]];
-        assert!(SyndromeBatch::compute(&code, &short).is_err());
-        let wide = vec![vec![0x1ff as Symbol; 18]];
-        assert!(SyndromeBatch::compute(&code, &wide).is_err());
-        assert!(SyndromeBatch::compute::<Vec<Symbol>>(&code, &[])
-            .unwrap()
-            .all_clean());
+        let opts = DecodeOpts::default();
+        let mut decoder = BatchDecoder::new();
+        let mut out = vec![BatchOutcome::Clean];
+        let mut short = vec![0 as Symbol; 17];
+        assert!(matches!(
+            decoder.decode_batch(&code, &mut short, &[], &opts, &mut out),
+            Err(CodeError::CodewordLength { got: 17, .. })
+        ));
+        let mut wide = vec![0x1ff as Symbol; 18];
+        assert!(matches!(
+            decoder.decode_batch(&code, &mut wide, &[], &opts, &mut out),
+            Err(CodeError::SymbolOutOfRange { index: 0, .. })
+        ));
+        decoder
+            .decode_batch(&code, &mut [], &[], &opts, &mut out)
+            .unwrap();
+        assert!(out.is_empty());
     }
 
     #[test]

@@ -3,9 +3,9 @@
 
 use crate::batch::{BatchDecoder, BatchOutcome, DecodeOpts};
 use crate::decode::{decode_in_place, decode_word, with_workspace, DecodeOutcome, DecoderBackend};
-use crate::encode::{self, ParityTables};
+use crate::encode::{self, LinearTables};
 use crate::error::CodeError;
-use rsmem_gf::bulk::MulTable;
+use crate::syndrome::MulTable;
 use rsmem_gf::{GfField, Poly, Symbol};
 use std::sync::OnceLock;
 
@@ -46,7 +46,10 @@ pub struct RsCode {
     syndrome_tables: Vec<MulTable>,
     /// The encoder's per-position parity tables, built on the first
     /// encode; `None` inside when they would be too large.
-    parity_tables: OnceLock<Option<ParityTables>>,
+    parity_tables: OnceLock<Option<LinearTables>>,
+    /// The batch plane's per-position syndrome tables, built on the
+    /// first batch; `None` inside when they would be too large.
+    syndrome_check: OnceLock<Option<LinearTables>>,
 }
 
 impl RsCode {
@@ -114,6 +117,7 @@ impl RsCode {
             generator,
             syndrome_tables,
             parity_tables: OnceLock::new(),
+            syndrome_check: OnceLock::new(),
         })
     }
 
@@ -166,9 +170,17 @@ impl RsCode {
 
     /// The encoder's parity tables, built on the first call; `None` for
     /// a code whose tables would be too large.
-    pub(crate) fn parity_tables(&self) -> Option<&ParityTables> {
+    pub(crate) fn parity_tables(&self) -> Option<&LinearTables> {
         self.parity_tables
-            .get_or_init(|| ParityTables::new(self))
+            .get_or_init(|| LinearTables::parity(self))
+            .as_ref()
+    }
+
+    /// The syndrome map's tables, built on the first call; `None` for a
+    /// code whose tables would be too large.
+    pub(crate) fn syndrome_check(&self) -> Option<&LinearTables> {
+        self.syndrome_check
+            .get_or_init(|| LinearTables::syndromes(self))
             .as_ref()
     }
 

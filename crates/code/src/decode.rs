@@ -303,9 +303,66 @@ pub(crate) fn with_workspace<R>(f: impl FnOnce(&mut DecodeWorkspace) -> R) -> R 
     WORKSPACE.with_borrow_mut(f)
 }
 
-/// The one RS decode core: validation, syndromes, erasure locator Γ,
-/// key equation (Sugiyama or Berlekamp–Massey), Ψ and Ω, Chien, Forney
-/// and re-verification, all in `ws`'s buffers.
+/// The correction of a single symbol error, when the syndromes `syn` of
+/// a word without erasures are exactly those of one error at a codeword
+/// position, and `None` otherwise.
+///
+/// One error of magnitude `v` at position `p` has syndromes
+/// `S_j = v·X^{b+j}` with `X = α^p`. So the test is: `S_0` and `S_1` are
+/// non-zero, `S_{j+1} = X·S_j` for every `j` with `X = S_1/S_0`, and
+/// `p = log_α X < n`; then `v = S_0/X^b`. When it holds, the word minus
+/// that error has zero syndromes and is a codeword at distance 1, the
+/// unique one within `t ≥ 1` (`n − k ≥ 2`), which both back-ends return
+/// with this one correction. A shortened code's word can pass the first
+/// two tests with `p ≥ n`, an error at a position the code does not
+/// have; the general steps report that as a failure.
+fn single_error(code: &RsCode, syn: &[Symbol]) -> Option<Correction> {
+    let field = code.field();
+    let (&s0, &s1) = (syn.first()?, syn.get(1)?);
+    if s0 == 0 || s1 == 0 {
+        return None;
+    }
+    let x = field.div(s1, s0).ok()?;
+    if syn.windows(2).any(|pair| field.mul(pair[0], x) != pair[1]) {
+        return None;
+    }
+    let position = field.log(x).ok()? as usize;
+    if position >= code.n() {
+        return None;
+    }
+    let magnitude = field
+        .div(s0, field.pow(x, u64::from(code.first_root())))
+        .ok()?;
+    Some(Correction {
+        position,
+        magnitude,
+        was_erasure: false,
+    })
+}
+
+#[cfg(test)]
+thread_local! {
+    /// When set, every dirty word on this thread takes the general
+    /// decode steps: the tests' reference for [`single_error`].
+    static GENERAL_ONLY: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// True when the single-error path is switched off.
+#[cfg(test)]
+fn general_only() -> bool {
+    GENERAL_ONLY.get()
+}
+
+#[cfg(not(test))]
+#[inline(always)]
+fn general_only() -> bool {
+    false
+}
+
+/// The one RS decode core: validation, syndromes, the single-error
+/// path ([`single_error`]), then erasure locator Γ, key equation
+/// (Sugiyama or Berlekamp–Massey), Ψ and Ω, Chien, Forney and
+/// re-verification, all in `ws`'s buffers.
 ///
 /// Corrects `word` **in place** and records the correction list in
 /// `ws`; a `Clean` or `Failure` outcome leaves `word` untouched. The
@@ -341,6 +398,16 @@ fn decode_core(
     if ws.syn.iter().all(|&s| s == 0) {
         // Already a codeword; erased positions evidently held valid data.
         return Ok(BatchOutcome::Clean);
+    }
+    if rho == 0 && !general_only() {
+        if let Some(correction) = single_error(code, &ws.syn) {
+            word[correction.position] ^= correction.magnitude;
+            ws.corrections.push(correction);
+            return Ok(BatchOutcome::Corrected {
+                errors: 1,
+                erasures: 0,
+            });
+        }
     }
 
     ws.reserve(code);
@@ -819,6 +886,140 @@ mod tests {
                 assert!(!matches!(out, DecodeOutcome::Clean { .. }), "pos={pos}");
             }
         }
+    }
+
+    /// Decodes `word` (no erasures) through the rich and the in-place
+    /// entry points, with the single-error path on and then off, and
+    /// asserts that outcomes, correction lists and words agree.
+    fn assert_single_error_path_is_exact(
+        code: &RsCode,
+        word: &[Symbol],
+        backend: DecoderBackend,
+    ) -> DecodeOutcome {
+        let run = |general: bool| {
+            GENERAL_ONLY.set(general);
+            let rich = code.decode_with(word, &[], backend).unwrap();
+            let mut in_place = word.to_vec();
+            let compact = code
+                .decode_in_place_with(&mut in_place, &[], backend)
+                .unwrap();
+            GENERAL_ONLY.set(false);
+            (rich, in_place, compact)
+        };
+        let fast = run(false);
+        assert_eq!(fast, run(true), "{backend} word {word:?}");
+        fast.0
+    }
+
+    /// Pseudo-random codewords of `code`, from a fixed seed.
+    fn random_codewords(code: &RsCode, count: usize, seed: u64) -> Vec<Vec<Symbol>> {
+        let size = u64::from(code.field().size());
+        let mut state = seed;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            state >> 33
+        };
+        (0..count)
+            .map(|_| {
+                let data: Vec<Symbol> = (0..code.k()).map(|_| (next() % size) as Symbol).collect();
+                code.encode(&data).unwrap()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn single_error_path_matches_the_general_steps() {
+        // Every position × every non-zero magnitude takes the
+        // single-error path and gives what the general steps give; words
+        // with 2..=t+1 errors agree too, whichever way they go.
+        const BACKENDS: [DecoderBackend; 2] =
+            [DecoderBackend::Sugiyama, DecoderBackend::BerlekampMassey];
+        for (n, k, m, b, codewords) in [
+            (7usize, 3usize, 3u32, 0u32, 4usize),
+            (15, 9, 4, 0, 4),
+            (15, 9, 4, 1, 4),
+            (18, 16, 8, 0, 1),
+            (36, 16, 8, 112, 1),
+        ] {
+            let code = RsCode::with_first_root(n, k, m, b).unwrap();
+            let size = code.field().size() as usize;
+            let words = random_codewords(&code, codewords + 3, 0xC0DE + n as u64);
+            let (clean, multi) = words.split_at(codewords);
+            for codeword in clean {
+                for p in 0..n {
+                    for v in 1..size {
+                        let mut word = codeword.clone();
+                        word[p] ^= v as Symbol;
+                        let fired = single_error(&code, &syndromes(&code, &word));
+                        assert_eq!(
+                            fired,
+                            Some(Correction {
+                                position: p,
+                                magnitude: v as Symbol,
+                                was_erasure: false
+                            }),
+                            "RS({n},{k}) b={b} p={p} v={v}"
+                        );
+                        for backend in BACKENDS {
+                            let out = assert_single_error_path_is_exact(&code, &word, backend);
+                            assert_eq!(out.data(), code.data_of(codeword).ok());
+                        }
+                    }
+                }
+            }
+            for (i, codeword) in multi.iter().enumerate() {
+                for errors in 2..=code.max_random_errors() + 1 {
+                    let mut word = codeword.clone();
+                    for e in 0..errors {
+                        let p = (i * 7 + e * 5) % n;
+                        word[p] ^= (1 + (i + 3 * e) % (size - 1)) as Symbol;
+                    }
+                    for backend in BACKENDS {
+                        assert_single_error_path_is_exact(&code, &word, backend);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn single_error_path_declines_virtual_positions() {
+        // A shortened code's word whose syndromes are those of one error
+        // at a position past its end: the parent code's codeword that is
+        // zero at every virtual position but one, cut to `n` symbols.
+        // The single-error path must decline it and leave it to the
+        // general steps.
+        let mut cases = 0;
+        for (n, k, m, b) in [
+            (18usize, 16usize, 8u32, 0u32),
+            (36, 16, 8, 112),
+            (12, 8, 4, 1),
+        ] {
+            let code = RsCode::with_first_root(n, k, m, b).unwrap();
+            let field = code.field();
+            let big_n = field.order() as usize;
+            let parent = RsCode::with_first_root(big_n, big_n - (n - k), m, b).unwrap();
+            for q in n..big_n {
+                for v in [1, 2, field.order() as Symbol] {
+                    let mut data: Vec<Symbol> = (0..parent.k())
+                        .map(|i| ((i * 31 + q * 7) % field.size() as usize) as Symbol)
+                        .collect();
+                    data[k..].fill(0);
+                    data[q - (n - k)] = v;
+                    let word = parent.encode(&data).unwrap()[..n].to_vec();
+                    let syn = syndromes(&code, &word);
+                    assert_eq!(field.div(syn[1], syn[0]), Ok(field.alpha_pow(q as u32)));
+                    assert_eq!(single_error(&code, &syn), None, "RS({n},{k}) q={q}");
+                    for backend in [DecoderBackend::Sugiyama, DecoderBackend::BerlekampMassey] {
+                        assert_single_error_path_is_exact(&code, &word, backend);
+                    }
+                    cases += 1;
+                }
+            }
+        }
+        assert!(cases > 100, "{cases} virtual-position cases");
     }
 
     #[test]

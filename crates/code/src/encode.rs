@@ -1,23 +1,28 @@
-//! Systematic Reed–Solomon encoding from per-position parity tables.
+//! Systematic Reed–Solomon encoding, and the per-position tables of a
+//! linear map that the encoder and the batch plane's clean check share.
 //!
 //! The codeword is `c(x) = d(x)·x^{n−k} + (d(x)·x^{n−k} mod g(x))`: the
 //! data verbatim in the top `k` coefficients, and below it the remainder
 //! that makes `c(x)` divisible by `g(x)`. The remainder is linear in the
 //! data, so with `R_i(x) = x^{n−k+i} mod g(x)` the parity is
 //! `Σ_i d_i·R_i(x)`, a sum that GF(2^m) adds with XOR, exact in any
-//! order.
+//! order. The syndromes are linear in the received word the same way:
+//! `S_j = Σ_i r_i·α^{(b+j)·i}`.
 //!
-//! [`ParityTables`] holds that sum's terms, split by nibble: for data
-//! position `i`, nibble `j` and nibble value `v`, the `n − k` symbols of
-//! `(v·2^{4j})·R_i` packed into `u64` lanes, bytes for `m ≤ 8` and 16-bit
-//! lanes above. An encode is then `⌈m/4⌉` table lookups and XORs per data
-//! symbol, with no dependency between positions. RS(18,16) needs one
-//! `u64` per entry, 4 KiB in all; RS(36,16) three per entry. An `RsCode`
-//! builds its tables on its first encode, from the recursion
-//! `R_{i+1} = x·R_i mod g` and the XOR of the entry's bit-basis rows
-//! `2^b·R_i`. The tables cost `O(k·(n−k)·m)` bytes, so a code whose
-//! tables would pass [`TABLE_BUDGET_BYTES`] adds the same terms straight
-//! from the recursion instead, one field multiply per parity symbol.
+//! [`LinearTables`] holds the terms of such a sum `x ↦ Σ_i x_i·row_i`,
+//! split by nibble: for position `i`, nibble `j` and nibble value `v`,
+//! the symbols of `(v·2^{4j})·row_i` packed into `u64` lanes, bytes for
+//! `m ≤ 8` and 16-bit lanes above. Applying the map is then `⌈m/4⌉`
+//! table lookups and XORs per input symbol, with no dependency between
+//! positions. The encoder's rows are the `R_i` (RS(18,16): one `u64`
+//! per entry, 4 KiB in all; RS(36,16): three per entry), built on a
+//! code's first encode from the recursion `R_{i+1} = x·R_i mod g`. The
+//! clean check's rows are `α^{(b+j)·i}` over all `n` positions
+//! (RS(18,16): 4.5 KiB), built on a code's first batch. Each entry is
+//! the XOR of its bit-basis rows `2^b·row_i`. The tables cost
+//! `O(positions·width·m)` bytes, so a code whose tables would pass
+//! [`TABLE_BUDGET_BYTES`] encodes from the recursion and checks with the
+//! scalar syndrome ladder instead, one field multiply per term.
 //!
 //! The hardware encoder the paper's complexity model costs (Section 6)
 //! is still the shift register of `n − k` stages; only this software
@@ -26,25 +31,26 @@
 use crate::{CodeError, RsCode};
 use rsmem_gf::{GfField, Symbol};
 
-/// The largest parity tables a code builds. RS(255,223) takes 228 KiB
-/// and a code over GF(2^10) with a few hundred parity symbols some MiB;
-/// codes far beyond that encode from the recursion.
+/// The largest tables a code builds for one map. RS(255,223)'s parity
+/// takes 228 KiB and a code over GF(2^10) with a few hundred parity
+/// symbols some MiB; codes far beyond that use the recursion or the
+/// scalar ladder.
 const TABLE_BUDGET_BYTES: usize = 16 << 20;
 
-/// Table words an accumulator pass keeps in registers: the parity
-/// symbols of one pass over the data.
+/// Table words an accumulator pass keeps in registers: the output
+/// symbols of one pass over the input.
 const PASS_WORDS: usize = 4;
 
-/// The per-position, per-nibble parity terms of one code.
+/// The per-position, per-nibble terms of one linear map over a field.
 #[derive(Debug, Clone)]
-pub(crate) struct ParityTables {
-    /// `u64` words per entry: `⌈(n−k) / lanes⌉`.
+pub(crate) struct LinearTables {
+    /// `u64` words per entry: `⌈width / lanes⌉`.
     words: usize,
-    /// Parity symbols per `u64`: 8 bytes, or 4 16-bit lanes.
+    /// Output symbols per `u64`: 8 bytes, or 4 16-bit lanes.
     lanes: usize,
-    /// Nibbles per data symbol, `⌈m/4⌉`.
+    /// Nibbles per input symbol, `⌈m/4⌉`.
     nibbles: usize,
-    /// One block per pass over the data, [`PASS_WORDS`] words of every
+    /// One block per pass over the input, [`PASS_WORDS`] words of every
     /// entry (fewer in the last), indexed `[position][nibble][value]
     /// [word]`, so a pass reads its block front to back.
     entries: Vec<u64>,
@@ -73,20 +79,20 @@ pub(crate) fn encode_into(
     }
     let (parity, top) = word.split_at_mut(code.parity_symbols());
     match code.parity_tables() {
-        Some(tables) => tables.parity_into(data, parity),
+        Some(tables) => tables.apply(data, parity),
         None => parity_from_rows(code.field(), code.generator().coeffs(), data, parity),
     }
     top.copy_from_slice(data);
     Ok(())
 }
 
-/// The layout of a code's tables: `(lanes, words, nibbles)`, or `None`
+/// The layout of a map's tables: `(lanes, words, nibbles)`, or `None`
 /// when they would pass [`TABLE_BUDGET_BYTES`].
-fn table_shape(k: usize, parity: usize, m: u32) -> Option<(usize, usize, usize)> {
+fn table_shape(positions: usize, width: usize, m: u32) -> Option<(usize, usize, usize)> {
     let lanes = if m <= 8 { 8 } else { 4 };
-    let words = parity.div_ceil(lanes);
+    let words = width.div_ceil(lanes);
     let nibbles = (m as usize).div_ceil(4);
-    let bytes = k
+    let bytes = positions
         .checked_mul(nibbles * 16)?
         .checked_mul(words)?
         .checked_mul(8)?;
@@ -122,26 +128,61 @@ fn parity_from_rows(field: &GfField, taps: &[Symbol], data: &[Symbol], parity: &
     }
 }
 
-impl ParityTables {
-    /// Builds the tables of `code`, or `None` when they would pass
-    /// [`TABLE_BUDGET_BYTES`].
-    pub(crate) fn new(code: &RsCode) -> Option<ParityTables> {
-        let (k, parity, m) = (code.k(), code.parity_symbols(), code.symbol_bits());
-        let (lanes, words, nibbles) = table_shape(k, parity, m)?;
+impl LinearTables {
+    /// The encoder's tables of `code`: rows `R_i` over the `k` data
+    /// positions. `None` when they would pass [`TABLE_BUDGET_BYTES`].
+    pub(crate) fn parity(code: &RsCode) -> Option<LinearTables> {
         let (field, taps) = (code.field(), code.generator().coeffs());
+        let mut next = first_row(taps);
+        Self::new(field, code.k(), code.parity_symbols(), |_, row| {
+            row.copy_from_slice(&next);
+            next_row(field, taps, &mut next);
+        })
+    }
+
+    /// The syndrome map of `code`: row `i` is `(α^{(b+j)·i})_j` over
+    /// the `n` codeword positions, so the image of a word is its `n − k`
+    /// syndromes. `None` when the tables would pass
+    /// [`TABLE_BUDGET_BYTES`].
+    pub(crate) fn syndromes(code: &RsCode) -> Option<LinearTables> {
+        let field = code.field();
+        let b = u64::from(code.first_root());
+        Self::new(field, code.n(), code.parity_symbols(), |i, row| {
+            let x = field.alpha_pow(i as u32);
+            let mut term = field.pow(x, b);
+            for r in row {
+                *r = term;
+                term = field.mul(term, x);
+            }
+        })
+    }
+
+    /// Builds the tables of `x ↦ Σ_i x_i·row_i` from `positions` input
+    /// symbols to `width` output symbols, or `None` when they would
+    /// pass [`TABLE_BUDGET_BYTES`]. `row_of(i, row)` writes row `i`; it
+    /// is called once per position, in order.
+    fn new(
+        field: &GfField,
+        positions: usize,
+        width: usize,
+        mut row_of: impl FnMut(usize, &mut [Symbol]),
+    ) -> Option<LinearTables> {
+        let m = field.bits();
+        let (lanes, words, nibbles) = table_shape(positions, width, m)?;
         let lane_bits = 64 / lanes;
-        let tables = k * nibbles;
+        let tables = positions * nibbles;
         // Where word `w` of entry `v` of table `t` lies.
         let at = |t: usize, v: usize, w: usize| {
             let pass = w / PASS_WORDS;
-            let width = PASS_WORDS.min(words - pass * PASS_WORDS);
-            pass * tables * 16 * PASS_WORDS + (t * 16 + v) * width + w % PASS_WORDS
+            let pass_width = PASS_WORDS.min(words - pass * PASS_WORDS);
+            pass * tables * 16 * PASS_WORDS + (t * 16 + v) * pass_width + w % PASS_WORDS
         };
         let mut entries = vec![0u64; tables * 16 * words];
-        // The packed rows `2^b·R_i`, one per bit `b` of a symbol.
+        // The packed rows `2^b·row_i`, one per bit `b` of a symbol.
         let mut basis = vec![0u64; m as usize * words];
-        let mut row = first_row(taps);
-        for i in 0..k {
+        let mut row = vec![0; width];
+        for i in 0..positions {
+            row_of(i, &mut row);
             basis.fill(0);
             for (b, packed) in basis.chunks_exact_mut(words).enumerate() {
                 for (p, &c) in row.iter().enumerate() {
@@ -162,9 +203,8 @@ impl ParityTables {
                     }
                 }
             }
-            next_row(field, taps, &mut row);
         }
-        Some(ParityTables {
+        Some(LinearTables {
             words,
             lanes,
             nibbles,
@@ -172,75 +212,103 @@ impl ParityTables {
         })
     }
 
-    /// Writes the parity of `data` (in the field, `k` symbols) into
-    /// `parity` (`n − k` symbols), one pass over the data per
+    /// Writes the image of `x` (in the field, one symbol per position)
+    /// into `out` (`width` symbols), one pass over `x` per
     /// [`PASS_WORDS`] table words.
-    fn parity_into(&self, data: &[Symbol], parity: &mut [Symbol]) {
-        // Offsets by multiplies only: a division by a run-time lane or
-        // pass width costs as much as a pass over RS(18,16)'s data.
-        let block = data.len() * self.nibbles * 16;
-        let (mut first, mut rest) = (0, parity);
+    pub(crate) fn apply(&self, x: &[Symbol], out: &mut [Symbol]) {
+        let mut acc = [0u64; PASS_WORDS];
+        let (mut first, mut rest) = (0, out);
         while !rest.is_empty() {
             let width = PASS_WORDS.min(self.words - first);
             let (chunk, tail) = rest.split_at_mut((width * self.lanes).min(rest.len()));
-            let entries = &self.entries[first * block..][..width * block];
-            match (self.nibbles, width) {
-                (1, 1) => self.pass::<1, 1>(data, entries, chunk),
-                (1, 2) => self.pass::<1, 2>(data, entries, chunk),
-                (1, 3) => self.pass::<1, 3>(data, entries, chunk),
-                (1, _) => self.pass::<1, PASS_WORDS>(data, entries, chunk),
-                (2, 1) => self.pass::<2, 1>(data, entries, chunk),
-                (2, 2) => self.pass::<2, 2>(data, entries, chunk),
-                (2, 3) => self.pass::<2, 3>(data, entries, chunk),
-                (2, _) => self.pass::<2, PASS_WORDS>(data, entries, chunk),
-                (3, 1) => self.pass::<3, 1>(data, entries, chunk),
-                (3, 2) => self.pass::<3, 2>(data, entries, chunk),
-                (3, 3) => self.pass::<3, 3>(data, entries, chunk),
-                (3, _) => self.pass::<3, PASS_WORDS>(data, entries, chunk),
-                (_, 1) => self.pass::<4, 1>(data, entries, chunk),
-                (_, 2) => self.pass::<4, 2>(data, entries, chunk),
-                (_, 3) => self.pass::<4, 3>(data, entries, chunk),
-                (_, _) => self.pass::<4, PASS_WORDS>(data, entries, chunk),
+            self.pass_into(x, first, width, &mut acc);
+            if self.lanes == 8 {
+                let lanes = acc[..width].iter().flat_map(|w| w.to_le_bytes());
+                for (symbol, lane) in chunk.iter_mut().zip(lanes) {
+                    *symbol = Symbol::from(lane);
+                }
+            } else {
+                let lanes = acc[..width]
+                    .iter()
+                    .flat_map(|&w| [0, 16, 32, 48].map(|s| (w >> s) as Symbol));
+                for (symbol, lane) in chunk.iter_mut().zip(lanes) {
+                    *symbol = lane;
+                }
             }
             (first, rest) = (first + width, tail);
         }
     }
 
-    /// One pass: the XOR over `data` of the `WIDTH`-word entries of each
-    /// symbol's `NIBBLES` tables in `entries`, unpacked into `parity`.
-    /// The shape is a constant, so no entry offset is a multiply by a
-    /// run-time width.
-    fn pass<const NIBBLES: usize, const WIDTH: usize>(
-        &self,
-        data: &[Symbol],
-        entries: &[u64],
-        parity: &mut [Symbol],
-    ) {
-        let mut acc = [0u64; WIDTH];
-        for (&d, tables) in data.iter().zip(entries.chunks_exact(NIBBLES * 16 * WIDTH)) {
-            let mut d = usize::from(d);
-            for table in tables.chunks_exact(16 * WIDTH) {
-                let entry = &table[(d & 0xF) * WIDTH..][..WIDTH];
-                for (a, &t) in acc.iter_mut().zip(entry) {
-                    *a ^= t;
-                }
-                d >>= 4;
+    /// True when the image of `x` is all zero; stops at the first pass
+    /// whose words are not.
+    pub(crate) fn maps_to_zero(&self, x: &[Symbol]) -> bool {
+        let mut acc = [0u64; PASS_WORDS];
+        let mut first = 0;
+        while first < self.words {
+            let width = PASS_WORDS.min(self.words - first);
+            self.pass_into(x, first, width, &mut acc);
+            if acc[..width].iter().any(|&w| w != 0) {
+                return false;
             }
+            first += width;
         }
-        if self.lanes == 8 {
-            let lanes = acc.iter().flat_map(|w| w.to_le_bytes());
-            for (symbol, lane) in parity.iter_mut().zip(lanes) {
-                *symbol = Symbol::from(lane);
-            }
-        } else {
-            let lanes = acc
-                .iter()
-                .flat_map(|&w| [0, 16, 32, 48].map(|s| (w >> s) as Symbol));
-            for (symbol, lane) in parity.iter_mut().zip(lanes) {
-                *symbol = lane;
-            }
+        true
+    }
+
+    /// The pass over table words `first..first + width` (at most
+    /// [`PASS_WORDS`]) into `acc[..width]`.
+    fn pass_into(&self, x: &[Symbol], first: usize, width: usize, acc: &mut [u64; PASS_WORDS]) {
+        // Offsets by multiplies only: a division by a run-time lane or
+        // pass width costs as much as a pass over RS(18,16)'s data.
+        let block = x.len() * self.nibbles * 16;
+        debug_assert_eq!(
+            block * self.words,
+            self.entries.len(),
+            "one symbol per position"
+        );
+        let entries = &self.entries[first * block..][..width * block];
+        match (self.nibbles, width) {
+            (1, 1) => pass::<1, 1>(x, entries, acc),
+            (1, 2) => pass::<1, 2>(x, entries, acc),
+            (1, 3) => pass::<1, 3>(x, entries, acc),
+            (1, _) => pass::<1, PASS_WORDS>(x, entries, acc),
+            (2, 1) => pass::<2, 1>(x, entries, acc),
+            (2, 2) => pass::<2, 2>(x, entries, acc),
+            (2, 3) => pass::<2, 3>(x, entries, acc),
+            (2, _) => pass::<2, PASS_WORDS>(x, entries, acc),
+            (3, 1) => pass::<3, 1>(x, entries, acc),
+            (3, 2) => pass::<3, 2>(x, entries, acc),
+            (3, 3) => pass::<3, 3>(x, entries, acc),
+            (3, _) => pass::<3, PASS_WORDS>(x, entries, acc),
+            (_, 1) => pass::<4, 1>(x, entries, acc),
+            (_, 2) => pass::<4, 2>(x, entries, acc),
+            (_, 3) => pass::<4, 3>(x, entries, acc),
+            (_, _) => pass::<4, PASS_WORDS>(x, entries, acc),
         }
     }
+}
+
+/// One pass: the XOR over `x` of the `WIDTH`-word entries of each
+/// symbol's `NIBBLES` tables in `entries`, into `acc[..WIDTH]`. The
+/// shape is a constant, so no entry offset is a multiply by a run-time
+/// width.
+fn pass<const NIBBLES: usize, const WIDTH: usize>(
+    x: &[Symbol],
+    entries: &[u64],
+    acc: &mut [u64; PASS_WORDS],
+) {
+    let mut sum = [0u64; WIDTH];
+    for (&d, tables) in x.iter().zip(entries.chunks_exact(NIBBLES * 16 * WIDTH)) {
+        let mut d = usize::from(d);
+        for table in tables.chunks_exact(16 * WIDTH) {
+            let entry = &table[(d & 0xF) * WIDTH..][..WIDTH];
+            for (a, &t) in sum.iter_mut().zip(entry) {
+                *a ^= t;
+            }
+            d >>= 4;
+        }
+    }
+    acc[..WIDTH].copy_from_slice(&sum);
 }
 
 #[cfg(test)]
@@ -360,7 +428,7 @@ mod tests {
                     })
                     .collect();
                 let mut from_tables = vec![0; n - k];
-                tables.parity_into(&data, &mut from_tables);
+                tables.apply(&data, &mut from_tables);
                 let mut from_rows = vec![7; n - k];
                 parity_from_rows(
                     code.field(),

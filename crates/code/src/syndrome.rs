@@ -1,7 +1,55 @@
-//! Syndrome computation.
+//! Syndrome computation, and the multiply-by-root tables of its Horner
+//! ladder.
 
 use crate::RsCode;
-use rsmem_gf::Symbol;
+use rsmem_gf::{GfField, Symbol};
+
+/// The map `x ↦ c·x` for one constant `c` of a field, as split-byte
+/// tables: `c·x = lo[x & 0xff] ^ hi[x >> 8]`, one branchless lookup pair
+/// for every supported width (for `m ≤ 8` the `hi` half is identically
+/// zero). [`GfField::mul`] is three dependent lookups per product; a
+/// Horner ladder multiplies by the same root at every step, so each
+/// code builds one table per generator root, once.
+#[derive(Clone)]
+pub(crate) struct MulTable {
+    /// `lo[b] = c·b` for every low-byte value `b` that is a field
+    /// element; entries above the field size are zero (never indexed).
+    lo: Box<[Symbol; 256]>,
+    /// `hi[b] = c·(b << 8)` for every high-byte value of a field
+    /// element; identically zero when `m ≤ 8`.
+    hi: Box<[Symbol; 256]>,
+}
+
+impl std::fmt::Debug for MulTable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("MulTable").finish_non_exhaustive()
+    }
+}
+
+impl MulTable {
+    /// Builds the multiply-by-`c` table for `field` (512 multiplies).
+    pub(crate) fn new(field: &GfField, c: Symbol) -> Self {
+        debug_assert!(field.contains(c));
+        let size = field.size() as usize;
+        let mut lo = Box::new([0 as Symbol; 256]);
+        let mut hi = Box::new([0 as Symbol; 256]);
+        for b in 0..256usize.min(size) {
+            lo[b] = field.mul(c, b as Symbol);
+        }
+        // High-byte partial products only exist for fields wider than a
+        // byte; `b << 8` is a valid symbol exactly when `b < 2^(m-8)`.
+        for b in 0..(size >> 8) {
+            hi[b] = field.mul(c, (b << 8) as Symbol);
+        }
+        MulTable { lo, hi }
+    }
+
+    /// The product `c·x`.
+    #[inline]
+    pub(crate) fn mul(&self, x: Symbol) -> Symbol {
+        self.lo[(x & 0xff) as usize] ^ self.hi[(x >> 8) as usize]
+    }
+}
 
 /// Computes the `n − k` syndromes `S_j = r(α^{b+j})`, `j = 0..n−k`,
 /// of the received word `r`.
@@ -31,6 +79,72 @@ pub(crate) fn syndromes_into(code: &RsCode, word: &[Symbol], out: &mut Vec<Symbo
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Deterministic pseudo-random stream (SplitMix64-style).
+    struct Stream(u64);
+    impl Stream {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+        fn symbol(&mut self, field: &GfField) -> Symbol {
+            (self.next() % u64::from(field.size())) as Symbol
+        }
+    }
+
+    /// Every constant against every element, against the carry-less
+    /// reference multiply.
+    fn assert_tables_match_reference(m: u32) {
+        let f = GfField::new(m).unwrap();
+        for c in 0..f.size() as Symbol {
+            let t = MulTable::new(&f, c);
+            for x in 0..f.size() as Symbol {
+                assert_eq!(t.mul(x), f.mul_reference(c, x), "m={m} c={c} x={x}");
+            }
+        }
+    }
+
+    #[test]
+    fn table_matches_reference_exhaustively_gf16() {
+        assert_tables_match_reference(4);
+    }
+
+    #[test]
+    fn table_matches_reference_exhaustively_gf256() {
+        assert_tables_match_reference(8);
+    }
+
+    #[test]
+    fn mul_slice_matches_field_mul_on_wide_fields() {
+        // Above m = 8 the product needs the high-byte table as well as the
+        // low one; check the split-byte product on wide fields.
+        let mut rng = Stream(0xFEED);
+        for m in [9u32, 10, 12, 16] {
+            let f = GfField::new(m).unwrap();
+            for _ in 0..32 {
+                let c = rng.symbol(&f);
+                let t = MulTable::new(&f, c);
+                for _ in 0..17 {
+                    let x = rng.symbol(&f);
+                    assert_eq!(t.mul(x), f.mul(c, x), "m={m} c={c} x={x}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn zero_and_one_constants_behave() {
+        let f = GfField::new(8).unwrap();
+        let zero = MulTable::new(&f, 0);
+        let one = MulTable::new(&f, 1);
+        for x in 0..f.size() as Symbol {
+            assert_eq!(zero.mul(x), 0);
+            assert_eq!(one.mul(x), x);
+        }
+    }
 
     #[test]
     fn table_syndromes_match_direct_field_horner() {

@@ -146,7 +146,7 @@ pub trait MemoryCode: std::fmt::Debug + Send + Sync {
     /// `erasures` holds one set per word.
     ///
     /// The default loops [`MemoryCode::decode_in_place`] over `n`-symbol
-    /// chunks; the RS code overrides it with the SWAR batch plane.
+    /// chunks; the RS code overrides it with the table-checked batch plane.
     /// Corrected words are repaired in place, exactly like
     /// `rsmem_code::BatchDecoder::decode_batch`, which replaces its
     /// outcomes the same way.

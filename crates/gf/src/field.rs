@@ -1,6 +1,5 @@
 //! Table-driven GF(2^m) field arithmetic.
 
-use crate::bulk::BulkKind;
 use crate::primitive::{self, clmul_mod};
 use crate::{GfError, Symbol};
 
@@ -33,8 +32,6 @@ pub struct GfField {
     exp: Vec<Symbol>,
     /// `log[a] = i` such that `α^i = a`; `log[0]` is a sentinel (unused).
     log: Vec<u32>,
-    /// Strategy the bulk slice primitives use for this width.
-    bulk_kind: BulkKind,
 }
 
 impl GfField {
@@ -83,13 +80,6 @@ impl GfField {
             prim_poly: poly,
             exp,
             log,
-            // SWAR lanes need carry headroom above bit m; byte-or-narrower
-            // symbols always have it, wider fields fall back to tables.
-            bulk_kind: if m <= 8 {
-                BulkKind::Swar64
-            } else {
-                BulkKind::Scalar
-            },
         })
     }
 
@@ -225,12 +215,6 @@ impl GfField {
             return Err(GfError::LogOfZero);
         }
         Ok(self.log[a as usize])
-    }
-
-    /// The execution strategy [`crate::bulk`] slice primitives use for
-    /// this field, fixed at construction from the symbol width.
-    pub fn bulk_kind(&self) -> BulkKind {
-        self.bulk_kind
     }
 
     /// Reference multiply using carry-less multiplication and reduction,

@@ -11,8 +11,6 @@
 //!   multiplication, Euclidean division, evaluation, formal derivatives
 //!   and the partial extended Euclidean algorithm used by the Sugiyama
 //!   decoder.
-//! * [`bulk`] — per-constant multiply tables and the Horner ladder steps
-//!   behind `rsmem-code`'s batched syndromes.
 //!
 //! # Examples
 //!
@@ -36,7 +34,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bulk;
 mod error;
 mod field;
 #[cfg(any(test, doctest))]
