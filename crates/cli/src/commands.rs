@@ -61,15 +61,17 @@ COMMAND FLAGS:
   --hours H | --months M  horizon (default: 48 hours)
   --points N              grid points for `ber` (default: 25)
   --csv                   CSV output for `experiment`/`ber`
-  --trials N              Monte-Carlo trials (default: 1000)
+  --trials N              Monte-Carlo trials (default: 1000; 200 for
+                          `array`)
   --seed S                RNG seed, decimal or 0x-hex (default: 42)
   --days D                per-trial storage days for `simulate` (default: 2)
   --target-ber B          BER target for `advise` (default: 1e-6)
   --words N               array size for `array` (default: 32)
   --mbu B                 bits flipped per SEU for `array` (default: 1)
   --interleave D          interleaving depth for `array` (default: 1)
-  --threads N             worker threads for `experiment`/`simulate`
-                          (default: all cores; results do not depend on N)
+  --threads N             worker threads for `experiment`/`simulate`/
+                          `array` (default: all cores; results do not
+                          depend on N)
 
 COMPARE FLAGS:
   --families F1,F2,...    families to compare: rs, rm, irs
@@ -372,12 +374,10 @@ fn cmd_array(parsed: &Parsed) -> Result<String, String> {
         mbu_width_bits: mbu,
         interleave_depth: depth,
     };
-    let run = if parsed.has("--duplex") {
-        rsmem::array::run_duplex_array
-    } else {
-        rsmem::array::run_simplex_array
-    };
-    let report = run(&config, trials, seed).map_err(|e| e.to_string())?;
+    let threads = parallelism_from(parsed)?.worker_count(trials);
+    let report =
+        rsmem::array::run_array_threaded(&config, parsed.has("--duplex"), trials, seed, threads)
+            .map_err(|e| e.to_string())?;
     Ok(render_array(&report))
 }
 
@@ -1015,6 +1015,34 @@ mod tests {
         ])
         .unwrap();
         assert_eq!(sim_serial, sim_parallel);
+    }
+
+    #[test]
+    fn array_threads_flag_does_not_change_results() {
+        let array = |threads: &str| {
+            run_cli(&[
+                "array",
+                "--duplex",
+                "--seu",
+                "2e-2",
+                "--erasure",
+                "5e-3",
+                "--mbu",
+                "2",
+                "--words",
+                "16",
+                "--trials",
+                "9",
+                "--seed",
+                "5",
+                "--threads",
+                threads,
+            ])
+            .unwrap()
+        };
+        let serial = array("1");
+        assert!(!serial.contains(" 0 failed words"), "{serial}");
+        assert_eq!(serial, array("4"));
     }
 
     #[test]

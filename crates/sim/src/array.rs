@@ -18,17 +18,18 @@
 //! `tests/array_vs_model.rs::mbu_breaks_the_model_and_interleaving_restores_it`
 //! and `examples/mbu_interleaving.rs` quantify both.
 //!
-//! The arrays run on the same engine as the word campaigns
-//! (`system.rs`), with any code family; only their upset draw differs:
-//! one physical bit, then the burst through the interleaver.
+//! The arrays run on the word campaigns' engine (`system.rs`) and
+//! sharded driver ([`crate::runner`]), with any code family. Only their
+//! upset draw differs: one physical bit, then the burst through the
+//! interleaver. Each trial is a shard of its own, so trial `t` draws
+//! from the stream seeded from `(seed, t)`, whatever the workers.
 
-use crate::runner::{summarize, OutcomeCounts};
+use crate::runner::{run_sharded, summarize};
 use crate::system::{Engine, Layout};
 use crate::{SimConfig, SimError};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use rsmem_code::Interleaver;
 use rsmem_codes::build;
+use std::num::NonZeroUsize;
 
 /// Configuration of a whole-memory array simulation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -96,7 +97,8 @@ pub struct ArrayReport {
     pub ber_estimate: f64,
 }
 
-/// Runs `trials` independent stores of a whole simplex array.
+/// Runs `trials` independent stores of a whole simplex array, on
+/// every available core.
 ///
 /// # Errors
 ///
@@ -106,13 +108,13 @@ pub fn run_simplex_array(
     trials: usize,
     seed: u64,
 ) -> Result<ArrayReport, SimError> {
-    run_campaign(config, trials, seed, ("simplex_array_campaign", 1))
+    run_array_threaded(config, false, trials, seed, all_cores())
 }
 
-/// Runs `trials` independent stores of a whole **duplex** array: two
-/// physical module arrays, each independently interleaved and fault-
-/// injected, read back word-pair-by-word-pair through the Section-3
-/// arbiter.
+/// Runs `trials` independent stores of a whole **duplex** array, on
+/// every available core: two physical module arrays, each independently
+/// interleaved and fault-injected, read back word-pair-by-word-pair
+/// through the Section-3 arbiter.
 ///
 /// # Errors
 ///
@@ -122,17 +124,27 @@ pub fn run_duplex_array(
     trials: usize,
     seed: u64,
 ) -> Result<ArrayReport, SimError> {
-    run_campaign(config, trials, seed, ("duplex_array_campaign", 2))
+    run_array_threaded(config, true, trials, seed, all_cores())
 }
 
-/// Runs `trials` trials of one engine of `replicas` arrays under a
-/// `sim.mc` span called `name`, classifying each trial's read-back in
-/// one batch, and sums the outcomes.
-fn run_campaign(
+/// [`std::thread::available_parallelism`], or 1 where it is unknown.
+fn all_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
+}
+
+/// Runs `trials` independent stores of a whole simplex or `duplex`
+/// array across up to `threads` workers, one trial per shard. The
+/// report depends only on `(config, duplex, trials, seed)`.
+///
+/// # Errors
+///
+/// [`SimError`] on invalid configuration or zero trials.
+pub fn run_array_threaded(
     config: &ArrayConfig,
+    duplex: bool,
     trials: usize,
     seed: u64,
-    (name, replicas): (&'static str, usize),
+    threads: usize,
 ) -> Result<ArrayReport, SimError> {
     config.validate()?;
     if trials == 0 {
@@ -144,16 +156,22 @@ fn run_campaign(
         mbu_width_bits: config.mbu_width_bits,
         interleaver: Interleaver::new(config.interleave_depth)?,
     };
+    let (name, replicas) = if duplex {
+        ("duplex_array_campaign", 2)
+    } else {
+        ("simplex_array_campaign", 1)
+    };
     let mut span = rsmem_obs::span("sim.mc", name);
     span.record("trials", trials);
     span.record("words", config.words);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut engine = Engine::new(code.as_ref(), &config.base, replicas, layout);
-    let mut counts = OutcomeCounts::default();
-    for _ in 0..trials {
-        engine.play(&mut rng);
-        counts = counts.merge(engine.classify());
-    }
+    span.record("threads", threads);
+    let counts = run_sharded(
+        trials,
+        seed,
+        (1, threads),
+        || Engine::new(code.as_ref(), &config.base, replicas, layout),
+        |engine, rng, in_shard| engine.play_shard(rng, in_shard),
+    );
 
     // Every word of every trial is one classified read.
     let words = summarize(counts, config.base.n, config.base.k, config.base.m);
@@ -174,7 +192,9 @@ mod tests {
     use crate::memory::Store;
     use crate::system::{scrub_duplex, scrub_simplex, Batch};
     use crate::ScrubTiming;
+    use rand::rngs::StdRng;
     use rand::Rng;
+    use rand::SeedableRng;
     use rsmem_code::{RsCode, Symbol};
 
     fn base(seu: f64) -> SimConfig {
@@ -388,6 +408,29 @@ mod tests {
         let c = run_duplex_array(&config(5e-3, 2, 2), 10, 77).unwrap();
         let d = run_duplex_array(&config(5e-3, 2, 2), 10, 77).unwrap();
         assert_eq!(c, d);
+    }
+
+    #[test]
+    fn reports_do_not_depend_on_the_thread_count() {
+        // Five one-trial shards do not divide evenly over 2, 3 or 8
+        // workers.
+        let mut cfg = config(2e-2, 2, 2);
+        cfg.base.erasure_per_symbol_day = 5e-3;
+        cfg.base.scrub = Some((0.25, ScrubTiming::Periodic));
+        for duplex in [false, true] {
+            let serial = run_array_threaded(&cfg, duplex, 5, 0x5EED, 1).unwrap();
+            assert!(serial.failed_words > 0, "duplex {duplex}: {serial:?}");
+            for threads in [2, 3, 8] {
+                let parallel = run_array_threaded(&cfg, duplex, 5, 0x5EED, threads).unwrap();
+                assert_eq!(parallel, serial, "duplex {duplex} on {threads} threads");
+            }
+            let all_cores = if duplex {
+                run_duplex_array(&cfg, 5, 0x5EED)
+            } else {
+                run_simplex_array(&cfg, 5, 0x5EED)
+            };
+            assert_eq!(all_cores.unwrap(), serial, "duplex {duplex} on every core");
+        }
     }
 
     #[test]

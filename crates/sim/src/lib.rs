@@ -38,7 +38,7 @@
 //!     scrub: None,
 //!     store_days: 2.0,
 //! };
-//! let report = runner::run_simplex(&config, 200, 42)?;
+//! let report = runner::run_simplex_threaded(&config, 200, 42, 2)?;
 //! assert_eq!(report.trials, 200);
 //! # Ok(())
 //! # }

@@ -1,13 +1,15 @@
 //! Monte-Carlo campaign runner and statistics.
 //!
-//! Campaigns are **sharded**: trials are split into fixed-size blocks of
-//! [`SHARD_TRIALS`], each with its own RNG seeded deterministically from
-//! `(seed, shard_index)`. Shards are independent jobs, so they fan out
-//! across `std::thread::scope` workers — and because the shard layout
-//! depends only on `(trials, seed)`, never on the worker count, a
-//! campaign's report is **bit-identical for every thread count**.
-//! Outcome counts are merged by integer addition, which is
-//! order-independent.
+//! Campaigns are **sharded**: trials are split into fixed-size blocks,
+//! [`SHARD_TRIALS`] for word campaigns and one trial for array
+//! campaigns, each with its own RNG seeded deterministically from
+//! `(seed, shard_index)`. Shards are independent jobs: workers pull
+//! them from a shared cursor, each on its own engine, with the calling
+//! thread running one worker and `std::thread::scope` the rest. Because
+//! the shard layout depends only on `(trials, seed)`, never on the
+//! worker count, a campaign's report is **bit-identical for every
+//! thread count**. Outcome counts are merged by integer addition, which
+//! is order-independent.
 
 use crate::metrics::mc_metrics;
 use crate::system::{Engine, Layout};
@@ -154,112 +156,72 @@ pub(crate) fn summarize(counts: OutcomeCounts, n: usize, k: usize, m: u32) -> Mo
     }
 }
 
-/// Runs the sharded campaign: workers pull shard indices from an atomic
-/// cursor, simulate each shard with its own deterministically-seeded RNG,
-/// and the per-worker counts merge commutatively.
+/// Runs a sharded campaign of `trials` trials in shards of
+/// `shard_trials`, on up to `threads` workers, and merges their outcome
+/// counts commutatively.
 ///
-/// `run_shard_trials` receives the shard's RNG and its trial count and
-/// returns the shard's outcome counts. Handing the closure the *whole*
-/// shard (rather than one trial at a time) lets campaign entry points
-/// play all trials first and then decode every read-back in one batch
-/// per shard.
-fn run_sharded<F>(trials: usize, seed: u64, threads: usize, run_shard_trials: F) -> OutcomeCounts
+/// Workers pull shard indices from an atomic cursor and play shard `s`
+/// on its own RNG, seeded from `(seed, s)`. Each worker owns one state
+/// from `new_state`: all of them are built on the calling thread before
+/// any spawn, and the calling thread runs the first worker itself.
+/// `run_shard` receives the worker's state, the shard's RNG and its
+/// trial count, so an entry point can play all of a shard's trials and
+/// then decode every read-back in one batch.
+pub(crate) fn run_sharded<S, F>(
+    trials: usize,
+    seed: u64,
+    (shard_trials, threads): (usize, usize),
+    new_state: impl Fn() -> S,
+    run_shard: F,
+) -> OutcomeCounts
 where
-    F: Fn(&mut StdRng, usize) -> OutcomeCounts + Sync,
+    S: Send,
+    F: Fn(&mut S, &mut StdRng, usize) -> OutcomeCounts + Sync,
 {
-    let shards = trials.div_ceil(SHARD_TRIALS);
-    let metrics = mc_metrics();
-    let run_shard = |shard: usize| {
-        // Trace level: one span per 256-trial shard is far too chatty
-        // for normal logging but exactly the granularity the profiler's
-        // latency histogram wants.
-        let mut shard_span = rsmem_obs::span_at(rsmem_obs::Level::Trace, "sim.mc", "shard");
-        shard_span.record("shard", shard);
-        let mut rng = StdRng::seed_from_u64(shard_seed(seed, shard as u64));
-        let in_shard = SHARD_TRIALS.min(trials - shard * SHARD_TRIALS);
-        let counts = run_shard_trials(&mut rng, in_shard);
-        // Publish per shard, not per trial: five relaxed adds per 256
-        // trials instead of contended increments inside the trial loop.
-        metrics.shards.inc();
-        metrics.trials.add(in_shard as u64);
-        metrics.correct.add(counts.correct as u64);
-        metrics.silent.add(counts.silent as u64);
-        metrics.detected.add(counts.detected as u64);
-        // Shard completion is also the campaign's time-series sampling
-        // point — the freshly-published counters land in the next frame.
-        rsmem_obs::timeseries::tick();
-        counts
-    };
-
-    let workers = threads.max(1).min(shards);
-    if workers <= 1 {
-        return (0..shards)
-            .map(run_shard)
-            .fold(OutcomeCounts::default(), OutcomeCounts::merge);
-    }
+    let shards = trials.div_ceil(shard_trials);
     let cursor = AtomicUsize::new(0);
-    // Carry the spawning thread's trace ID and profiler position into
-    // the scoped workers so a request's shard-level events stay
+    let work = |state: &mut S| {
+        let mut counts = OutcomeCounts::default();
+        loop {
+            let shard = cursor.fetch_add(1, Ordering::Relaxed);
+            if shard >= shards {
+                return counts;
+            }
+            // Trace level: one span per shard is far too chatty for
+            // normal logging but exactly the granularity the profiler's
+            // latency histogram wants.
+            let mut span = rsmem_obs::span_at(rsmem_obs::Level::Trace, "sim.mc", "shard");
+            span.record("shard", shard);
+            let mut rng = StdRng::seed_from_u64(shard_seed(seed, shard as u64));
+            let in_shard = shard_trials.min(trials - shard * shard_trials);
+            counts = counts.merge(run_shard(state, &mut rng, in_shard));
+        }
+    };
+    let mut states: Vec<S> = (0..threads.clamp(1, shards)).map(|_| new_state()).collect();
+    let mut own = states.pop().expect("a campaign has a shard");
+    // Carry the calling thread's trace ID and profiler position into the
+    // spawned workers so a request's shard-level events stay
     // attributable to it and shard spans nest under the campaign span.
     let trace = current_trace_id();
     let profile_node = rsmem_obs::profile::current_node();
     thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let cursor = &cursor;
-                let run_shard = &run_shard;
+        let handles: Vec<_> = states
+            .into_iter()
+            .map(|mut state| {
+                let work = &work;
                 scope.spawn(move || {
                     let _trace = trace.map(trace_scope);
                     let _profile = rsmem_obs::profile::attach_scope(profile_node);
-                    let mut counts = OutcomeCounts::default();
-                    loop {
-                        let shard = cursor.fetch_add(1, Ordering::Relaxed);
-                        if shard >= shards {
-                            break;
-                        }
-                        counts = counts.merge(run_shard(shard));
-                    }
-                    counts
+                    work(&mut state)
                 })
             })
             .collect();
+        let counts = work(&mut own);
         handles
             .into_iter()
             .map(|h| h.join().expect("MC shard worker panicked"))
-            .fold(OutcomeCounts::default(), OutcomeCounts::merge)
+            .fold(counts, OutcomeCounts::merge)
     })
-}
-
-/// Attaches a finished campaign's outcome counts (and the implied
-/// trials/second) to its span; a no-op when logging is off.
-fn record_campaign(span: &mut rsmem_obs::Span, counts: &OutcomeCounts) {
-    if !span.active() {
-        return;
-    }
-    span.record("correct", counts.correct);
-    span.record("silent", counts.silent);
-    span.record("detected", counts.detected);
-    if let Some(us) = span.elapsed_us() {
-        if us > 0 {
-            let total = (counts.correct + counts.silent + counts.detected) as f64;
-            let rate = total / (us as f64 / 1e6);
-            span.record("trials_per_sec", (rate * 10.0).round() / 10.0);
-        }
-    }
-}
-
-/// Runs `trials` independent simplex storage periods on one thread.
-/// Identical to [`run_simplex_threaded`] with any worker count.
-///
-/// # Errors
-///
-/// [`SimError::NoTrials`] for `trials == 0`, or configuration errors.
-pub fn run_simplex(
-    config: &SimConfig,
-    trials: usize,
-    seed: u64,
-) -> Result<MonteCarloReport, SimError> {
-    run_simplex_threaded(config, trials, seed, 1)
 }
 
 /// Runs `trials` independent simplex storage periods across up to
@@ -269,7 +231,7 @@ pub fn run_simplex(
 ///
 /// # Errors
 ///
-/// See [`run_simplex`].
+/// [`SimError::NoTrials`] for `trials == 0`, or configuration errors.
 pub fn run_simplex_threaded(
     config: &SimConfig,
     trials: usize,
@@ -279,26 +241,12 @@ pub fn run_simplex_threaded(
     run_words(config, trials, seed, threads, ("simplex_campaign", 1))
 }
 
-/// Runs `trials` independent duplex storage periods on one thread.
-/// Identical to [`run_duplex_threaded`] with any worker count.
-///
-/// # Errors
-///
-/// See [`run_simplex`].
-pub fn run_duplex(
-    config: &SimConfig,
-    trials: usize,
-    seed: u64,
-) -> Result<MonteCarloReport, SimError> {
-    run_duplex_threaded(config, trials, seed, 1)
-}
-
 /// Runs `trials` independent duplex storage periods across up to
 /// `threads` workers; the worker count cannot change the report.
 ///
 /// # Errors
 ///
-/// See [`run_simplex`].
+/// See [`run_simplex_threaded`].
 pub fn run_duplex_threaded(
     config: &SimConfig,
     trials: usize,
@@ -309,8 +257,9 @@ pub fn run_duplex_threaded(
 }
 
 /// Runs a sharded word campaign of `replicas` modules per trial under a
-/// `sim.mc` span called `name`. Each shard plays its trials on one
-/// engine and reads all of them back in one batch.
+/// `sim.mc` span called `name`. Each worker plays its shards on one
+/// engine, reads each shard back in one batch, and publishes the
+/// shard's counts.
 fn run_words(
     config: &SimConfig,
     trials: usize,
@@ -326,15 +275,53 @@ fn run_words(
     let mut span = rsmem_obs::span("sim.mc", name);
     span.record("trials", trials);
     span.record("threads", threads);
-    let counts = run_sharded(trials, seed, threads, |rng, in_shard| {
-        let mut engine = Engine::new(code.as_ref(), config, replicas, Layout::Word);
-        for _ in 0..in_shard {
-            engine.play(rng);
-        }
-        engine.classify()
-    });
-    record_campaign(&mut span, &counts);
+    let metrics = mc_metrics();
+    let counts = run_sharded(
+        trials,
+        seed,
+        (SHARD_TRIALS, threads),
+        || Engine::new(code.as_ref(), config, replicas, Layout::Word),
+        |engine, rng, in_shard| {
+            let counts = engine.play_shard(rng, in_shard);
+            // Publish per shard, not per trial: five relaxed adds per
+            // 256 trials instead of contended increments in the trial
+            // loop.
+            metrics.shards.inc();
+            metrics.trials.add(in_shard as u64);
+            metrics.correct.add(counts.correct as u64);
+            metrics.silent.add(counts.silent as u64);
+            metrics.detected.add(counts.detected as u64);
+            // Shard completion is also the campaign's time-series
+            // sampling point: the freshly published counters land in
+            // the next frame.
+            rsmem_obs::timeseries::tick();
+            counts
+        },
+    );
+    span.record("correct", counts.correct);
+    span.record("silent", counts.silent);
+    span.record("detected", counts.detected);
     Ok(summarize(counts, config.n, config.k, config.m))
+}
+
+/// A simplex word campaign on the calling thread.
+#[cfg(test)]
+pub(crate) fn run_simplex(
+    config: &SimConfig,
+    trials: usize,
+    seed: u64,
+) -> Result<MonteCarloReport, SimError> {
+    run_simplex_threaded(config, trials, seed, 1)
+}
+
+/// A duplex word campaign on the calling thread.
+#[cfg(test)]
+pub(crate) fn run_duplex(
+    config: &SimConfig,
+    trials: usize,
+    seed: u64,
+) -> Result<MonteCarloReport, SimError> {
+    run_duplex_threaded(config, trials, seed, 1)
 }
 
 #[cfg(test)]
@@ -500,9 +487,8 @@ mod tests {
                 let perm = [0; 2].map(|_| sample_exponential(&mut probe, perm_rate));
                 let first_fault = seu.into_iter().chain(perm).fold(f64::INFINITY, f64::min);
                 before_any_fault += usize::from(period < first_fault.min(config.store_days));
-                engine.play(&mut rng);
+                engine.play_shard(&mut rng, 1);
             }
-            engine.classify();
         }
         // A store that listed every word would decode 2 × 493 = 986 more
         // `Clean` outcomes than the 4 501 that `scrub_work.rs` pins.

@@ -6,10 +6,10 @@
 //!
 //! A word trial is a one-word store per replica. The two kinds of
 //! campaign differ only in their [`Layout`], which fixes how an upset
-//! draws the bits it flips, and in how they drive the engine: word
-//! campaigns are sharded, each shard classifying the read-backs of all
-//! its trials in one batch, while an array campaign runs on one RNG and
-//! classifies each trial's read-back on its own.
+//! draws the bits it flips, and in how finely they shard: both run on
+//! [`crate::runner`]'s sharded driver, one engine per worker, and a
+//! shard classifies the read-backs of all its trials in one batch. A
+//! word shard is 256 trials, an array shard one trial.
 //!
 //! The memory is flat: a store keeps all its words' symbols in one
 //! `words × n` buffer (see [`Store`]), a [`Batch`] keeps the words it
@@ -36,6 +36,12 @@ use rsmem_obs::recorder;
 /// 0.82–0.99 times from 7 words up. Word scrubs decode 1 or 2 words,
 /// array scrubs a few pairs, read-backs hundreds.
 const BATCH_CROSSOVER: usize = 6;
+
+/// Queued read-backs past which an engine decodes them: a duplex word
+/// shard's 2 × 256 decode in one batch, and an array trial's read-back
+/// decodes in chunks of this many words. So an engine's batch holds at
+/// most this many read-backs, whatever the number of words.
+const READ_CHUNK: usize = 2 * crate::runner::SHARD_TRIALS;
 
 /// A batch of words to decode, in buffers reused from one batch to the
 /// next, so a word costs no allocation once they are warm.
@@ -308,7 +314,12 @@ impl<'c> Engine<'c> {
             perm_rate: config.erasure_per_symbol_day * replicas[0].symbols() as f64,
             replicas,
             originals: Vec::with_capacity(words * k),
-            batch: Batch::default(),
+            batch: Batch {
+                words: Vec::with_capacity(READ_CHUNK * n),
+                erasures: vec![Vec::new(); READ_CHUNK],
+                outcomes: Vec::with_capacity(READ_CHUNK),
+                ..Batch::default()
+            },
         }
     }
 
@@ -316,22 +327,23 @@ impl<'c> Engine<'c> {
     /// dataword per word, stores its codeword fault-free in every
     /// replica, runs the faults and scrubs up to the horizon, then reads
     /// every word (simplex) or masks every pair (duplex, arbiter step 1).
-    pub(crate) fn play<R: Rng + ?Sized>(&mut self, rng: &mut R) {
+    /// Returns the counts of the read-backs it decoded on the way, each
+    /// time [`READ_CHUNK`] were queued.
+    fn play<R: Rng + ?Sized>(&mut self, rng: &mut R) -> OutcomeCounts {
         self.store(rng);
         self.run(rng);
-        match self.replicas.as_slice() {
-            [store] => {
-                for w in 0..store.words() {
-                    self.batch.push(store, w);
-                }
+        let mut counts = OutcomeCounts::default();
+        for w in 0..self.replicas[0].words() {
+            match self.replicas.as_slice() {
+                [store] => self.batch.push(store, w),
+                [s1, s2] => self.batch.push_masked(self.code, s1, s2, w),
+                _ => unreachable!("1 or 2 replicas"),
             }
-            [s1, s2] => {
-                for w in 0..s1.words() {
-                    self.batch.push_masked(self.code, s1, s2, w);
-                }
+            if self.batch.len == READ_CHUNK {
+                counts = counts.merge(self.classify());
             }
-            _ => unreachable!("1 or 2 replicas"),
         }
+        counts
     }
 
     /// Appends the trial's datawords to `originals` and stores them: each
@@ -449,9 +461,17 @@ impl<'c> Engine<'c> {
         }
     }
 
-    /// Decodes every queued read-back in one batch, classifies it, and
-    /// empties the queue.
-    pub(crate) fn classify(&mut self) -> OutcomeCounts {
+    /// Plays `trials` trials and classifies every read-back.
+    pub(crate) fn play_shard(&mut self, rng: &mut impl Rng, trials: usize) -> OutcomeCounts {
+        let counts = (0..trials).fold(OutcomeCounts::default(), |counts, _| {
+            counts.merge(self.play(rng))
+        });
+        counts.merge(self.classify())
+    }
+
+    /// Decodes the queued read-backs in one batch, classifies them
+    /// against the oldest datawords, and drops both.
+    fn classify(&mut self) -> OutcomeCounts {
         // The decode repairs words in place, so keep the stored words
         // only while the flight recorder wants exemplars.
         let stored = recorder::enabled().then(|| self.batch.words.clone());
@@ -463,8 +483,9 @@ impl<'c> Engine<'c> {
             &self.originals,
             stored.as_deref(),
         );
+        let reads = self.batch.len / self.replicas.len();
+        self.originals.drain(..reads * self.code.k());
         self.batch.truncate(0, self.code.n());
-        self.originals.clear();
         counts
     }
 }

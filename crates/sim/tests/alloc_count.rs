@@ -2,7 +2,8 @@
 //! campaign allocates no more with a scrub every 90 s than with one
 //! every 900 s. A second gate pins the same for whole-array campaigns,
 //! and that their trials reuse the arrays instead of rebuilding them. A
-//! third pins that building an array campaign costs nothing per word.
+//! third pins that building an array campaign costs nothing per word,
+//! for each worker.
 //!
 //! Periodic scrubs draw no randomness, so both campaigns inject the same
 //! faults at the same instants and end on the same erasure sets; they
@@ -14,7 +15,7 @@
 //! as a higher count at 90 s. The counting allocator is per thread, so the campaign
 //! runs on the test thread (`threads = 1`).
 
-use rsmem_sim::array::{run_duplex_array, ArrayConfig};
+use rsmem_sim::array::{run_array_threaded, ArrayConfig};
 use rsmem_sim::runner::run_duplex_threaded;
 use rsmem_sim::{ArrayReport, ScrubTiming, SimConfig};
 
@@ -58,7 +59,10 @@ const WORDS: usize = 64;
 
 /// A duplex RS(18,16) array campaign of `trials` trials over `words`
 /// words, with `erasure_per_symbol_day` permanent faults and a scrub
-/// every `period_days`. Array campaigns always run on the calling thread.
+/// every `period_days`, on `threads` workers. The calling thread builds
+/// every worker's engine and runs one worker itself; the counter sees
+/// only its own allocations, so the scrub and trial gates run on one
+/// worker, where the calling thread plays every trial.
 ///
 /// A permanent fault can allocate: the first erasure of a module grows
 /// its erasure list, which later trials then reuse. That is a cost per
@@ -69,7 +73,7 @@ fn array_campaign(
     words: usize,
     erasure_per_symbol_day: f64,
     period_days: f64,
-    trials: usize,
+    (trials, threads): (usize, usize),
 ) -> (usize, ArrayReport) {
     let config = ArrayConfig {
         base: SimConfig {
@@ -83,18 +87,18 @@ fn array_campaign(
         interleave_depth: 4,
     };
     let before = allocations();
-    let report = run_duplex_array(&config, trials, 7).unwrap();
+    let report = run_array_threaded(&config, true, trials, 7, threads).unwrap();
     (allocations() - before, report)
 }
 
 #[test]
 fn array_campaigns_allocate_per_fault_not_per_word() {
     // Warm-up, as above.
-    array_campaign(WORDS, 1e-3, 0.05, 2);
+    array_campaign(WORDS, 1e-3, 0.05, (2, 1));
     // Scrubs: ten times as many scrub ticks, each decoding only the
     // word-pairs a fault touched, allocate nothing more.
-    let (often, report_often) = array_campaign(WORDS, 1e-3, 0.005, 2);
-    let (rarely, report_rarely) = array_campaign(WORDS, 1e-3, 0.05, 2);
+    let (often, report_often) = array_campaign(WORDS, 1e-3, 0.005, (2, 1));
+    let (rarely, report_rarely) = array_campaign(WORDS, 1e-3, 0.05, (2, 1));
     assert!(
         report_often.failed_words < report_rarely.failed_words,
         "the 0.005-day scrubs must do work: {report_often:?} vs {report_rarely:?}"
@@ -105,8 +109,8 @@ fn array_campaigns_allocate_per_fault_not_per_word() {
     );
     // Trials: six more trials cost fewer allocations than one per word,
     // so no trial rebuilds its arrays, modules or datawords.
-    let (eight, _) = array_campaign(WORDS, 1e-3, 0.05, 8);
-    let (two, _) = array_campaign(WORDS, 1e-3, 0.05, 2);
+    let (eight, _) = array_campaign(WORDS, 1e-3, 0.05, (8, 1));
+    let (two, _) = array_campaign(WORDS, 1e-3, 0.05, (2, 1));
     assert!(
         eight < two + WORDS,
         "8 trials allocated {eight} times, 2 trials {two}"
@@ -116,15 +120,19 @@ fn array_campaigns_allocate_per_fault_not_per_word() {
 #[test]
 fn building_a_campaign_costs_nothing_per_word() {
     // Warm-up, as above.
-    array_campaign(WORDS, 0.0, 0.05, 2);
-    // Each call builds its stores and batch afresh. Flat buffers cost a
-    // few allocations each, and a growing buffer a few more per doubling
-    // of its size, so sixteen times the words may add only a constant.
-    // No permanent faults: their erasure lists cost per fault (above).
-    let (small, _) = array_campaign(WORDS, 0.0, 0.05, 2);
-    let (large, _) = array_campaign(16 * WORDS, 0.0, 0.05, 2);
-    assert!(
-        large <= small + 32,
-        "a 1 024-word campaign allocated {large} times, a 64-word one {small}"
-    );
+    array_campaign(WORDS, 0.0, 0.05, (2, 1));
+    // Each call builds one engine per worker afresh, all on this thread.
+    // An engine's flat buffers cost a few allocations each, whatever the
+    // words, and a growing buffer a few more per doubling of its size,
+    // so sixteen times the words may add only a constant. No permanent
+    // faults: their erasure lists cost per fault (above).
+    for threads in [1, 2, 3] {
+        let (small, _) = array_campaign(WORDS, 0.0, 0.05, (3, threads));
+        let (large, _) = array_campaign(16 * WORDS, 0.0, 0.05, (3, threads));
+        assert!(
+            large <= small + 32,
+            "on {threads} workers, a 1 024-word campaign allocated {large} times, \
+             a 64-word one {small}"
+        );
+    }
 }
