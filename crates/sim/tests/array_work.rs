@@ -30,8 +30,9 @@ fn counts() -> [u64; 5] {
 }
 
 /// A seed at which the campaign loses a word: among the first 200
-/// seeds, 9 lose one, and none loses more.
-const SEED: u64 = 14;
+/// seeds, 10 lose one, and none loses more. This one loses it in its
+/// second trial, whose stream is the campaign's second.
+const SEED: u64 = 19;
 
 #[test]
 fn benchmark_shaped_array_campaign_does_pinned_work() {
@@ -56,7 +57,7 @@ fn benchmark_shaped_array_campaign_does_pinned_work() {
     );
     assert_eq!(
         [0, 1, 2, 3, 4].map(|i| after[i] - before[i]),
-        [5_410, 1_300, 6, 5_189, 1_093],
+        [5_454, 1_334, 2, 5_224, 1_114],
         "decode outcomes (clean, corrected, failed), then batch-plane words (clean, escalated)"
     );
 }
