@@ -22,6 +22,7 @@ use rsmem::Parallelism;
 use rsmem_code::{BatchDecoder, BatchOutcome, DecodeOpts, DecodeOutcome, DecoderBackend, RsCode};
 use rsmem_gf::Symbol;
 use rsmem_obs::json::Value;
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -139,15 +140,31 @@ fn stats(times: &[f64]) -> (f64, f64, f64) {
 fn run_bench(
     name: &str,
     iterations: usize,
-    mut work: impl FnMut() -> Result<u64, String>,
+    work: impl FnMut() -> Result<u64, String>,
+) -> Result<BenchResult, String> {
+    run_bench_hashed(name, iterations, work, |fp| fp)
+}
+
+/// [`run_bench`] for a `work` whose result `hash` fingerprints after
+/// the clock stops, so the timed runs time only `work`.
+///
+/// # Errors
+///
+/// See [`run_bench`].
+fn run_bench_hashed<T>(
+    name: &str,
+    iterations: usize,
+    mut work: impl FnMut() -> Result<T, String>,
+    mut hash: impl FnMut(T) -> u64,
 ) -> Result<BenchResult, String> {
     let iterations = iterations.max(1);
     let mut times_us = Vec::with_capacity(iterations);
     let mut fingerprint = None;
     for i in 0..=iterations {
         let started = Instant::now();
-        let fp = work().map_err(|e| format!("bench {name}: {e}"))?;
+        let result = work().map_err(|e| format!("bench {name}: {e}"))?;
         let elapsed_us = started.elapsed().as_secs_f64() * 1e6;
+        let fp = hash(result);
         if i > 0 {
             times_us.push(elapsed_us);
         }
@@ -443,18 +460,26 @@ fn encode_benches(iterations: usize, benches: &mut Vec<BenchResult>) -> Result<(
         let data: Vec<Symbol> = (0..WORDS * k)
             .map(|_| (splitmix(&mut state) & 0xFF) as Symbol)
             .collect();
-        let mut codewords = vec![0; WORDS * n];
-        let mut bench = run_bench(&format!("encode_{tag}"), iterations, || {
+        // The codewords are hashed after the clock stops: hashing them
+        // byte by byte takes longer than encoding them.
+        let codewords = RefCell::new(vec![0; WORDS * n]);
+        let encode = || {
+            let mut codewords = codewords.borrow_mut();
             for (dataword, word) in data.chunks_exact(k).zip(codewords.chunks_exact_mut(n)) {
                 code.encode_into(dataword, word)
                     .map_err(|e| e.to_string())?;
             }
+            Ok(())
+        };
+        let fingerprint = |()| {
             let mut hash = Fnv::new();
-            for s in &codewords {
+            for s in codewords.borrow().iter() {
                 hash.write(&s.to_le_bytes());
             }
-            Ok(hash.finish())
-        })?;
+            hash.finish()
+        };
+        let mut bench =
+            run_bench_hashed(&format!("encode_{tag}"), iterations, encode, fingerprint)?;
         bench.symbols = (n * WORDS) as u64;
         benches.push(bench);
     }
@@ -1093,6 +1118,29 @@ mod tests {
         assert_eq!(calls, 4 + 1, "one untimed warm-up plus the timed runs");
         assert_eq!(result.times_us.len(), 4);
         assert_eq!(result.fingerprint, 7);
+    }
+
+    #[test]
+    fn run_bench_hashed_fingerprints_every_run_after_its_clock_stops() {
+        let mut hashed = 0;
+        let result = run_bench_hashed(
+            "probe",
+            3,
+            || Ok(5u8),
+            |x| {
+                hashed += 1;
+                std::thread::sleep(std::time::Duration::from_millis(20));
+                u64::from(x) * 2
+            },
+        )
+        .unwrap();
+        assert_eq!(hashed, 3 + 1, "the warm-up's result is hashed too");
+        assert_eq!(result.fingerprint, 10);
+        assert!(
+            result.times_us.iter().all(|&t| t < 20_000.0),
+            "the 20 ms hash was timed: {:?}",
+            result.times_us
+        );
     }
 
     #[test]
