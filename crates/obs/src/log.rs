@@ -400,7 +400,7 @@ impl Span {
 impl Drop for Span {
     fn drop(&mut self) {
         if let Some(data) = self.0.take() {
-            let elapsed = u64::try_from(data.start.elapsed().as_micros()).unwrap_or(u64::MAX);
+            let elapsed = data.start.elapsed();
             if let Some(frame) = data.prof {
                 crate::profile::exit(frame, elapsed);
             }
@@ -408,7 +408,8 @@ impl Drop for Span {
                 crate::recorder::record_span_close(data.record.target, data.record.name, elapsed);
             }
             if data.log {
-                write_record(&data.record, Some(elapsed));
+                let us = u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX);
+                write_record(&data.record, Some(us));
             }
         }
     }

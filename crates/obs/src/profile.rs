@@ -7,6 +7,8 @@
 //! time is derived at snapshot time as `total − Σ children.total`
 //! (clamped at zero: children running on parallel workers can overlap,
 //! so the sum may legitimately exceed the serial parent's wall time).
+//! Nodes sum nanoseconds, so a span far shorter than a microsecond
+//! still adds up; snapshots report microseconds.
 //!
 //! The disabled path is one relaxed atomic load and **zero heap
 //! allocations** — the same contract the event pipeline proves in the
@@ -33,6 +35,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard};
+use std::time::Duration;
 
 /// Upper bounds (µs, inclusive) of the latency histogram buckets; one
 /// implicit `+Inf` bucket follows. Spans here range from a single
@@ -60,7 +63,7 @@ struct Node {
     name: &'static str,
     children: Vec<u32>,
     count: u64,
-    total_us: u64,
+    total_ns: u64,
     hist: [u64; BUCKETS],
 }
 
@@ -71,7 +74,7 @@ impl Node {
             name,
             children: Vec::new(),
             count: 0,
-            total_us: 0,
+            total_ns: 0,
             hist: [0; BUCKETS],
         }
     }
@@ -146,15 +149,16 @@ pub(crate) fn enter(target: &'static str, name: &'static str) -> Option<Frame> {
 }
 
 /// Registers span exit with its measured wall time.
-pub(crate) fn exit(frame: Frame, elapsed_us: u64) {
+pub(crate) fn exit(frame: Frame, elapsed: Duration) {
     CURRENT.with(|c| c.set(frame.prev));
+    let elapsed_ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
     let mut tree = lock_tree();
     let node = &mut tree.nodes[frame.node as usize];
     node.count += 1;
-    node.total_us = node.total_us.saturating_add(elapsed_us);
+    node.total_ns = node.total_ns.saturating_add(elapsed_ns);
     let bucket = BOUNDS_US
         .iter()
-        .position(|&b| elapsed_us <= b)
+        .position(|&b| elapsed_ns <= b * 1_000)
         .unwrap_or(BUCKETS - 1);
     node.hist[bucket] += 1;
 }
@@ -192,7 +196,7 @@ pub fn reset() {
     let mut tree = lock_tree();
     for node in &mut tree.nodes {
         node.count = 0;
-        node.total_us = 0;
+        node.total_ns = 0;
         node.hist = [0; BUCKETS];
     }
 }
@@ -206,7 +210,8 @@ pub struct SnapNode {
     pub name: &'static str,
     /// Completed calls.
     pub count: u64,
-    /// Summed wall time of completed calls, µs.
+    /// Summed wall time of completed calls, µs, rounded down from the
+    /// nanosecond sum.
     pub total_us: u64,
     /// `total_us − Σ children.total_us`, clamped at zero (parallel
     /// children overlap, so the sum can exceed a serial parent).
@@ -232,12 +237,13 @@ fn build_snapshot(tree: &Tree) -> Snapshot {
         let mut children: Vec<SnapNode> = node.children.iter().map(|&c| build(tree, c)).collect();
         children.sort_by_key(|c| std::cmp::Reverse(c.total_us));
         let child_total: u64 = children.iter().map(|c| c.total_us).sum();
+        let total_us = node.total_ns / 1_000;
         SnapNode {
             target: node.target,
             name: node.name,
             count: node.count,
-            total_us: node.total_us,
-            self_us: node.total_us.saturating_sub(child_total),
+            total_us,
+            self_us: total_us.saturating_sub(child_total),
             hist: node.hist,
             children,
         }
@@ -267,7 +273,7 @@ pub fn snapshot_and_reset() -> Snapshot {
     let snap = build_snapshot(&tree);
     for node in &mut tree.nodes {
         node.count = 0;
-        node.total_us = 0;
+        node.total_ns = 0;
         node.hist = [0; BUCKETS];
     }
     snap
@@ -511,7 +517,7 @@ mod tests {
         // Hold a frame across the reset: its exit must still land.
         let frame = enter("test.profile", "in_flight").expect("enabled");
         reset();
-        exit(frame, 42);
+        exit(frame, Duration::from_micros(42));
         let snap = snapshot_and_reset();
         clean();
         let epoch = find(&snap.roots, "epoch_one").expect("node survives reset");
@@ -565,17 +571,38 @@ mod tests {
         clean();
         set_enabled(true);
         let f = enter("test.profile", "hist_case").unwrap();
-        exit(f, 5); // ≤ 10µs bucket
+        exit(f, Duration::from_micros(5)); // ≤ 10µs bucket
         let f = enter("test.profile", "hist_case").unwrap();
-        exit(f, 50_000); // ≤ 100ms bucket
+        exit(f, Duration::from_micros(50_000)); // ≤ 100ms bucket
         let f = enter("test.profile", "hist_case").unwrap();
-        exit(f, u64::MAX); // +Inf bucket
+        exit(f, Duration::MAX); // +Inf bucket
         let snap = snapshot_and_reset();
         clean();
         let node = find(&snap.roots, "hist_case").unwrap();
         assert_eq!(node.hist[0], 1);
         assert_eq!(node.hist[4], 1);
         assert_eq!(node.hist[BUCKETS - 1], 1);
+    }
+
+    #[test]
+    fn sub_microsecond_spans_add_up() {
+        let _guard = profile_lock();
+        clean();
+        set_enabled(true);
+        let outer = enter("test.profile", "scrub_sized_parent").unwrap();
+        for _ in 0..1_000 {
+            let f = enter("test.profile", "scrub_sized").unwrap();
+            exit(f, Duration::from_nanos(300));
+        }
+        exit(outer, Duration::from_nanos(300_999));
+        let snap = snapshot_and_reset();
+        clean();
+        let parent = find(&snap.roots, "scrub_sized_parent").unwrap();
+        let node = find(&parent.children, "scrub_sized").unwrap();
+        assert_eq!(node.count, 1_000);
+        assert_eq!(node.total_us, 300, "1 000 spans of 300 ns");
+        assert_eq!(node.hist[0], 1_000);
+        assert_eq!((parent.total_us, parent.self_us), (300, 0));
     }
 
     #[test]

@@ -36,9 +36,9 @@
 //! millionth detected failure is O(1) — bump a counter, draw one
 //! pseudo-random number, usually build nothing — while rare kinds
 //! (miscorrections, panics) can never be crowded out by common ones.
-//! The reservoir RNG is a [`SplitMix64`-style] stream seeded by
-//! [`set_reservoir_seed`], so a pinned seed makes the kept sample a
-//! deterministic function of the offered sequence.
+//! The reservoir RNG is a [`SplitMix64`-style] stream from a fixed
+//! seed, so the kept sample is a deterministic function of the offered
+//! sequence.
 //!
 //! ## Epochs
 //!
@@ -56,6 +56,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::time::Duration;
 
 /// Schema tag of the JSON dump.
 pub const SCHEMA: &str = "rsmem-trace/1";
@@ -72,7 +73,7 @@ const WORDS: usize = 5;
 /// Slot stride: one stamp word plus the payload.
 const STRIDE: usize = WORDS + 1;
 
-/// Default reservoir seed (overridable via [`set_reservoir_seed`]).
+/// The reservoir seed; the tests re-seed with `set_reservoir_seed`.
 const DEFAULT_RESERVOIR_SEED: u64 = 0x5EED_F11E_7D0C_0DE5;
 
 /// What a ring record describes.
@@ -81,7 +82,8 @@ const DEFAULT_RESERVOIR_SEED: u64 = 0x5EED_F11E_7D0C_0DE5;
 pub enum RecordKind {
     /// A span was opened (`a`/`b` unused).
     SpanOpen = 1,
-    /// A span closed; `a` carries `elapsed_us`.
+    /// A span closed; `a` carries `elapsed_us`, `b` the same in
+    /// nanoseconds.
     SpanClose = 2,
     /// A decode finished; `a` encodes the outcome, `b` a detail count.
     Decode = 3,
@@ -344,12 +346,13 @@ pub(crate) fn record_span_open(target: &'static str, name: &'static str) {
 }
 
 /// Records a span closing with its measured wall time.
-pub(crate) fn record_span_close(target: &'static str, name: &'static str, elapsed_us: u64) {
+pub(crate) fn record_span_close(target: &'static str, name: &'static str, elapsed: Duration) {
     if !enabled() {
         return;
     }
     let (t, n) = (intern(target), intern(name));
-    with_ring(|r| r.write(RecordKind::SpanClose, t, n, elapsed_us, 0));
+    let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
+    with_ring(|r| r.write(RecordKind::SpanClose, t, n, ns / 1_000, ns));
 }
 
 /// Records a decode outcome or arbiter decision (`kind` must be
@@ -429,7 +432,8 @@ fn splitmix(state: &mut u64) -> u64 {
 
 /// Re-seeds the reservoir RNG (and restarts its stream). With a pinned
 /// seed the kept sample is a deterministic function of the sequence of
-/// offers — the stress harness relies on this for reproducible runs.
+/// offers.
+#[cfg(test)]
 pub fn set_reservoir_seed(seed: u64) {
     let mut store = exemplars();
     store.seed = seed;
@@ -879,7 +883,7 @@ mod tests {
             let _t = trace_scope(0xAB);
             record_span_open("code.decode", "word");
             record_event(RecordKind::Decode, "code.decode", "word", 2, 1);
-            record_span_close("code.decode", "word", 17);
+            record_span_close("code.decode", "word", Duration::from_nanos(17_300));
         }
         record_event(RecordKind::Arbiter, "sim.arbiter", "combine", 3, 0);
         let snap = snapshot_and_reset();
@@ -896,7 +900,7 @@ mod tests {
         assert_eq!(ours[0].kind, RecordKind::SpanOpen);
         assert_eq!(ours[0].trace_id, 0xAB);
         assert_eq!(ours[2].kind, RecordKind::SpanClose);
-        assert_eq!(ours[2].a, 17);
+        assert_eq!((ours[2].a, ours[2].b), (17, 17_300), "µs, then ns");
         assert_eq!(ours[3].trace_id, 0);
         // Sequence numbers strictly increase per thread.
         assert!(ours
@@ -1063,7 +1067,7 @@ mod tests {
                 repro: "#[test]\nfn x() {}".to_owned(),
                 ..Exemplar::default()
             });
-            record_span_close("json.test", "work", 5);
+            record_span_close("json.test", "work", Duration::from_micros(5));
         }
         let snap = snapshot_and_reset();
         set_enabled(false);
@@ -1089,8 +1093,8 @@ mod tests {
             let _t = trace_scope(0x77);
             record_span_open("outer.target", "outer");
             record_span_open("inner.target", "inner");
-            record_span_close("inner.target", "inner", 1);
-            record_span_close("outer.target", "outer", 2);
+            record_span_close("inner.target", "inner", Duration::from_micros(1));
+            record_span_close("outer.target", "outer", Duration::from_micros(2));
         }
         let snap = snapshot_and_reset();
         set_enabled(false);

@@ -296,6 +296,7 @@ impl Sampler {
     }
 
     /// The most recent frame, if any.
+    #[cfg(test)]
     pub fn latest(&self) -> Option<FrameSnapshot> {
         let inner = self.inner.lock().expect("sampler lock");
         let mut last = None;
