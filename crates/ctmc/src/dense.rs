@@ -24,6 +24,7 @@ impl DenseMatrix {
     }
 
     /// The identity matrix.
+    #[cfg(test)]
     pub fn identity(n: usize) -> Self {
         let mut m = Self::zeros(n);
         for i in 0..n {

@@ -44,6 +44,7 @@ impl MemoryArray {
     /// # Errors
     ///
     /// Propagates model/solver errors.
+    #[cfg(test)]
     pub fn any_word_fail_probability<M>(&self, model: &M, t: Time) -> Result<f64, ModelError>
     where
         M: MemoryModel,
