@@ -64,7 +64,8 @@ COMMAND FLAGS:
   --trials N              Monte-Carlo trials (default: 1000; 200 for
                           `array`)
   --seed S                RNG seed, decimal or 0x-hex (default: 42)
-  --days D                per-trial storage days for `simulate` (default: 2)
+  --days D                per-trial storage days for `simulate`/`array`
+                          (default: 2)
   --target-ber B          BER target for `advise` (default: 1e-6)
   --words N               array size for `array` (default: 32)
   --mbu B                 bits flipped per SEU for `array` (default: 1)

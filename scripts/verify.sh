@@ -29,7 +29,7 @@ target/release/rsmem-cli stress --seed 0xDA7E --budget 100000
 echo "==> code-family comparison smoke (RS vs RM vs interleaved RS)"
 target/release/rsmem-cli compare --quick >/dev/null
 
-echo "==> array smoke (--duplex must run the duplex campaign, --code the configured family)"
+echo "==> array smoke (--duplex must run the duplex campaign, --code the configured family, --threads nothing)"
 ARRAY_FLAGS="--seu 1e-2 --erasure 1e-3 --tsc 900 --trials 50 --seed 3"
 # shellcheck disable=SC2086 # the flags are split on purpose
 SIMPLEX_ARRAY=$(target/release/rsmem-cli array $ARRAY_FLAGS)
@@ -46,6 +46,14 @@ IRS_ARRAY=$(target/release/rsmem-cli array --code irs:18,16,8,2 $ARRAY_FLAGS)
 RS_ARRAY=$(target/release/rsmem-cli array --code 36,32,8 $ARRAY_FLAGS)
 [ "$IRS_ARRAY" != "$RS_ARRAY" ] || {
   echo "array --code irs:18,16,8,2 printed the RS(36,32) result: $IRS_ARRAY"; exit 1;
+}
+# The worker count must not change an array report.
+# shellcheck disable=SC2086
+SERIAL_ARRAY=$(target/release/rsmem-cli array --duplex $ARRAY_FLAGS --threads 1)
+# shellcheck disable=SC2086
+PARALLEL_ARRAY=$(target/release/rsmem-cli array --duplex $ARRAY_FLAGS --threads 2)
+[ "$SERIAL_ARRAY" = "$PARALLEL_ARRAY" ] || {
+  echo "array --threads 2 differs from --threads 1: $PARALLEL_ARRAY vs $SERIAL_ARRAY"; exit 1;
 }
 
 echo "==> flight-recorder smoke (trace a stress run; exemplars must be captured)"
