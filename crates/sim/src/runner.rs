@@ -1,15 +1,11 @@
 //! Monte-Carlo campaign runner and statistics.
 //!
-//! Campaigns are **sharded**: trials are split into fixed-size blocks,
-//! [`SHARD_TRIALS`] for word campaigns and one trial for array
-//! campaigns, each with its own RNG seeded deterministically from
-//! `(seed, shard_index)`. Shards are independent jobs: workers pull
-//! them from a shared cursor, each on its own engine, with the calling
-//! thread running one worker and `std::thread::scope` the rest. Because
-//! the shard layout depends only on `(trials, seed)`, never on the
-//! worker count, a campaign's report is **bit-identical for every
-//! thread count**. Outcome counts are merged by integer addition, which
-//! is order-independent.
+//! Campaigns are **sharded**: trials are split into blocks of
+//! [`SHARD_TRIALS`] (word campaigns) or of one trial (arrays), each with
+//! its own RNG seeded from `(seed, shard_index)`. Workers pull shards
+//! from a shared cursor, and since the shard layout depends only on
+//! `(trials, seed)`, a campaign's report is **bit-identical for every
+//! thread count**: counts merge by integer addition, in any order.
 
 use crate::metrics::mc_metrics;
 use crate::system::{Engine, Layout};
@@ -156,17 +152,11 @@ pub(crate) fn summarize(counts: OutcomeCounts, n: usize, k: usize, m: u32) -> Mo
     }
 }
 
-/// Runs a sharded campaign of `trials` trials in shards of
-/// `shard_trials`, on up to `threads` workers, and merges their outcome
-/// counts commutatively.
-///
-/// Workers pull shard indices from an atomic cursor and play shard `s`
-/// on its own RNG, seeded from `(seed, s)`. Each worker owns one state
-/// from `new_state`: all of them are built on the calling thread before
-/// any spawn, and the calling thread runs the first worker itself.
-/// `run_shard` receives the worker's state, the shard's RNG and its
-/// trial count, so an entry point can play all of a shard's trials and
-/// then decode every read-back in one batch.
+/// Runs `trials` trials in shards of `shard_trials` on up to `threads`
+/// workers. Each worker owns one state from `new_state`, all built on
+/// the calling thread before any spawn, and the calling thread runs one
+/// worker itself. `run_shard` gets the worker's state, the shard's RNG
+/// and its trial count, so it can decode a whole shard in one batch.
 pub(crate) fn run_sharded<S, F>(
     trials: usize,
     seed: u64,
