@@ -13,7 +13,9 @@
 //! sooner, so it repairs more (the `correct` assertion below) and runs
 //! more scrubs that do work. Any per-scrub allocation therefore shows up
 //! as a higher count at 90 s. The counting allocator is per thread, so the campaign
-//! runs on the test thread (`threads = 1`).
+//! runs on the test thread (`threads = 1`). The third gate runs on up
+//! to three workers, each on a thread of its own, so it counts every
+//! thread's allocations, and the gates take turns.
 
 use rsmem_sim::array::{run_array_threaded, ArrayConfig};
 use rsmem_sim::runner::run_duplex_threaded;
@@ -21,7 +23,11 @@ use rsmem_sim::{ArrayReport, ScrubTiming, SimConfig};
 
 #[path = "../../../tests/support/counting_alloc.rs"]
 mod counting_alloc;
-use counting_alloc::allocations;
+use counting_alloc::{allocations, process_allocations};
+use std::sync::Mutex;
+
+/// Held by each gate, so none runs beside the process-wide count.
+static TURN: Mutex<()> = Mutex::new(());
 
 /// The duplex RS(18,16) campaign at `period_s` seconds between scrubs.
 fn campaign(period_s: f64) -> (usize, rsmem_sim::MonteCarloReport) {
@@ -38,6 +44,7 @@ fn campaign(period_s: f64) -> (usize, rsmem_sim::MonteCarloReport) {
 
 #[test]
 fn scrubs_allocate_nothing() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
     // Warm-up: registers the metric families and grows the thread's
     // decode workspaces.
     campaign(900.0);
@@ -59,10 +66,9 @@ const WORDS: usize = 64;
 
 /// A duplex RS(18,16) array campaign of `trials` trials over `words`
 /// words, with `erasure_per_symbol_day` permanent faults and a scrub
-/// every `period_days`, on `threads` workers. The calling thread builds
-/// every worker's engine and runs one worker itself; the counter sees
-/// only its own allocations, so the scrub and trial gates run on one
-/// worker, where the calling thread plays every trial.
+/// every `period_days`, on `threads` workers, and its allocations: this
+/// thread's for one worker, which runs here, and every thread's for
+/// more, which each run on a thread of their own.
 ///
 /// A permanent fault can allocate: the first erasure of a module grows
 /// its erasure list, which later trials then reuse. That is a cost per
@@ -86,13 +92,19 @@ fn array_campaign(
         mbu_width_bits: 2,
         interleave_depth: 4,
     };
-    let before = allocations();
+    let count = if threads == 1 {
+        allocations
+    } else {
+        process_allocations
+    };
+    let before = count();
     let report = run_array_threaded(&config, true, trials, 7, threads).unwrap();
-    (allocations() - before, report)
+    (count() - before, report)
 }
 
 #[test]
 fn array_campaigns_allocate_per_fault_not_per_word() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
     // Warm-up, as above.
     array_campaign(WORDS, 1e-3, 0.05, (2, 1));
     // Scrubs: ten times as many scrub ticks, each decoding only the
@@ -119,9 +131,10 @@ fn array_campaigns_allocate_per_fault_not_per_word() {
 
 #[test]
 fn building_a_campaign_costs_nothing_per_word() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
     // Warm-up, as above.
     array_campaign(WORDS, 0.0, 0.05, (2, 1));
-    // Each call builds one engine per worker afresh, all on this thread.
+    // Each call builds one engine per worker afresh, on its thread.
     // An engine's flat buffers cost a few allocations each, whatever the
     // words, and a growing buffer a few more per doubling of its size,
     // so sixteen times the words may add only a constant. No permanent
