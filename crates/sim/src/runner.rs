@@ -153,14 +153,11 @@ pub(crate) fn summarize(counts: OutcomeCounts, n: usize, k: usize, m: u32) -> Mo
 }
 
 /// Runs `trials` trials in shards of `shard_trials` on up to `threads`
-/// workers. Each worker builds one state with `new_state` and plays its
-/// shards on it; `run_shard` gets the state, the shard's RNG and its
-/// trial count, so it can decode a whole shard in one batch. One worker
-/// runs on the calling thread. Two or more each get a scoped thread and
-/// build their state there, so no two workers' buffers come from one
-/// thread's allocations, and the calling thread waits: as a worker
-/// itself, or with every state built before the spawns, word campaigns
-/// ran 5–15% slower on two cores.
+/// workers, each playing its shards on one state from `new_state`;
+/// `run_shard` gets the state, the shard's RNG and its trial count. A
+/// lone worker runs on the calling thread. Two or more each build their
+/// state on a scoped thread of their own while the calling thread waits,
+/// which measured fastest on two cores (DESIGN.md).
 pub(crate) fn run_sharded<S, F>(
     trials: usize,
     seed: u64,

@@ -137,13 +137,16 @@ fn building_a_campaign_costs_nothing_per_word() {
     // Each call builds one engine per worker afresh, on its thread.
     // An engine's flat buffers cost a few allocations each, whatever the
     // words, and a growing buffer a few more per doubling of its size,
-    // so sixteen times the words may add only a constant. No permanent
-    // faults: their erasure lists cost per fault (above).
+    // so sixteen times the words may add only a constant per worker. No
+    // permanent faults: their erasure lists cost per fault (above). A
+    // spawned worker that finds every trial taken decodes nothing, so
+    // its thread's decode buffers never grow, and which workers do
+    // depends on the schedule: the constant is per worker.
     for threads in [1, 2, 3] {
         let (small, _) = array_campaign(WORDS, 0.0, 0.05, (3, threads));
         let (large, _) = array_campaign(16 * WORDS, 0.0, 0.05, (3, threads));
         assert!(
-            large <= small + 32,
+            large <= small + 32 * threads,
             "on {threads} workers, a 1 024-word campaign allocated {large} times, \
              a 64-word one {small}"
         );
